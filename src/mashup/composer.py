@@ -425,15 +425,20 @@ def resolve_method_conflicts(wc: WovenClass, woven: WovenModel) -> list[Diagnost
 
     An operation is ambiguous when its winning definer (first in the
     linearization) does not override all other definers along its own
-    inheritance chain.
+    inheritance chain.  Each report points at the winning definer's body in
+    the behavior unit that declares it.
     """
     sink = DiagnosticSink(wc.name)
     for op in sorted(wc.ambiguous_ops):
-        owners = [owner for owner, _m in wc.method_table.get(op, ())]
+        entries = wc.method_table[op]
+        owners = [owner for owner, _m in entries]
+        owner0, mdef0 = entries[0]
         sink.add(
             "AmbiguousMethod",
             f"{wc.name}.{op} is defined by unrelated classes "
             f"{', '.join(owners)}; add an explicit renaming",
+            mdef0.pos,
+            woven.provenance.get(("method", owner0, mdef0.sig.name)),
         )
     return sink.items
 

@@ -200,7 +200,10 @@ class Coll:
 
     Set and OrderedSet reject duplicates (structural equality for
     primitives, identity for object references); iteration order is always
-    insertion order so execution stays deterministic.
+    insertion order so execution stays deterministic.  ``make_coll`` drops
+    duplicates through a hash in linear time, keeping each first occurrence;
+    a collection holding collections, which are unhashable, falls back to a
+    quadratic scan with the same result.
     """
 
     __slots__ = ("kind", "items")
@@ -224,13 +227,17 @@ Value = Union[IntV, BoolV, StringV, VoidV, ObjRef, Coll]
 
 
 def make_coll(kind: str, items) -> Coll:
-    out: list = []
-    unique = kind in ("Set", "OrderedSet")
-    for item in items:
-        if unique and item in out:
-            continue
-        out.append(item)
-    return Coll(kind, out)
+    items = list(items)
+    if kind not in ("Set", "OrderedSet") or len(items) < 2:
+        return Coll(kind, items)
+    try:
+        return Coll(kind, list(dict.fromkeys(items)))
+    except TypeError:  # nested collections cannot be hashed
+        out: list = []
+        for item in items:
+            if item not in out:
+                out.append(item)
+        return Coll(kind, out)
 
 
 def render_value(v: Value) -> str:

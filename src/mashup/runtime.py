@@ -107,12 +107,26 @@ class Obj:
         return f"Obj({self.id}:{self.class_name})"
 
 
+# Shared scalar defaults; the values are immutable, so one instance serves all.
+_PRIM_DEFAULTS = {"Int": IntV(0), "Bool": FALSE, "String": StringV("")}
+
+
+def _many_kind(feat: Attribute | Reference) -> str:
+    return "Sequence" if isinstance(feat, Attribute) else "OrderedSet"
+
+
 def default_value(feat: Attribute | Reference) -> Value:
-    if isinstance(feat, Attribute):
-        if feat.bounds.many:
-            return Coll("Sequence")
-        return {"Int": IntV(0), "Bool": FALSE, "String": StringV("")}[feat.type]
-    return Coll("OrderedSet") if feat.bounds.many else VOID_VALUE
+    """The type default of a slot: a fresh empty collection or a shared scalar."""
+    if feat.bounds.many:
+        return Coll(_many_kind(feat))
+    return _PRIM_DEFAULTS[feat.type] if isinstance(feat, Attribute) else VOID_VALUE
+
+
+def is_default(feat: Attribute | Reference, value: Value) -> bool:
+    """``value == default_value(feat)`` without allocating a default."""
+    if feat.bounds.many:
+        return isinstance(value, Coll) and not value.items and value.kind == _many_kind(feat)
+    return value == default_value(feat)
 
 
 class ModelInstance:
@@ -264,8 +278,10 @@ def _remove_link(model: ModelInstance, src: Obj, feat: Reference, tgt: ObjRef,
                  sync: bool = True) -> None:
     slot = src.slots[feat.name]
     if feat.bounds.many:
-        if tgt in slot.items:
+        try:
             slot.items.remove(tgt)
+        except ValueError:  # not linked: nothing to undo
+            return
     elif slot == tgt:
         src.slots[feat.name] = VOID_VALUE
     if feat.containment:
@@ -374,15 +390,15 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
     if isinstance(feat, Attribute):
         if not feat.bounds.many:
             raise EvalFault("TypeFault", f"cannot remove from single-valued attribute {feature}")
-        slot = obj.slots[feature]
-        if value in slot.items:
-            slot.items.remove(value)
+        try:
+            obj.slots[feature].items.remove(value)
+        except ValueError:
+            pass
         return
     if not isinstance(value, ObjRef):
         return
     if feat.bounds.many:
-        if value in obj.slots[feature].items:
-            _remove_link(model, obj, feat, value)
+        _remove_link(model, obj, feat, value)
     elif obj.slots[feature] == value:
         _remove_link(model, obj, feat, value)
 
@@ -928,7 +944,7 @@ _EXEC = {
 
 def _type_default(t: SemType) -> Value:
     if t.kind == "prim":
-        return {"Int": IntV(0), "Bool": FALSE, "String": StringV("")}[t.name]
+        return _PRIM_DEFAULTS[t.name]
     if t.kind == "coll":
         return Coll(t.name)
     return VOID_VALUE
@@ -1244,8 +1260,7 @@ def _decode_slot(model, oid, feat, raw, sink: DiagnosticSink):
             v = _decode_element(model, where, feat, x, sink)
             if v is not None:
                 items.append(v)
-        kind = "Sequence" if isinstance(feat, Attribute) else "OrderedSet"
-        return make_coll(kind, items)
+        return make_coll(_many_kind(feat), items)
     if raw is None:
         if isinstance(feat, Attribute):
             sink.add("ConformanceError", f"attribute {where} cannot be null")
@@ -1301,7 +1316,7 @@ def save_model(model: ModelInstance) -> str:
         for fname in obj.slots:
             feat = wc.features[fname][0]
             value = obj.slots[fname]
-            if value == default_value(feat):
+            if is_default(feat, value):
                 continue
             slots[fname] = _encode_value(value)
         objects.append({"id": oid, "class": obj.class_name, "slots": slots})

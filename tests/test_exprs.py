@@ -3,17 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import MODELS, weave
 from mashup.diagnostics import DiagnosticSink, EvalFault, UnitParseError
 from mashup.exprs import (
-    BinOp, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef, SelfRef,
-    StringV, TypeTest, VoidV, make_coll, parse_expr, render_value,
+    VOID_VALUE, BinOp, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
+    SelfRef, StringV, TypeTest, VoidV, make_coll, parse_expr, render_value,
 )
 from mashup.runtime import (
     Environment, ModelInstance, create_instance, eval_expr, load_model,
 )
-from mashup.semtypes import BOOL, INT, STRING
+from mashup.semtypes import BOOL, COLLECTION_KINDS, INT, STRING
 from mashup.typecheck import TypeContext, typecheck_expr
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,42 @@ def test_collection_value_helpers():
     seq = make_coll("Sequence", [IntV(1), IntV(1)])
     assert len(seq.items) == 2
     assert render_value(deduped) == "[1, 2]"
+
+
+_SCALARS = st.one_of(
+    st.integers(-1, 2).map(IntV),
+    st.booleans().map(BoolV),
+    st.sampled_from(["", "a"]).map(StringV),
+    st.just(VOID_VALUE),
+    st.sampled_from(["o1", "o2", "o3"]).map(ObjRef),
+)
+# Nested collections are unhashable, so lists holding one take the scan path.
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.builds(Coll, st.sampled_from(COLLECTION_KINDS), st.lists(inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _scan_unique(items):
+    out = []
+    for x in items:
+        if x not in out:
+            out.append(x)
+    return out
+
+
+@given(st.lists(_VALUES, max_size=12))
+@example([IntV(1), BoolV(True), IntV(1), BoolV(True), IntV(0), BoolV(False)])
+@example([IntV(1), BoolV(True), Coll("Set", [IntV(1)]), Coll("Set", [IntV(1)]), BoolV(True)])
+def test_make_coll_matches_list_scan(items):
+    for kind in COLLECTION_KINDS:
+        expected = _scan_unique(items) if kind in ("Set", "OrderedSet") else items
+        got = make_coll(kind, iter(items))
+        assert got.kind == kind
+        # identity, not just equality: the first occurrence is the one kept
+        assert len(got.items) == len(expected)
+        assert all(a is b for a, b in zip(got.items, expected))
 
 
 def test_first_intersection_add(session):

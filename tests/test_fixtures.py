@@ -109,6 +109,8 @@ def test_diamond_without_rename_is_ambiguous():
     code, out, err = run_cli("compose", "--manifest", str(DIAMOND / "diamond.mashup"))
     assert code == 2
     assert "AmbiguousMethod" in err and "D.run" in err
+    # reported where the winning body is declared, not at the class name
+    assert "diamond.act:12:13: AmbiguousMethod D.run" in err
 
 
 def test_diamond_rename_dispatches_both_bodies(tmp_path):

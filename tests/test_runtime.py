@@ -7,10 +7,11 @@ import pytest
 from helpers import MODELS, weave
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
 from mashup.exprs import BoolV, Coll, IntV, ObjRef, StringV, VoidV
+from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
     ModelInstance, NodeExecuted, add_to_feature, check_model,
-    conformance_check, create_instance, invoke, load_model,
-    remove_from_feature, save_model, set_feature,
+    conformance_check, create_instance, default_value, invoke, is_default,
+    load_model, remove_from_feature, save_model, set_feature,
 )
 
 LIB_MM = """
@@ -154,6 +155,54 @@ def test_remove_from_feature_unlinks_both_sides(lib):
     assert lib.obj(b.id).container is None
     assert isinstance(lib.obj(b.id).slots["home"], VoidV)
     assert b.id in lib.roots
+
+
+def test_remove_absent_element_is_noop(lib):
+    first, other = create_instance(lib, "Library"), create_instance(lib, "Library")
+    b1, b2 = create_instance(lib, "Book"), create_instance(lib, "Book")
+    add_to_feature(lib, first, "book", b1)
+    add_to_feature(lib, other, "book", b2)
+    before = lib.fingerprint()
+    remove_from_feature(lib, first, "book", b2)
+    remove_from_feature(lib, first, "book", ObjRef("no-such-object"))
+    assert lib.fingerprint() == before
+
+
+def test_is_default_agrees_with_default_value():
+    woven = weave(mm="""
+metamodel d {
+  class K {
+    attr i: Int; attr b: Bool; attr s: String; attr tags: String[*];
+    ref one: K[0..1]; ref many: K[*];
+  }
+}
+""")
+    values = [IntV(0), IntV(1), BoolV(False), BoolV(True), StringV(""), StringV("x"),
+              VoidV(), ObjRef("o1"), Coll("OrderedSet"), Coll("OrderedSet", [ObjRef("o1")]),
+              Coll("Sequence"), Coll("Set")]
+    for feat, _owner in woven.classes["K"].features.values():
+        default = default_value(feat)
+        assert is_default(feat, default)
+        for value in values:
+            assert is_default(feat, value) == (value == default)
+
+
+def test_load_compares_references_linearly(fuml_woven, monkeypatch):
+    """De-duplicating an OrderedSet must not compare each element with all
+    earlier ones; counting comparisons keeps the guard independent of speed."""
+    text, stats = build_recursive_model(400)
+    calls = 0
+    plain_eq = ObjRef.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(ObjRef, "__eq__", counting_eq)
+    load_model(text, fuml_woven)
+    monkeypatch.undo()
+    assert calls <= 10 * stats["elements"], calls
 
 
 def test_containment_cycle_refused(lib_woven):
