@@ -53,7 +53,7 @@ def _load_model(path: str, woven: WovenModel) -> ModelInstance:
             text = handle.read()
     except OSError as exc:
         raise WorkbenchError([Diagnostic("UnitNotFound", f"cannot read model: {exc}", path)])
-    return load_model(text, woven)
+    return load_model(text, woven, path)
 
 
 def _entry_point(args, manifest: MashupManifest) -> tuple[str, str]:

@@ -43,23 +43,20 @@ def build_recursive_model(depth: int, package: str = "fuml") -> tuple[str, dict[
         edges.append({"id": eid, "class": "ControlFlow",
                       "slots": {"source": f"@{src}", "target": f"@{tgt}"}})
 
-    def block(k: int) -> tuple[str, str]:
-        """Build level k; returns its entry and exit node ids."""
-        if k == 0:
-            nid = node("CreateObjectAction", f"act{k}")
-            return nid, nid
-        fork = node("ForkNode", f"fork{k}")
-        act = node("CreateObjectAction", f"act{k}")
-        sub_entry, sub_exit = block(k - 1)
+    # Level k opens with its fork and action, nests level k-1, and closes
+    # with its join; build the openings top-down, then the joins bottom-up.
+    init = node("InitialNode", "initial")
+    openings = [(node("ForkNode", f"fork{k}"), node("CreateObjectAction", f"act{k}"))
+                for k in range(depth, 0, -1)]
+    entry = exit_ = node("CreateObjectAction", "act0")
+    for k in range(1, depth + 1):
+        fork, act = openings.pop()
         join = node("JoinNode", f"join{k}")
         edge(fork, act)
         edge(act, join)
-        edge(fork, sub_entry)
-        edge(sub_exit, join)
-        return fork, join
-
-    init = node("InitialNode", "initial")
-    entry, exit_ = block(depth)
+        edge(fork, entry)
+        edge(exit_, join)
+        entry, exit_ = fork, join
     final = node("FinalNode", "final")
     edge(init, entry)
     edge(exit_, final)

@@ -9,7 +9,16 @@ collections, so expression evaluation can never alias live model state.
 
 Models serialize to JSON with objects ordered by id and slot keys sorted,
 so output is byte-stable.  Slots holding their type default (void single
-references, empty collections, 0 / false / "") are omitted.
+references, empty collections, 0 / false / "") are omitted.  The canonical
+text is what ``json.dumps(doc, indent=2, sort_keys=True)`` would give, but
+``save_model`` writes it straight from the objects: strings go through
+json's C string encoder and the indented layout is assembled here, because
+``json.dumps`` with an indent runs CPython's pure-Python encoder.
+
+Loading and saving both run the conformance check.  It walks each object
+against a checking plan worked out once per class for that check (bounds,
+value classes, conforming target classes, opposites, containment), and
+formats a message only for what fails.
 
 A model instance plus its environment belongs to one thread at a time; the
 woven model they reference is shared read-only.  Independent instances may
@@ -1018,124 +1027,187 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def conformance_check(model: ModelInstance) -> list[Diagnostic]:
-    """Structural validity: types, bounds, opposite listing, containment forest."""
-    sink = DiagnosticSink("<model>")
-    woven = model.woven
-    for oid, obj in model.objects.items():
-        wc = woven.classes.get(obj.class_name)
-        if wc is None:
-            sink.add("UnknownClass", f"object {oid} has unknown class {obj.class_name}")
-            continue
-        if wc.is_abstract:
-            sink.add("AbstractInstance", f"object {oid} instantiates abstract {obj.class_name}")
-        for fname, value in obj.slots.items():
-            entry = wc.features.get(fname)
-            if entry is None:
-                sink.add("UnknownFeature", f"object {oid} has unknown slot {fname}")
-                continue
-            feat = entry[0]
-            _check_slot(model, oid, feat, value, sink)
-        for fname, (feat, _o) in wc.features.items():
-            if fname not in obj.slots:
-                sink.add("MissingSlot", f"object {oid} lacks slot {fname}")
-    _check_opposites(model, sink)
-    _check_containment(model, sink)
-    return sink.items
+class _FeaturePlan:
+    """What conformance asks of one slot of one class."""
+
+    __slots__ = ("name", "feat", "many", "lower", "kind", "default", "prim", "targets",
+                 "opposite", "containment")
+
+    def __init__(self, feat: Attribute | Reference, conforming):
+        self.name = feat.name
+        self.feat = feat
+        self.many = feat.bounds.many
+        self.lower = feat.bounds.lower
+        # a many-valued slot's collection kind, or a single one's shared default
+        self.kind = _many_kind(feat) if self.many else None
+        self.default = None if self.many else default_value(feat)
+        is_attr = isinstance(feat, Attribute)
+        self.prim = _PRIM_CLASSES[feat.type] if is_attr else None
+        # class names a referenced object may have; None when all conform
+        self.targets = None if is_attr else conforming(feat.target)
+        self.opposite = None if is_attr else feat.opposite
+        self.containment = not is_attr and feat.containment
 
 
-def _check_slot(model, oid: str, feat, value, sink: DiagnosticSink) -> None:
-    where = f"{oid}.{feat.name}"
-    if feat.bounds.many:
-        if not isinstance(value, Coll):
-            sink.add("ConformanceError", f"{where} must hold a collection")
-            return
-        if len(value.items) < feat.bounds.lower:
-            sink.add("ConformanceError",
-                     f"{where} holds {len(value.items)} element(s), lower bound is "
-                     f"{feat.bounds.lower}")
-        for x in value.items:
-            _check_element(model, where, feat, x, sink)
-        return
-    if isinstance(value, VoidV):
-        if isinstance(feat, Reference):
-            if feat.bounds.lower >= 1:
-                sink.add("ConformanceError", f"required reference {where} is unset")
-        else:
-            sink.add("ConformanceError", f"attribute {where} cannot be void")
-        return
-    _check_element(model, where, feat, value, sink)
+class _ClassPlan:
+    """The checking plan of one woven class: a feature plan per slot in
+    declaration order, the same sorted by name (the order they are saved
+    in), and the references that link objects to each other (those with an
+    opposite or a containment)."""
 
+    __slots__ = ("abstract", "features", "by_name", "links")
 
-def _check_element(model, where: str, feat, value, sink: DiagnosticSink) -> None:
-    if isinstance(feat, Attribute):
-        if not isinstance(value, _PRIM_CLASSES[feat.type]):
-            sink.add("ConformanceError", f"{where} expects {feat.type}")
-        return
-    if not isinstance(value, ObjRef):
-        sink.add("ConformanceError", f"{where} expects an object reference")
-        return
-    target = model.objects.get(value.id)
-    if target is None:
-        sink.add("ConformanceError", f"{where} points at undeclared id {value.id}")
-        return
-    if not model.woven.conforms(target.class_name, feat.target):
-        sink.add(
-            "ConformanceError",
-            f"{where} expects {feat.target}, found {target.class_name}",
+    def __init__(self, wc, conforming):
+        self.abstract = wc.is_abstract
+        self.features = {
+            name: _FeaturePlan(feat, conforming) for name, (feat, _owner) in wc.features.items()
+        }
+        self.by_name = tuple(self.features[name] for name in sorted(self.features))
+        self.links = tuple(
+            fp for fp in self.features.values() if fp.opposite is not None or fp.containment
         )
 
-
-def _ref_items(obj: Obj, fname: str) -> list[ObjRef]:
-    value = obj.slots.get(fname)
-    if isinstance(value, Coll):
-        return [x for x in value.items if isinstance(x, ObjRef)]
-    if isinstance(value, ObjRef):
-        return [value]
-    return []
+    def fresh_slots(self) -> dict[str, Value]:
+        """Every slot at its type default, as ``default_value`` gives it."""
+        return {name: Coll(fp.kind) if fp.many else fp.default
+                for name, fp in self.features.items()}
 
 
-def _check_opposites(model: ModelInstance, sink: DiagnosticSink) -> None:
-    woven = model.woven
-    for oid, obj in model.objects.items():
-        wc = woven.classes.get(obj.class_name)
-        if wc is None:
-            continue
-        for fname, (feat, _o) in wc.features.items():
-            if not isinstance(feat, Reference) or feat.opposite is None:
-                continue
-            for tgt in _ref_items(obj, fname):
-                t_obj = model.objects.get(tgt.id)
-                if t_obj is None:
-                    continue
-                back = _ref_items(t_obj, feat.opposite)
-                if ObjRef(oid) not in back:
-                    sink.add(
-                        "OppositeMismatch",
-                        f"{oid}.{fname} lists {tgt.id} but {tgt.id}.{feat.opposite} "
-                        f"does not list {oid}",
-                    )
+class _Plans(dict):
+    """Class name -> checking plan, each built on first use; None for a
+    class the woven model does not declare."""
+
+    def __init__(self, woven: WovenModel):
+        super().__init__()
+        self.woven = woven
+        self._conforming: dict[str, frozenset[str] | None] = {}
+
+    def __missing__(self, class_name: str) -> _ClassPlan | None:
+        wc = self.woven.classes.get(class_name)
+        plan = self[class_name] = None if wc is None else _ClassPlan(wc, self.conforming)
+        return plan
+
+    def conforming(self, target: str) -> frozenset[str] | None:
+        """The class names ``c`` with ``woven.conforms(c, target)``; None
+        for the root class, to which every name conforms."""
+        if target not in self._conforming:
+            woven = self.woven
+            self._conforming[target] = None if target == woven.root_class else frozenset(
+                [target] + [name for name, wc in woven.classes.items()
+                            if target in wc.linearization]
+            )
+        return self._conforming[target]
 
 
-def _check_containment(model: ModelInstance, sink: DiagnosticSink) -> None:
-    woven = model.woven
+def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Diagnostic]:
+    """Structural validity: types, bounds, opposite listing, containment forest.
+
+    One walk checks every slot against its class's plan and gathers the
+    opposite and containment links; a message is formatted only for what
+    fails.  Diagnostics keep a fixed order: each object's slot findings,
+    then opposite mismatches, then containment and roots.  ``source``
+    labels them.
+    """
+    sink, opposites, containment = (DiagnosticSink(source) for _ in range(3))
+    objects = model.objects
+    plans = _Plans(model.woven)
     container_of: dict[str, tuple[str, str]] = {}
-    for oid, obj in model.objects.items():
-        wc = woven.classes.get(obj.class_name)
-        if wc is None:
+    for oid, obj in objects.items():
+        plan = plans[obj.class_name]
+        if plan is None:
+            sink.add("UnknownClass", f"object {oid} has unknown class {obj.class_name}")
             continue
-        for fname, (feat, _o) in wc.features.items():
-            if not isinstance(feat, Reference) or not feat.containment:
+        if plan.abstract:
+            sink.add("AbstractInstance", f"object {oid} instantiates abstract {obj.class_name}")
+        slots, features = obj.slots, plan.features
+        for fname, value in slots.items():
+            fp = features.get(fname)
+            if fp is None:
+                sink.add("UnknownFeature", f"object {oid} has unknown slot {fname}")
                 continue
-            for tgt in _ref_items(obj, fname):
-                if tgt.id in container_of:
-                    sink.add(
-                        "ContainmentError",
-                        f"object {tgt.id} is contained both by {container_of[tgt.id][0]} "
-                        f"and {oid}",
-                    )
-                else:
-                    container_of[tgt.id] = (oid, fname)
+            if fp.many:
+                if not isinstance(value, Coll):
+                    sink.add("ConformanceError", f"{oid}.{fp.name} must hold a collection")
+                    continue
+                items = value.items
+                if len(items) < fp.lower:
+                    sink.add("ConformanceError",
+                             f"{oid}.{fp.name} holds {len(items)} element(s), lower bound is "
+                             f"{fp.lower}")
+            elif isinstance(value, VoidV):
+                if fp.prim is not None:
+                    sink.add("ConformanceError", f"attribute {oid}.{fp.name} cannot be void")
+                elif fp.lower >= 1:
+                    sink.add("ConformanceError", f"required reference {oid}.{fp.name} is unset")
+                continue
+            else:
+                items = (value,)
+            prim, targets = fp.prim, fp.targets
+            for x in items:
+                if prim is not None:
+                    if isinstance(x, prim):
+                        continue
+                elif isinstance(x, ObjRef):
+                    target = objects.get(x.id)
+                    if target is not None and (targets is None or target.class_name in targets):
+                        continue
+                sink.add("ConformanceError", _element_problem(objects, f"{oid}.{fp.name}", fp, x))
+        if slots.keys() != features.keys():
+            for fname in features:
+                if fname not in slots:
+                    sink.add("MissingSlot", f"object {oid} lacks slot {fname}")
+        for fp in plan.links:
+            value = slots.get(fp.name)
+            for tgt in value.items if isinstance(value, Coll) else (value,):
+                if not isinstance(tgt, ObjRef):
+                    continue
+                tid = tgt.id
+                if fp.opposite is not None:
+                    t_obj = objects.get(tid)
+                    if t_obj is not None and not _holds(t_obj.slots.get(fp.opposite), oid):
+                        opposites.add(
+                            "OppositeMismatch",
+                            f"{oid}.{fp.name} lists {tid} but {tid}.{fp.opposite} "
+                            f"does not list {oid}",
+                        )
+                if fp.containment:
+                    if tid in container_of:
+                        containment.add(
+                            "ContainmentError",
+                            f"object {tid} is contained both by {container_of[tid][0]} "
+                            f"and {oid}",
+                        )
+                    else:
+                        container_of[tid] = (oid, fp.name)
+    _check_forest(model, container_of, containment)
+    return sink.items + opposites.items + containment.items
+
+
+def _element_problem(objects: dict[str, Obj], where: str, fp: _FeaturePlan, value) -> str:
+    if fp.prim is not None:
+        return f"{where} expects {fp.feat.type}"
+    if not isinstance(value, ObjRef):
+        return f"{where} expects an object reference"
+    target = objects.get(value.id)
+    if target is None:
+        return f"{where} points at undeclared id {value.id}"
+    return f"{where} expects {fp.feat.target}, found {target.class_name}"
+
+
+def _holds(value, oid: str) -> bool:
+    """Whether a reference slot's value lists the object ``oid``."""
+    if isinstance(value, ObjRef):
+        return value.id == oid
+    if isinstance(value, Coll):
+        for x in value.items:
+            if isinstance(x, ObjRef) and x.id == oid:
+                return True
+    return False
+
+
+def _check_forest(model: ModelInstance, container_of: dict[str, tuple[str, str]],
+                  sink: DiagnosticSink) -> None:
+    """Recorded containers, cycles and roots against the containment slots."""
     for oid, obj in model.objects.items():
         expected = container_of.get(oid)
         if obj.container != expected:
@@ -1170,20 +1242,43 @@ def _check_containment(model: ModelInstance, sink: DiagnosticSink) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_model(text: str, woven: WovenModel) -> ModelInstance:
-    """Parse, resolve and conformance-check a JSON model document."""
+def _shape_problems(doc) -> list[str]:
+    """What keeps a decoded JSON value from being read as a model document."""
+    if not isinstance(doc, dict) or "objects" not in doc:
+        return ["model document must be an object with 'objects'"]
+    problems = []
+    entries = doc["objects"]
+    if not isinstance(entries, list):
+        problems.append("'objects' must be a list")
+        entries = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            problems.append(f"objects[{i}] must be an object")
+            continue
+        if not isinstance(entry.get("class"), str):
+            problems.append(f"objects[{i}].class must be a string")
+        if not isinstance(entry.get("slots", {}), dict):
+            problems.append(f"objects[{i}].slots must be an object")
+    if not isinstance(doc.get("roots", []), list):
+        problems.append("'roots' must be a list")
+    return problems
+
+
+def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelInstance:
+    """Parse, resolve and conformance-check a JSON model document.
+
+    ``source`` labels every diagnostic, normally with the document's path.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UnitParseError(
-            [Diagnostic("SyntaxError", f"bad model document: {exc}", "<model>")]
+            [Diagnostic("SyntaxError", f"bad model document: {exc}", source)]
         ) from exc
-    sink = DiagnosticSink("<model>")
-    if not isinstance(doc, dict) or "objects" not in doc:
-        raise UnitParseError(
-            [Diagnostic("SyntaxError", "model document must be an object with 'objects'",
-                        "<model>")]
-        )
+    problems = _shape_problems(doc)
+    if problems:
+        raise UnitParseError([Diagnostic("SyntaxError", p, source) for p in problems])
+    sink = DiagnosticSink(source)
     if doc.get("conformsTo") != woven.package:
         sink.add(
             "ConformanceError",
@@ -1191,138 +1286,171 @@ def load_model(text: str, woven: WovenModel) -> ModelInstance:
             f"{woven.package!r}",
         )
     model = ModelInstance(woven)
-    entries = doc.get("objects", [])
+    objects = model.objects
+    plans = _Plans(woven)
+    entries = doc["objects"]
     for entry in entries:
         oid = entry.get("id")
-        cls = entry.get("class")
+        cls = entry["class"]
         if not isinstance(oid, str) or not oid:
             sink.add("ConformanceError", "object without a string id")
             continue
-        if oid in model.objects:
+        if oid in objects:
             sink.add("ConformanceError", f"duplicate object id {oid}")
             continue
-        wc = woven.classes.get(cls)
-        if wc is None:
+        plan = plans[cls]
+        if plan is None:
             sink.add("UnknownClass", f"object {oid} has unknown class {cls}")
             continue
-        obj = Obj(oid, cls)
-        for fname, (feat, _o) in wc.features.items():
-            obj.slots[fname] = default_value(feat)
-        model.objects[oid] = obj
+        obj = objects[oid] = Obj(oid, cls)
+        obj.slots = plan.fresh_slots()
     if sink:
         raise TypecheckError(sink.items)
 
     for entry in entries:
-        obj = model.objects[entry["id"]]
-        wc = woven.classes[obj.class_name]
-        for fname, raw in (entry.get("slots") or {}).items():
-            f_entry = wc.features.get(fname)
-            if f_entry is None:
+        obj = objects[entry["id"]]
+        features = plans[obj.class_name].features
+        for fname, raw in entry.get("slots", {}).items():
+            fp = features.get(fname)
+            if fp is None:
                 sink.add("UnknownFeature", f"object {obj.id} has unknown slot {fname}")
                 continue
-            value = _decode_slot(model, obj.id, f_entry[0], raw, sink)
+            value = _decode_slot(objects, obj.id, fp, raw, sink)
             if value is not None:
                 obj.slots[fname] = value
     if sink:
         raise TypecheckError(sink.items)
 
     # derive containers from containment slots
-    for obj in model.objects.values():
-        wc = woven.classes[obj.class_name]
-        for fname, (feat, _o) in wc.features.items():
-            if isinstance(feat, Reference) and feat.containment:
-                for tgt in _ref_items(obj, fname):
-                    child = model.objects.get(tgt.id)
-                    if child is not None and child.container is None:
-                        child.container = (obj.id, fname)
-    roots = doc.get("roots", [])
-    for r in roots:
+    for obj in objects.values():
+        for fp in plans[obj.class_name].links:
+            if not fp.containment:
+                continue
+            value = obj.slots[fp.name]
+            for tgt in value.items if fp.many else (value,) if isinstance(value, ObjRef) else ():
+                child = objects[tgt.id]
+                if child.container is None:
+                    child.container = (obj.id, fp.name)
+    for r in doc.get("roots", []):
         if not isinstance(r, str) or not r.startswith("@"):
             sink.add("ConformanceError", f"roots entries must be @id strings, found {r!r}")
         else:
             model.roots.append(r[1:])
     if sink:
         raise TypecheckError(sink.items)
-    problems = conformance_check(model)
+    problems = conformance_check(model, source)
     if problems:
         raise TypecheckError(problems)
     return model
 
 
-def _decode_slot(model, oid, feat, raw, sink: DiagnosticSink):
-    where = f"{oid}.{feat.name}"
-    if feat.bounds.many:
+def _decode_slot(objects: dict[str, Obj], oid: str, fp: _FeaturePlan, raw,
+                 sink: DiagnosticSink):
+    if fp.many:
         if not isinstance(raw, list):
-            sink.add("ConformanceError", f"{where} must be a list")
+            sink.add("ConformanceError", f"{oid}.{fp.name} must be a list")
             return None
-        items = []
-        for x in raw:
-            v = _decode_element(model, where, feat, x, sink)
-            if v is not None:
-                items.append(v)
-        return make_coll(_many_kind(feat), items)
-    if raw is None:
-        if isinstance(feat, Attribute):
-            sink.add("ConformanceError", f"attribute {where} cannot be null")
+        elements = raw
+    elif raw is None:
+        if fp.prim is not None:
+            sink.add("ConformanceError", f"attribute {oid}.{fp.name} cannot be null")
             return None
         return VOID_VALUE
-    return _decode_element(model, where, feat, raw, sink)
+    else:
+        elements = (raw,)
+    if fp.prim is None:
+        # the direct route for well-formed "@id" references
+        items = [
+            ObjRef(x[1:]) if isinstance(x, str) and x[:1] == "@" and x[1:] in objects
+            else _decode_element(objects, oid, fp, x, sink)
+            for x in elements
+        ]
+    else:
+        items = [_decode_element(objects, oid, fp, x, sink) for x in elements]
+    if not fp.many:
+        return items[0]
+    return make_coll(fp.kind, [v for v in items if v is not None])
 
 
-def _decode_element(model, where, feat, raw, sink: DiagnosticSink):
-    if isinstance(feat, Attribute):
-        if feat.type == "Int" and isinstance(raw, int) and not isinstance(raw, bool):
-            return IntV(raw)
-        if feat.type == "Bool" and isinstance(raw, bool):
-            return TRUE if raw else FALSE
-        if feat.type == "String" and isinstance(raw, str):
-            return StringV(raw)
-        sink.add("ConformanceError", f"{where} expects a {feat.type} scalar, found {raw!r}")
+def _decode_element(objects: dict[str, Obj], oid: str, fp: _FeaturePlan, raw,
+                    sink: DiagnosticSink):
+    prim = fp.prim
+    if prim is IntV and isinstance(raw, int) and not isinstance(raw, bool):
+        return IntV(raw)
+    if prim is BoolV and isinstance(raw, bool):
+        return TRUE if raw else FALSE
+    if prim is StringV and isinstance(raw, str):
+        return StringV(raw)
+    if prim is not None:
+        sink.add("ConformanceError",
+                 f"{oid}.{fp.name} expects a {fp.feat.type} scalar, found {raw!r}")
         return None
     if not isinstance(raw, str) or not raw.startswith("@"):
-        sink.add("ConformanceError", f"{where} expects an \"@id\" reference, found {raw!r}")
+        sink.add("ConformanceError",
+                 f"{oid}.{fp.name} expects an \"@id\" reference, found {raw!r}")
         return None
     tid = raw[1:]
-    if tid not in model.objects:
-        sink.add("ConformanceError", f"{where} points at undeclared id {tid}")
+    if tid not in objects:
+        sink.add("ConformanceError", f"{oid}.{fp.name} points at undeclared id {tid}")
         return None
     return ObjRef(tid)
 
 
-def _encode_value(value: Value):
-    if isinstance(value, IntV):
-        return value.i
-    if isinstance(value, BoolV):
-        return value.b
-    if isinstance(value, StringV):
-        return value.s
-    if isinstance(value, ObjRef):
-        return f"@{value.id}"
+# The C string encoder json.dumps itself uses; the rest of the canonical
+# layout is written below, as json.dumps(doc, indent=2, sort_keys=True)
+# lays it out.
+_quote = json.encoder.encode_basestring_ascii
+
+_JSON_SCALARS = {
+    IntV: lambda v: int.__repr__(v.i),
+    BoolV: lambda v: "true" if v.b else "false",
+    StringV: lambda v: _quote(v.s),
+    ObjRef: lambda v: _quote("@" + v.id),
+}
+
+
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """Encoded array items or object members, one per line, inside
+    ``brackets`` closed at ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n  " + indent
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _json_slot(value: Value) -> str:
     if isinstance(value, Coll):
-        return [_encode_value(x) for x in value.items]
-    raise EvalFault("TypeFault", f"cannot serialize {render_value(value)}")
+        return _json_block("[]", [_JSON_SCALARS[type(x)](x) for x in value.items], " " * 8)
+    return _JSON_SCALARS[type(value)](value)
 
 
 def save_model(model: ModelInstance) -> str:
-    """Deterministic serialization; refuses nonconformant models."""
+    """The canonical text of a model; refuses nonconformant models.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the
+    document {conformsTo, objects ordered by id, roots}, written straight
+    from the objects without building ``doc``.
+    """
     problems = conformance_check(model)
     if problems:
         raise TypecheckError(problems)
+    plans = _Plans(model.woven)
     objects = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
-        wc = model.woven.classes[obj.class_name]
-        slots = {}
-        for fname in obj.slots:
-            feat = wc.features[fname][0]
-            value = obj.slots[fname]
-            if is_default(feat, value):
-                continue
-            slots[fname] = _encode_value(value)
-        objects.append({"id": oid, "class": obj.class_name, "slots": slots})
-    doc = {
-        "conformsTo": model.woven.package,
-        "objects": objects,
-        "roots": [f"@{r}" for r in model.roots],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # conformance leaves exactly the class's features in the slots
+        slots = [
+            f"{_quote(fp.name)}: {_json_slot(value)}"
+            for fp in plans[obj.class_name].by_name
+            if not is_default(fp.feat, value := obj.slots[fp.name])
+        ]
+        objects.append(_json_block("{}", [
+            f'"class": {_quote(obj.class_name)}',
+            f'"id": {_quote(oid)}',
+            f'"slots": {_json_block("{}", slots, " " * 6)}',
+        ], " " * 4))
+    return _json_block("{}", [
+        f'"conformsTo": {_quote(model.woven.package)}',
+        f'"objects": {_json_block("[]", objects, "  ")}',
+        f'"roots": {_json_block("[]", [_quote("@" + r) for r in model.roots], "  ")}',
+    ], "") + "\n"

@@ -68,6 +68,29 @@ def test_check_nonconformant_model_exits_3(tmp_path):
     code, _out, err = run_cli("check", "--manifest", str(FUML / "fuml.mashup"),
                               "--model", str(path))
     assert code == 3 and "ConformanceError" in err
+    assert err.startswith(f"{path}:0:0: ConformanceError ")
+
+
+_OBJ = '{"id": "x", "class": "Class", "slots": {}}'
+
+
+@pytest.mark.parametrize("document", [
+    '{"objects": 3}',
+    '{"conformsTo": "fuml", "objects": [3], "roots": []}',
+    '{"conformsTo": "fuml", "objects": [{"id": "x", "class": ["x"], "slots": {}}], "roots": []}',
+    '{"conformsTo": "fuml", "objects": [{"id": "x", "class": "Class", "slots": []}], "roots": []}',
+    '{"conformsTo": "fuml", "objects": [' + _OBJ + '], "roots": "@x"}',
+    '{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["objects-not-list", "object-not-dict", "class-not-string", "slots-not-dict",
+        "roots-not-list", "nested-too-deep"])
+def test_check_rejects_badly_shaped_models(tmp_path, document):
+    path = tmp_path / "shape.model"
+    path.write_text(document)
+    code, _out, err = run_cli("check", "--manifest", str(FUML / "fuml.mashup"),
+                              "--model", str(path))
+    assert code == 1
+    assert err.startswith(f"{path}:0:0: SyntaxError "), err
+    assert "Traceback" not in err
 
 
 def test_run_trace_format_and_determinism():

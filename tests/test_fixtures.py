@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from helpers import CASE2, DIAMOND, FUML, MODELS, run_cli, trace_labels, weave_manifest
 from mashup.modelgen import build_recursive_model, recursive_model_stats
@@ -158,6 +161,26 @@ def test_generator_counts_match_document():
         assert nodes == stats["nodes"] and edges == stats["edges"]
         assert len(doc["objects"]) == stats["elements"]
         assert recursive_model_stats(depth)["elements"] == 7 * depth + 6
+
+
+# sha256 of the generated text, fixed when the generator was recursive
+GENERATED_TEXT_SHA256 = {
+    0: "d965b5eb9358ca753758978a1dfb3e59bb6f0fc3dc27d389fd8a58c0fbba0817",
+    4: "d2a3ba9242d59858a368dc3293c9023d379e83da672c1ff68f9573b27dc96b88",
+    102: "382acf0603d440900b4a8b4f9e35b8c7e67f17f83d89ae9bc896f77de6b89970",
+}
+
+
+@pytest.mark.parametrize("depth", GENERATED_TEXT_SHA256)
+def test_generator_text_is_stable(depth):
+    text, _stats = build_recursive_model(depth)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TEXT_SHA256[depth]
+
+
+def test_generator_handles_depths_past_the_recursion_limit():
+    text, stats = build_recursive_model(1000)
+    assert stats["elements"] == 7006
+    assert len(json.loads(text)["objects"]) == 7006
 
 
 def test_generator_execution_count_matches_closed_form(tmp_path):

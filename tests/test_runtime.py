@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import MODELS, weave
+from helpers import FUML, MODELS, weave
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
-from mashup.exprs import BoolV, Coll, IntV, ObjRef, StringV, VoidV
+from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
     ModelInstance, NodeExecuted, add_to_feature, check_model,
@@ -695,12 +696,224 @@ def test_load_checks_one_sided_opposites(fuml_woven):
     assert any(d.code == "OppositeMismatch" for d in exc.value.diagnostics)
 
 
+def _set(oid, fname, value):
+    return lambda m: m.objects[oid].slots.__setitem__(fname, value)
+
+
+def _retype(oid, class_name):
+    return lambda m: setattr(m.objects[oid], "class_name", class_name)
+
+
+def _drop_item(oid, fname, item):
+    return lambda m: m.objects[oid].slots[fname].items.remove(ObjRef(item))
+
+
+def _each(*mutations):
+    def mutate(m):
+        for mutation in mutations:
+            mutation(m)
+    return mutate
+
+
+def _second_container(m):
+    extra = create_instance(m, "Activity")
+    m.obj(extra.id).slots["node"].items.append(ObjRef("o2"))
+
+
+def _demand_eight_nodes(m):
+    mm = (FUML / "fuml.mm").read_text()
+    m.woven = weave(mm=mm.replace("ref node: ActivityNode[*]", "ref node: ActivityNode[8..*]"),
+                    inv=(FUML / "fuml.inv").read_text(), act=(FUML / "fuml.act").read_text())
+
+
+_C, _X = "ConformanceError", "ContainmentError"
+
+# Every conformance diagnostic, in the order conformance_check reports it,
+# for one corruption of the loaded worksession each.
+CONFORMANCE_CASES = {
+    "attribute of the wrong type": (
+        _set("o2", "name", IntV(3)), [(_C, "o2.name expects String")]),
+    "void attribute": (
+        _set("o2", "name", VOID_VALUE), [(_C, "attribute o2.name cannot be void")]),
+    "many-valued lower bound": (
+        _demand_eight_nodes, [(_C, "o1.node holds 7 element(s), lower bound is 8")]),
+    "unset required reference": (
+        _set("e1", "source", VOID_VALUE),
+        [(_C, "required reference e1.source is unset"),
+         ("OppositeMismatch", "o2.outgoing lists e1 but e1.source does not list o2")]),
+    "unknown slot": (
+        _set("o2", "colour", StringV("red")),
+        [("UnknownFeature", "object o2 has unknown slot colour")]),
+    "missing slot": (
+        lambda m: m.objects["o2"].slots.pop("name"),
+        [("MissingSlot", "object o2 lacks slot name")]),
+    "undeclared target": (
+        _set("o4", "classifier", ObjRef("ghost")),
+        [(_C, "o4.classifier points at undeclared id ghost")]),
+    "target of the wrong class": (
+        _set("o4", "classifier", ObjRef("o5")),
+        [(_C, "o4.classifier expects Classifier, found CreateObjectAction")]),
+    "abstract instance": (
+        _retype("o8", "ControlNode"),
+        [("AbstractInstance", "object o8 instantiates abstract ControlNode")]),
+    "unknown class": (
+        _retype("o8", "Ghost"),
+        [(_C, "e7.target expects ActivityNode, found Ghost"),
+         (_C, "o1.node expects ActivityNode, found Ghost"),
+         ("UnknownClass", "object o8 has unknown class Ghost")]),
+    "one-sided opposite": (
+        _drop_item("o3", "outgoing", "e3"),
+        [("OppositeMismatch", "e3.source lists o3 but o3.outgoing does not list e3")]),
+    "two containers": (
+        _second_container, [(_X, "object o2 is contained both by o1 and o9")]),
+    "containment cycle": (
+        lambda m: m.objects["o1"].slots["node"].items.append(ObjRef("o1")),
+        [(_C, "o1.node expects ActivityNode, found Activity"),
+         (_X, "object o1 records container None, slots say ('o1', 'node')")]
+        # every object under o1, o1 included, climbs into the cycle
+        + [(_X, "containment cycle through o1")] * 15
+        + [(_C, "root o1 has a container")]),
+    "repeated root": (
+        lambda m: m.roots.append("c1"), [(_C, "roots list repeats an object")]),
+    "root that is no object": (
+        lambda m: m.roots.append("ghost"),
+        [(_C, "root ghost is not an object of the model")]),
+    "root with a container": (
+        lambda m: m.roots.append("o2"), [(_C, "root o2 has a container")]),
+    "one finding of each pass": (
+        _each(_second_container, _drop_item("o3", "outgoing", "e3"),
+              _set("o2", "name", IntV(3)), lambda m: m.roots.append("c1")),
+        [(_C, "o2.name expects String"),
+         ("OppositeMismatch", "e3.source lists o3 but o3.outgoing does not list e3"),
+         (_X, "object o2 is contained both by o1 and o9"),
+         (_C, "roots list repeats an object")]),
+    "uncontained object missing from roots": (
+        lambda m: m.roots.remove("c1"),
+        [(_C, "uncontained object c1 is missing from roots")]),
+}
+
+
+@pytest.mark.parametrize("case", CONFORMANCE_CASES)
+def test_conformance_diagnostics_are_pinned(fuml_woven, case):
+    mutate, expected = CONFORMANCE_CASES[case]
+    model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
+    assert conformance_check(model) == []
+    mutate(model)
+    found = conformance_check(model)
+    assert [(d.code, d.message) for d in found] == expected
+    assert {d.render()[:len("<model>:0:0: ")] for d in found} == {"<model>:0:0: "}
+
+
 def test_save_load_round_trip(fuml_woven):
     model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
     text = save_model(model)
     again = load_model(text, fuml_woven)
     assert again.fingerprint() == model.fingerprint()
     assert save_model(again) == text
+
+
+SAVE_MM = """
+metamodel keep {
+  class Box {
+    attr label: String; attr count: Int; attr flag: Bool;
+    attr notes: String[*]; attr sizes: Int[*]; attr marks: Bool[*];
+    ref items: Box[*] containment opposite owner;
+    ref owner: Box[0..1] opposite items;
+    ref peer: Box[0..1];
+    ref seen: Box[*];
+  }
+}
+"""
+
+# quotes, backslashes, control and non-ASCII characters, and anything else
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é\U0001f600ab '), max_size=6) | st.text(max_size=6)
+_INT = st.integers(-2**70, 2**70)
+
+
+def _box(index: int):
+    """Slot values for box ``index``; None leaves a slot at its default."""
+    earlier = st.integers(0, index - 1)
+    links = {
+        "owner": st.none() | earlier,
+        "peer": st.none() | earlier,
+        "seen": st.none() | st.lists(earlier, max_size=3),
+    } if index else {}
+    return st.fixed_dictionaries({
+        "label": st.none() | _TEXT.map(StringV),
+        "count": st.none() | _INT.map(IntV),
+        "flag": st.none() | st.booleans().map(BoolV),
+        "notes": st.none() | st.lists(_TEXT.map(StringV), max_size=3),
+        "sizes": st.none() | st.lists(_INT.map(IntV), max_size=3),
+        "marks": st.none() | st.lists(st.booleans().map(BoolV), max_size=3),
+        **links,
+    })
+
+
+@st.composite
+def _box_models(draw, woven):
+    model = ModelInstance(woven)
+    boxes = []
+    for index in range(draw(st.integers(0, 8))):
+        box = create_instance(model, "Box")
+        for fname, value in draw(_box(index)).items():
+            if value is None:
+                continue
+            if fname in ("owner", "peer"):
+                set_feature(model, box, fname, boxes[value])
+            elif fname == "seen":
+                set_feature(model, box, fname, Coll("OrderedSet", [boxes[i] for i in value]))
+            elif isinstance(value, list):
+                set_feature(model, box, fname, Coll("Sequence", value))
+            else:
+                set_feature(model, box, fname, value)
+        boxes.append(box)
+    return model
+
+
+def reference_doc(model: ModelInstance) -> dict:
+    """The document save_model writes, built as plain JSON data."""
+    def encode(value):
+        if isinstance(value, Coll):
+            return [encode(x) for x in value.items]
+        if isinstance(value, ObjRef):
+            return "@" + value.id
+        return value.i if isinstance(value, IntV) else value.b if isinstance(value, BoolV) else value.s
+
+    objects = []
+    for oid in sorted(model.objects):
+        obj = model.objects[oid]
+        features = model.woven.classes[obj.class_name].features
+        slots = {fname: encode(value) for fname, value in obj.slots.items()
+                 if value != default_value(features[fname][0])}
+        objects.append({"id": oid, "class": obj.class_name, "slots": slots})
+    return {"conformsTo": model.woven.package, "objects": objects,
+            "roots": ["@" + r for r in model.roots]}
+
+
+_SAVE_WOVEN = weave(mm=SAVE_MM)
+
+
+@settings(deadline=None)
+@given(_box_models(_SAVE_WOVEN))
+def test_save_writes_the_canonical_json_text(model):
+    text = save_model(model)
+    assert text == json.dumps(reference_doc(model), indent=2, sort_keys=True) + "\n"
+    assert save_model(load_model(text, _SAVE_WOVEN)) == text
+
+
+def test_save_does_not_use_the_indenting_json_encoder(fuml_woven, monkeypatch):
+    """json.dumps with an indent runs CPython's pure-Python encoder; making
+    that encoder fail keeps this guard independent of the host's speed."""
+    text, _stats = build_recursive_model(400)
+    model = load_model(text, fuml_woven)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    saved = save_model(model)
+    monkeypatch.undo()
+    assert load_model(saved, fuml_woven).fingerprint() == model.fingerprint()
 
 
 def test_save_empty_model_is_canonical(fuml_woven):
