@@ -25,6 +25,9 @@ from .runtime import (
     check_invariant, check_model, create_instance, eval_expr, invoke,
     load_model, remove_from_feature, save_model, set_feature,
 )
-from .typecheck import typecheck_behavior, typecheck_contracts, typecheck_expr, typecheck_units
+from .typecheck import (
+    build, build_units, typecheck_behavior, typecheck_contracts, typecheck_expr,
+    typecheck_units,
+)
 
 __version__ = "0.1.0"

@@ -29,11 +29,11 @@ from typing import Union
 
 from .diagnostics import NOPOS, Pos
 from .exprs import EachBlock, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
-from .lexer import Lexer
+from .lexer import Lexer, parse_header
 from .metamodel import (
-    Attribute, OperationSig, Reference, _parse_bounds, parse_operation_sig,
+    Attribute, OperationSig, Reference, parse_feature, parse_operation_sig, parse_supertypes,
 )
-from .semtypes import PRIMITIVES, SemType
+from .semtypes import SemType
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -158,60 +158,27 @@ class _BehaviorParser:
 
     def module(self) -> BehaviorModule:
         lx = self.lx
-        lx.expect("package")
-        package = lx.expect_ident("package name").value
-        lx.expect(";")
-        requires: list[str] = []
-        while lx.accept("require"):
-            requires.append(lx.expect_string("unit path").value)
-            lx.expect(";")
-        if not requires:
-            raise lx.error("a behavior unit needs at least one require")
+        package, requires = parse_header(lx, "a behavior unit")
         aspects: list[AspectClass] = []
         while not lx.at_eof():
             aspects.append(self.aspect_class())
-        return BehaviorModule(package, tuple(requires), tuple(aspects), lx.unit)
+        return BehaviorModule(package, requires, tuple(aspects), lx.unit)
 
     def aspect_class(self) -> AspectClass:
         lx = self.lx
         lx.expect("aspect")
         lx.expect("class")
         name_tok = lx.expect_ident("class name")
-        supers: list[str] = []
-        if lx.accept("inherits"):
-            supers.append(lx.expect_ident("superclass name").value)
-            while lx.accept(","):
-                supers.append(lx.expect_ident("superclass name").value)
+        supers = parse_supertypes(lx, "inherits")
         lx.expect("{")
         attrs: list[Attribute] = []
         refs: list[Reference] = []
         methods: list[MethodDef] = []
         renames: list[Renaming] = []
         while not lx.at("}"):
-            if lx.accept("attr"):
-                a_tok = lx.expect_ident("attribute name")
-                lx.expect(":")
-                t_tok = lx.expect_ident("primitive type")
-                if t_tok.value not in PRIMITIVES:
-                    raise lx.error(
-                        f"attribute type must be one of {', '.join(PRIMITIVES)}", t_tok.pos
-                    )
-                bounds = _parse_bounds(lx)
-                lx.expect(";")
-                attrs.append(Attribute(a_tok.value, t_tok.value, bounds, a_tok.pos))
-            elif lx.accept("ref"):
-                r_tok = lx.expect_ident("reference name")
-                lx.expect(":")
-                target = lx.expect_ident("target class").value
-                bounds = _parse_bounds(lx)
-                containment = lx.accept("containment")
-                opposite = (
-                    lx.expect_ident("opposite name").value if lx.accept("opposite") else None
-                )
-                lx.expect(";")
-                refs.append(
-                    Reference(r_tok.value, target, bounds, containment, opposite, r_tok.pos)
-                )
+            feature = parse_feature(lx)
+            if feature is not None:
+                (attrs if isinstance(feature, Attribute) else refs).append(feature)
             elif lx.at("method") or lx.at("operation"):
                 methods.append(self.method_def())
             elif lx.accept("rename"):
@@ -226,7 +193,7 @@ class _BehaviorParser:
                 raise lx.error("expected attr, ref, method, operation, rename or '}'")
         lx.expect("}")
         return AspectClass(
-            name_tok.value, tuple(supers), tuple(attrs), tuple(refs),
+            name_tok.value, supers, tuple(attrs), tuple(refs),
             tuple(methods), tuple(renames), name_tok.pos,
         )
 
@@ -288,27 +255,21 @@ class _BehaviorParser:
         pos = self.lx.expect("from").pos
         init = self.statement()
         self.lx.expect("until")
-        cond = self.exprs.expression()
-        self.lx.expect("loop")
-        body = self.statements_until("end")
-        self.lx.expect("end")
-        return Loop(init, cond, body, False, pos)
+        return self._loop(init, False, pos)
 
     def _stmt_until(self) -> Stmt:
-        pos = self.lx.expect("until").pos
-        cond = self.exprs.expression()
-        self.lx.expect("loop")
-        body = self.statements_until("end")
-        self.lx.expect("end")
-        return Loop(None, cond, body, False, pos)
+        return self._loop(None, False, self.lx.expect("until").pos)
 
     def _stmt_while(self) -> Stmt:
-        pos = self.lx.expect("while").pos
+        return self._loop(None, True, self.lx.expect("while").pos)
+
+    def _loop(self, init: Stmt | None, while_style: bool, pos: Pos) -> Stmt:
+        """Parse ``<cond> loop <body> end``, the part every loop form shares."""
         cond = self.exprs.expression()
         self.lx.expect("loop")
         body = self.statements_until("end")
         self.lx.expect("end")
-        return Loop(None, cond, body, True, pos)
+        return Loop(init, cond, body, while_style, pos)
 
     def _stmt_return(self) -> Stmt:
         pos = self.lx.expect("return").pos
@@ -325,14 +286,7 @@ class _BehaviorParser:
         if self.lx.accept("["):
             qualifier = self.lx.expect_ident("superclass name").value
             self.lx.expect("]")
-        self.lx.expect("(")
-        args: list[Expr] = []
-        if not self.lx.at(")"):
-            args.append(self.exprs.expression())
-            while self.lx.accept(","):
-                args.append(self.exprs.expression())
-        self.lx.expect(")")
-        return SuperCall(qualifier, tuple(args), pos)
+        return SuperCall(qualifier, tuple(self.exprs.arguments()), pos)
 
     def _assign_or_expr(self) -> Stmt:
         pos = self.lx.peek().pos

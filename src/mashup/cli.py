@@ -18,33 +18,14 @@ import argparse
 import sys
 import time
 
-from .composer import (
-    MashupManifest, WovenModel, compose, emit_report, load_manifest,
-    resolve_requires, resolve_method_conflicts, validate_woven,
-)
+from .composer import MashupManifest, WovenModel, emit_report
 from .diagnostics import (
-    CompositionError, ContractViolation, Diagnostic, EvalFault, TypecheckError,
-    WorkbenchError, print_diagnostics,
+    ContractViolation, Diagnostic, EvalFault, WorkbenchError, print_diagnostics,
 )
 from .runtime import (
     Environment, Interpreter, ModelInstance, ObjRef, check_model, load_model,
 )
-from .typecheck import typecheck_units
-
-
-def _build(manifest_path: str) -> tuple[MashupManifest, WovenModel]:
-    manifest = load_manifest(manifest_path)
-    units = resolve_requires(manifest)
-    woven = compose(units, manifest.package)
-    problems = validate_woven(woven)
-    for wc in woven.classes.values():
-        problems.extend(resolve_method_conflicts(wc, woven))
-    if problems:
-        raise CompositionError(problems)
-    type_problems = typecheck_units(units, woven)
-    if type_problems:
-        raise TypecheckError(type_problems)
-    return manifest, woven
+from .typecheck import build
 
 
 def _load_model(path: str, woven: WovenModel) -> ModelInstance:
@@ -75,14 +56,14 @@ def _matching_roots(model: ModelInstance, cls: str) -> list[str]:
 
 
 def cmd_compose(args) -> int:
-    _manifest, woven = _build(args.manifest)
+    _manifest, _units, woven = build(args.manifest)
     rich = sum(1 for name in woven.classes if woven.aspect_units.get(name))
     print(f"composed {woven.package}: {len(woven.classes)} classes, {rich} aspected")
     return 0
 
 
 def cmd_emit(args) -> int:
-    _manifest, woven = _build(args.manifest)
+    _manifest, _units, woven = build(args.manifest)
     report = emit_report(woven)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as handle:
@@ -93,7 +74,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _manifest, woven = _build(args.manifest)
+    _manifest, _units, woven = build(args.manifest)
     model = _load_model(args.model, woven)
     results = check_model(model)
     bad = 0
@@ -109,7 +90,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest, woven = _build(args.manifest)
+    manifest, _units, woven = build(args.manifest)
     model = _load_model(args.model, woven)
     cls, op = _entry_point(args, manifest)
     roots = _matching_roots(model, cls)
@@ -130,7 +111,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    manifest, woven = _build(args.manifest)
+    manifest, _units, woven = build(args.manifest)
     base_model = _load_model(args.model, woven)
     cls, op = _entry_point(args, manifest)
     if not _matching_roots(base_model, cls):

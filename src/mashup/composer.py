@@ -32,8 +32,10 @@ from .behavior import AspectClass, BehaviorModule, MethodDef, Renaming, parse_be
 from .contracts import (
     ConditionDecl, ContractContribution, ContractModule, InvariantDecl, parse_contracts,
 )
-from .diagnostics import CompositionError, Diagnostic, DiagnosticSink, UnitParseError
-from .lexer import Lexer
+from .diagnostics import (
+    CompositionError, Diagnostic, DiagnosticSink, UnitParseError, nested_too_deeply,
+)
+from .lexer import Lexer, parse_header
 from .metamodel import (
     Attribute, MetaClass, Metamodel, OperationSig, Param, Reference,
     parse_metamodel, supertype_cycle,
@@ -68,15 +70,7 @@ class MashupManifest:
 
 def parse_manifest(text: str, unit: str = "<mashup>", source_dir: str = ".") -> MashupManifest:
     lx = Lexer(text, unit)
-    lx.expect("package")
-    package = lx.expect_ident("package name").value
-    lx.expect(";")
-    requires: list[str] = []
-    while lx.accept("require"):
-        requires.append(lx.expect_string("unit path").value)
-        lx.expect(";")
-    if not requires:
-        raise lx.error("manifest needs at least one require")
+    package, requires = parse_header(lx, "manifest")
     main = None
     if lx.accept("main"):
         cls = lx.expect_ident("class name").value
@@ -90,7 +84,7 @@ def parse_manifest(text: str, unit: str = "<mashup>", source_dir: str = ".") -> 
         raise UnitParseError(
             [Diagnostic("DuplicateRequire", "manifest lists the same unit twice", unit)]
         )
-    return MashupManifest(package, tuple(requires), main, unit, source_dir)
+    return MashupManifest(package, requires, main, unit, source_dir)
 
 
 def load_manifest(path: str) -> MashupManifest:
@@ -104,12 +98,25 @@ def load_manifest(path: str) -> MashupManifest:
     return parse_manifest(text, os.path.basename(path), os.path.dirname(path) or ".")
 
 
-class UnitLoader:
-    """Reads unit files from disk, resolving paths against the requiring unit."""
+_PARSERS = {".mm": parse_metamodel, ".inv": parse_contracts, ".act": parse_behavior}
 
-    def load(self, require_path: str, relative_to: str) -> tuple[str, str, str]:
-        """Return (dedupe key, display name, text) for a required path."""
+
+def resolve_requires(manifest: MashupManifest) -> list[Unit]:
+    """Load and parse every required unit, transitively, each exactly once.
+
+    Paths resolve against the requiring unit's directory.  Units appear in
+    require order with dependencies first, so later aspect units see earlier
+    ones.
+    """
+    seen: set[str] = set()
+    out: list[Unit] = []
+
+    def visit(require_path: str, relative_to: str) -> None:
         resolved = os.path.normpath(os.path.join(relative_to, require_path))
+        key, display = os.path.abspath(resolved), os.path.basename(resolved)
+        if key in seen:
+            return
+        seen.add(key)
         try:
             with open(resolved, encoding="utf-8") as handle:
                 text = handle.read()
@@ -117,27 +124,6 @@ class UnitLoader:
             raise UnitParseError(
                 [Diagnostic("UnitNotFound", f"cannot read unit: {exc}", require_path)]
             ) from exc
-        return os.path.abspath(resolved), os.path.basename(resolved), text
-
-
-_PARSERS = {".mm": parse_metamodel, ".inv": parse_contracts, ".act": parse_behavior}
-
-
-def resolve_requires(manifest: MashupManifest, loader: UnitLoader | None = None) -> list[Unit]:
-    """Load and parse every required unit, transitively, each exactly once.
-
-    Units appear in require order with dependencies first, so later aspect
-    units see earlier ones.
-    """
-    loader = loader or UnitLoader()
-    seen: set[str] = set()
-    out: list[Unit] = []
-
-    def visit(require_path: str, relative_to: str) -> None:
-        key, display, text = loader.load(require_path, relative_to)
-        if key in seen:
-            return
-        seen.add(key)
         ext = os.path.splitext(require_path)[1]
         parser = _PARSERS.get(ext)
         if parser is None:
@@ -145,7 +131,10 @@ def resolve_requires(manifest: MashupManifest, loader: UnitLoader | None = None)
                 [Diagnostic("UnknownUnitKind", f"no parser for {ext or 'extension-less'} unit",
                             require_path)]
             )
-        unit = parser(text, display)
+        try:
+            unit = parser(text, display)
+        except RecursionError:
+            raise nested_too_deeply(display) from None
         for sub in getattr(unit, "requires", ()):
             visit(sub, os.path.dirname(key) or ".")
         out.append(unit)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import NOPOS, Pos
 from .exprs import Expr, ExprParser
-from .lexer import Lexer
+from .lexer import Lexer, parse_header
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,11 @@ class ContractModule:
 
 def parse_contracts(text: str, unit: str = "<inv>") -> ContractModule:
     lx = Lexer(text, unit)
-    lx.expect("package")
-    package = lx.expect_ident("package name").value
-    lx.expect(";")
-    requires: list[str] = []
-    while lx.accept("require"):
-        requires.append(lx.expect_string("unit path").value)
-        lx.expect(";")
-    if not requires:
-        raise lx.error("a constraint unit needs at least one require")
+    package, requires = parse_header(lx, "a constraint unit")
     contributions: list[ContractContribution] = []
     while not lx.at_eof():
         contributions.append(_parse_aspect(lx))
-    return ContractModule(package, tuple(requires), tuple(contributions), unit)
+    return ContractModule(package, requires, tuple(contributions), unit)
 
 
 def _parse_aspect(lx: Lexer) -> ContractContribution:
@@ -88,19 +80,14 @@ def _parse_aspect(lx: Lexer) -> ContractContribution:
             lx.expect(":")
             invs.append(InvariantDecl(n.value, parser.expression(), n.pos))
             lx.expect(";")
-        elif lx.accept("pre"):
-            n = lx.expect_ident("precondition name")
+        elif lx.at("pre") or lx.at("post"):
+            is_pre = lx.next().value == "pre"
+            what, decls = ("precondition", pres) if is_pre else ("postcondition", posts)
+            n = lx.expect_ident(f"{what} name")
             lx.expect("on")
             op = lx.expect_ident("operation name").value
             lx.expect(":")
-            pres.append(ConditionDecl(op, n.value, parser.expression(), n.pos))
-            lx.expect(";")
-        elif lx.accept("post"):
-            n = lx.expect_ident("postcondition name")
-            lx.expect("on")
-            op = lx.expect_ident("operation name").value
-            lx.expect(":")
-            posts.append(ConditionDecl(op, n.value, parser.expression(), n.pos))
+            decls.append(ConditionDecl(op, n.value, parser.expression(), n.pos))
             lx.expect(";")
         else:
             raise lx.error("expected inv, pre, post or '}'")

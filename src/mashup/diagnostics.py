@@ -66,7 +66,7 @@ class EvalFault(Exception):
 
     ``kind`` is a stable machine-readable tag (TypeFault, DivisionByZero,
     UnboundVariable, NoSuchMethod, AbstractInstantiation, UnknownClass,
-    UpperBoundExceeded, ContainmentCycle, Fault, ...).
+    UpperBoundExceeded, ContainmentCycle, StackOverflow, Fault, ...).
     """
 
     exit_code = 5
@@ -90,6 +90,11 @@ class ContractViolation(EvalFault):
 
 def syntax_error(message: str, unit: str, pos: Pos) -> UnitParseError:
     return UnitParseError([Diagnostic("SyntaxError", message, unit, pos)])
+
+
+def nested_too_deeply(unit: str) -> UnitParseError:
+    """The error for a unit whose nesting exhausts the Python stack."""
+    return syntax_error("unit is nested too deeply", unit, NOPOS)
 
 
 @dataclass

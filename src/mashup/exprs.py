@@ -369,7 +369,7 @@ class ExprParser:
             target = self.lx.expect_ident("class name").value
             self.lx.expect(")")
             return TypeTest(receiver, name, target, pos)
-        args = self._arguments()
+        args = self.arguments()
         if name == "new":
             if not isinstance(receiver, VarRef) or args:
                 raise self.lx.error("new takes no arguments and applies to a class name", pos)
@@ -398,7 +398,7 @@ class ExprParser:
         self.lx.expect("}")
         return CollectionOp(receiver, name, lam=Lambda(param, body), pos=pos)
 
-    def _arguments(self) -> list[Expr]:
+    def arguments(self) -> list[Expr]:
         self.lx.expect("(")
         args: list[Expr] = []
         if not self.lx.at(")"):

@@ -1,4 +1,6 @@
-"""Hand-rolled tokenizer shared by every unit grammar.
+"""Hand-rolled tokenizer shared by every unit grammar, plus the
+``package``/``require`` header that manifests, constraint units and behavior
+units all open with.
 
 All keywords are contextual: the lexer only distinguishes identifiers,
 integer literals, string literals and punctuation, so feature names such as
@@ -154,3 +156,20 @@ class Lexer:
     @staticmethod
     def _describe(tok: Token) -> str:
         return "end of input" if tok.kind == "eof" else repr(tok.value)
+
+
+def parse_header(lx: Lexer, what: str) -> tuple[str, tuple[str, ...]]:
+    """Parse ``package p; require "u"; ...`` and return (package, requires).
+
+    ``what`` names the unit kind in the error for a header without requires.
+    """
+    lx.expect("package")
+    package = lx.expect_ident("package name").value
+    lx.expect(";")
+    requires: list[str] = []
+    while lx.accept("require"):
+        requires.append(lx.expect_string("unit path").value)
+        lx.expect(";")
+    if not requires:
+        raise lx.error(f"{what} needs at least one require")
+    return package, tuple(requires)

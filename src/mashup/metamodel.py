@@ -155,40 +155,52 @@ def parse_operation_sig(lx: Lexer) -> OperationSig:
     return OperationSig(name_tok.value, params, ret, name_tok.pos)
 
 
+def parse_supertypes(lx: Lexer, keyword: str) -> tuple[str, ...]:
+    """Parse ``keyword A, B, ...`` if present (``extends`` or ``inherits``)."""
+    supers: list[str] = []
+    if lx.accept(keyword):
+        supers.append(lx.expect_ident("superclass name").value)
+        while lx.accept(","):
+            supers.append(lx.expect_ident("superclass name").value)
+    return tuple(supers)
+
+
+def parse_feature(lx: Lexer) -> Attribute | Reference | None:
+    """Parse one ``attr`` or ``ref`` member; None if neither starts here."""
+    if lx.accept("attr"):
+        a_tok = lx.expect_ident("attribute name")
+        lx.expect(":")
+        t_tok = lx.expect_ident("primitive type")
+        if t_tok.value not in PRIMITIVES:
+            raise lx.error(f"attribute type must be one of {', '.join(PRIMITIVES)}", t_tok.pos)
+        bounds = _parse_bounds(lx)
+        lx.expect(";")
+        return Attribute(a_tok.value, t_tok.value, bounds, a_tok.pos)
+    if lx.accept("ref"):
+        r_tok = lx.expect_ident("reference name")
+        lx.expect(":")
+        target = lx.expect_ident("target class").value
+        bounds = _parse_bounds(lx)
+        containment = lx.accept("containment")
+        opposite = lx.expect_ident("opposite name").value if lx.accept("opposite") else None
+        lx.expect(";")
+        return Reference(r_tok.value, target, bounds, containment, opposite, r_tok.pos)
+    return None
+
+
 def _parse_class(lx: Lexer) -> MetaClass:
     is_abstract = lx.accept("abstract")
     lx.expect("class")
     name_tok = lx.expect_ident("class name")
-    supers: list[str] = []
-    if lx.accept("extends"):
-        supers.append(lx.expect_ident("superclass name").value)
-        while lx.accept(","):
-            supers.append(lx.expect_ident("superclass name").value)
+    supers = parse_supertypes(lx, "extends")
     lx.expect("{")
     attrs: list[Attribute] = []
     refs: list[Reference] = []
     ops: list[OperationSig] = []
     while not lx.at("}"):
-        if lx.accept("attr"):
-            a_tok = lx.expect_ident("attribute name")
-            lx.expect(":")
-            t_tok = lx.expect_ident("primitive type")
-            if t_tok.value not in PRIMITIVES:
-                raise lx.error(
-                    f"attribute type must be one of {', '.join(PRIMITIVES)}", t_tok.pos
-                )
-            bounds = _parse_bounds(lx)
-            lx.expect(";")
-            attrs.append(Attribute(a_tok.value, t_tok.value, bounds, a_tok.pos))
-        elif lx.accept("ref"):
-            r_tok = lx.expect_ident("reference name")
-            lx.expect(":")
-            target = lx.expect_ident("target class").value
-            bounds = _parse_bounds(lx)
-            containment = lx.accept("containment")
-            opposite = lx.expect_ident("opposite name").value if lx.accept("opposite") else None
-            lx.expect(";")
-            refs.append(Reference(r_tok.value, target, bounds, containment, opposite, r_tok.pos))
+        feature = parse_feature(lx)
+        if feature is not None:
+            (attrs if isinstance(feature, Attribute) else refs).append(feature)
         elif lx.accept("op"):
             sig = parse_operation_sig(lx)
             lx.expect(";")
@@ -197,7 +209,7 @@ def _parse_class(lx: Lexer) -> MetaClass:
             raise lx.error("expected attr, ref, op or '}'")
     lx.expect("}")
     return MetaClass(
-        name_tok.value, is_abstract, tuple(supers), tuple(attrs), tuple(refs),
+        name_tok.value, is_abstract, supers, tuple(attrs), tuple(refs),
         tuple(ops), "base", name_tok.pos,
     )
 

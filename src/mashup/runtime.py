@@ -501,6 +501,12 @@ class Interpreter:
             return VOID_VALUE
         except _ReturnSignal as ret:
             return ret.value
+        except RecursionError:
+            # The Python stack, not a DSL depth count, is the limit: how many
+            # frames one DSL call takes depends on the statements it nests.
+            raise EvalFault(
+                "StackOverflow", f"call stack exhausted in {owner}.{mdef.sig.name}"
+            ) from None
         finally:
             self.frames.pop()
 
@@ -1255,6 +1261,8 @@ def _shape_problems(doc) -> list[str]:
         if not isinstance(entry, dict):
             problems.append(f"objects[{i}] must be an object")
             continue
+        if not isinstance(entry.get("id"), str) or not entry["id"]:
+            problems.append(f"objects[{i}].id must be a non-empty string")
         if not isinstance(entry.get("class"), str):
             problems.append(f"objects[{i}].class must be a string")
         if not isinstance(entry.get("slots", {}), dict):
@@ -1290,11 +1298,8 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
     plans = _Plans(woven)
     entries = doc["objects"]
     for entry in entries:
-        oid = entry.get("id")
+        oid = entry["id"]
         cls = entry["class"]
-        if not isinstance(oid, str) or not oid:
-            sink.add("ConformanceError", "object without a string id")
-            continue
         if oid in objects:
             sink.add("ConformanceError", f"duplicate object id {oid}")
             continue

@@ -1,5 +1,5 @@
 """Static type checking of expressions, contract rules and method bodies
-against a woven class table.
+against a woven class table, and the checked build pipeline that ends with it.
 
 Checking is diagnostic-driven: problems accumulate in the context and an
 error type silences cascading complaints.  Constraint rules are checked in
@@ -15,9 +15,14 @@ from .behavior import (
     Assign, AspectClass, BehaviorModule, EachLoop, ExprStmt, If, Loop, MethodDef,
     Return, SuperCall, VarDecl,
 )
-from .composer import ROOT_BUILTINS, ROOT_CLASS, WovenModel
+from .composer import (
+    ROOT_BUILTINS, ROOT_CLASS, MashupManifest, WovenModel, compose, load_manifest,
+    resolve_method_conflicts, resolve_requires, validate_woven,
+)
 from .contracts import ContractModule
-from .diagnostics import Diagnostic, DiagnosticSink, Pos
+from .diagnostics import (
+    CompositionError, Diagnostic, DiagnosticSink, Pos, TypecheckError, nested_too_deeply,
+)
 from .exprs import (
     BinOp, BoolLit, CollectionOp, EachBlock, Expr, FeatureNav, IfExpr, IntLit,
     New, Not, OpCall, SelfRef, StringLit, TypeTest, VarRef, VoidLit,
@@ -550,8 +555,43 @@ def typecheck_units(units, woven: WovenModel) -> list[Diagnostic]:
     """Check every constraint and behavior unit of a composition."""
     out: list[Diagnostic] = []
     for unit in units:
-        if isinstance(unit, ContractModule):
-            out.extend(typecheck_contracts(unit, woven))
-        elif isinstance(unit, BehaviorModule):
-            out.extend(typecheck_behavior(unit, woven))
+        try:
+            if isinstance(unit, ContractModule):
+                out.extend(typecheck_contracts(unit, woven))
+            elif isinstance(unit, BehaviorModule):
+                out.extend(typecheck_behavior(unit, woven))
+        except RecursionError:
+            raise nested_too_deeply(unit.source_unit) from None
     return out
+
+
+# ---------------------------------------------------------------------------
+# The checked build pipeline
+# ---------------------------------------------------------------------------
+
+
+def build_units(units, package: str | None = None) -> WovenModel:
+    """Compose parsed units and demand a clean language.
+
+    Composition and validation problems (clashes, dangling names, ambiguous
+    methods) raise CompositionError; only once those are clean are the
+    constraint and behavior units type checked, and type problems raise
+    TypecheckError.
+    """
+    woven = compose(units, package)
+    problems = validate_woven(woven)
+    for wc in woven.classes.values():
+        problems.extend(resolve_method_conflicts(wc, woven))
+    if problems:
+        raise CompositionError(problems)
+    problems = typecheck_units(units, woven)
+    if problems:
+        raise TypecheckError(problems)
+    return woven
+
+
+def build(manifest_path: str) -> tuple[MashupManifest, list, WovenModel]:
+    """Load a manifest, parse its units and build them (see build_units)."""
+    manifest = load_manifest(manifest_path)
+    units = resolve_requires(manifest)
+    return manifest, units, build_units(units, manifest.package)

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import FUML, weave_manifest
+from helpers import FUML
+from mashup.typecheck import build
 
 # (number, summary, "PASS"|"FAIL") records filled in by the acceptance suite
 ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
@@ -11,7 +12,7 @@ ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
 @pytest.fixture(scope="session")
 def fuml():
     """Manifest, units and woven model of the activity-language fixture."""
-    return weave_manifest(FUML / "fuml.mashup")
+    return build(str(FUML / "fuml.mashup"))
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,10 @@ from pathlib import Path
 
 from mashup.behavior import parse_behavior
 from mashup.cli import main as cli_main
-from mashup.composer import (
-    compose, load_manifest, resolve_method_conflicts, resolve_requires,
-    validate_woven,
-)
+from mashup.composer import compose
 from mashup.contracts import parse_contracts
 from mashup.metamodel import parse_metamodel
-from mashup.typecheck import typecheck_units
+from mashup.typecheck import build_units
 
 REPO = Path(__file__).resolve().parents[1]
 FUML = REPO / "examples" / "fuml-lite"
@@ -39,23 +36,9 @@ def parse_units(mm=(), inv=(), act=()):
 
 
 def weave(mm=(), inv=(), act=(), package=None, strict=True):
-    """Parse unit texts, compose, and (strictly) demand a clean result."""
+    """Parse unit texts and build them; strict=False only composes."""
     units = parse_units(mm, inv, act)
-    woven = compose(units, package)
-    if strict:
-        problems = validate_woven(woven)
-        for wc in woven.classes.values():
-            problems.extend(resolve_method_conflicts(wc, woven))
-        problems.extend(typecheck_units(units, woven))
-        assert not problems, [d.render() for d in problems]
-    return woven
-
-
-def weave_manifest(path) -> tuple:
-    manifest = load_manifest(str(path))
-    units = resolve_requires(manifest)
-    woven = compose(units, manifest.package)
-    return manifest, units, woven
+    return build_units(units, package) if strict else compose(units, package)
 
 
 def run_cli(*args: str):

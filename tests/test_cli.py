@@ -81,8 +81,10 @@ _OBJ = '{"id": "x", "class": "Class", "slots": {}}'
     '{"conformsTo": "fuml", "objects": [{"id": "x", "class": "Class", "slots": []}], "roots": []}',
     '{"conformsTo": "fuml", "objects": [' + _OBJ + '], "roots": "@x"}',
     '{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"conformsTo": "fuml", "objects": [{"class": "Class", "slots": {}}], "roots": []}',
+    '{"conformsTo": "fuml", "objects": [{"id": 7, "class": "Class", "slots": {}}], "roots": []}',
 ], ids=["objects-not-list", "object-not-dict", "class-not-string", "slots-not-dict",
-        "roots-not-list", "nested-too-deep"])
+        "roots-not-list", "nested-too-deep", "id-missing", "id-not-string"])
 def test_check_rejects_badly_shaped_models(tmp_path, document):
     path = tmp_path / "shape.model"
     path.write_text(document)
@@ -91,6 +93,55 @@ def test_check_rejects_badly_shaped_models(tmp_path, document):
     assert code == 1
     assert err.startswith(f"{path}:0:0: SyntaxError "), err
     assert "Traceback" not in err
+
+
+COUNTER_MM = "metamodel p { class Counter { attr n: Int; } }"
+COUNTER_ACT = """package p;
+require "p.mm";
+aspect class Counter {
+  operation down(k : Int) : Void is do
+    if k > 0 then self.down(k - 1) end
+  end
+  operation start() : Void is do
+    self.down(self.n)
+  end
+}
+"""
+
+
+@pytest.mark.parametrize("rule", [
+    "(" * 100 + "true" + ")" * 100,
+    "+".join(["1"] * 500) + " == 500",
+], ids=["parentheses", "long-sum"])
+def test_deeply_nested_unit_exits_1(tmp_path, rule):
+    (tmp_path / "p.mm").write_text(COUNTER_MM)
+    (tmp_path / "deep.inv").write_text(
+        f'package p;\nrequire "p.mm";\naspect class Counter {{ inv deep : {rule}; }}\n')
+    (tmp_path / "p.mashup").write_text('package p;\nrequire "p.mm";\nrequire "deep.inv";\n')
+    code, _out, err = run_cli("compose", "--manifest", str(tmp_path / "p.mashup"))
+    assert code == 1
+    assert err.startswith("deep.inv:0:0: SyntaxError unit is nested too deeply"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth,exit_code", [(100, 0), (400, 5)])
+def test_run_deep_dsl_recursion(tmp_path, depth, exit_code):
+    (tmp_path / "p.mm").write_text(COUNTER_MM)
+    (tmp_path / "p.act").write_text(COUNTER_ACT)
+    (tmp_path / "p.mashup").write_text(
+        'package p;\nrequire "p.mm";\nrequire "p.act";\nmain Counter.start;\n')
+    model = tmp_path / "c.model"
+    model.write_text('{"conformsTo": "p", "objects": [{"id": "c", "class": "Counter", '
+                     f'"slots": {{"n": {depth}}}}}], "roots": ["@c"]}}')
+    code, out, err = run_cli("run", "--manifest", str(tmp_path / "p.mashup"),
+                             "--model", str(model))
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    if exit_code:
+        assert err.startswith(f"{model}:0:0: StackOverflow "), err
+        assert "Counter.down" in err
+    else:
+        assert err == "" and out.count("OpEnter\tc.down") == depth + 1
 
 
 def test_run_trace_format_and_determinism():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
-from helpers import FUML, GOLDEN, parse_units, weave, weave_manifest
+from helpers import FUML, GOLDEN, parse_units, weave
 from mashup.behavior import AspectClass, parse_behavior
 from mashup.composer import (
     CompositionCase, ROOT_CLASS, WovenClass, classify_pair, compose,
@@ -14,6 +15,7 @@ from mashup.composer import (
 from mashup.contracts import ContractContribution, parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
 from mashup.metamodel import MetaClass, Reference
+from mashup.typecheck import build
 
 # ---------------------------------------------------------------------------
 # cases and unit resolution
@@ -40,7 +42,7 @@ def test_resolve_requires_loads_three_units_once(fuml):
 def test_metamodel_only_manifest_composes(tmp_path):
     (tmp_path / "m.mm").write_text("metamodel m { class A { } }")
     (tmp_path / "m.mashup").write_text('package m;\nrequire "m.mm";\n')
-    _m, units, woven = weave_manifest(tmp_path / "m.mashup")
+    _m, units, woven = build(str(tmp_path / "m.mashup"))
     assert len(units) == 1
     assert woven.classes["A"].method_table == {}
     assert woven.classes["A"].linearization == ("A", ROOT_CLASS)
@@ -57,8 +59,21 @@ def test_equivalent_paths_load_once(tmp_path):
     (tmp_path / "m.mashup").write_text(
         'package m;\nrequire "m.mm";\nrequire "./m.mm";\n'
     )
-    _m, units, _w = weave_manifest(tmp_path / "m.mashup")
+    _m, units, _w = build(str(tmp_path / "m.mashup"))
     assert len(units) == 1
+
+
+def test_unit_required_three_times_is_read_once(fuml, monkeypatch):
+    manifest = fuml[0]
+    read = []
+
+    def spy(path, *args, **kwargs):
+        read.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr("mashup.composer.open", spy, raising=False)
+    resolve_requires(manifest)
+    assert sorted(read) == ["fuml.act", "fuml.inv", "fuml.mm"]
 
 
 def test_missing_unit_is_parse_stage_error(tmp_path):
@@ -417,7 +432,7 @@ def test_emit_report_matches_golden(fuml_woven):
 
 def test_emit_report_deterministic(fuml):
     _m, _u, first = fuml
-    _m2, _u2, second = weave_manifest(FUML / "fuml.mashup")
+    _m2, _u2, second = build(str(FUML / "fuml.mashup"))
     assert emit_report(first) == emit_report(second)
 
 

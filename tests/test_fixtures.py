@@ -7,10 +7,11 @@ import json
 
 import pytest
 
-from helpers import CASE2, DIAMOND, FUML, MODELS, run_cli, trace_labels, weave_manifest
+from helpers import CASE2, DIAMOND, FUML, MODELS, REPO, run_cli, trace_labels
 from mashup.modelgen import build_recursive_model, recursive_model_stats
 from mashup.runtime import NodeExecuted, load_model, invoke
 from mashup.exprs import ObjRef
+from mashup.typecheck import build
 
 
 def test_all_fixture_manifests_compose():
@@ -117,7 +118,7 @@ def test_diamond_without_rename_is_ambiguous():
 
 
 def test_diamond_rename_dispatches_both_bodies(tmp_path):
-    _m, _u, woven = weave_manifest(DIAMOND / "diamond_renamed.mashup")
+    _m, _u, woven = build(str(DIAMOND / "diamond_renamed.mashup"))
     from mashup.runtime import ModelInstance, create_instance, Environment, Interpreter
 
     model = ModelInstance(woven)
@@ -193,11 +194,13 @@ def test_generator_execution_count_matches_closed_form(tmp_path):
 
 
 def test_generator_tool_script(tmp_path):
-    import subprocess, sys
+    import os, subprocess, sys
     out_path = tmp_path / "gen.model"
+    # the script imports mashup like any client: put src/ on its path
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "tools/gen-recursive", "--depth", "3", "--out", str(out_path)],
-        capture_output=True, text=True, cwd=str(FUML.parents[1]),
+        capture_output=True, text=True, cwd=str(REPO), env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
     stats = json.loads(result.stdout)
