@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from .composer import MashupManifest, WovenModel, emit_report
+from .composer import MashupManifest, WovenModel, emit_report, read_source
 from .diagnostics import (
     ContractViolation, Diagnostic, EvalFault, WorkbenchError, print_diagnostics,
 )
@@ -29,12 +29,7 @@ from .typecheck import build
 
 
 def _load_model(path: str, woven: WovenModel) -> ModelInstance:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise WorkbenchError([Diagnostic("UnitNotFound", f"cannot read model: {exc}", path)])
-    return load_model(text, woven, path)
+    return load_model(read_source(path, "model"), woven, path)
 
 
 def _entry_point(args, manifest: MashupManifest) -> tuple[str, str]:
@@ -147,18 +142,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="compose metamodel, constraint and behavior units into a DSL runtime",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "compose": (cmd_compose, False),
-        "emit": (cmd_emit, False),
-        "check": (cmd_check, True),
-        "run": (cmd_run, True),
-        "bench": (cmd_bench, True),
+    commands = {
+        "compose": cmd_compose, "emit": cmd_emit, "check": cmd_check,
+        "run": cmd_run, "bench": cmd_bench,
     }
-    for name, (fn, needs_model) in specs.items():
+    for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True, help="mashup manifest file")
-        if needs_model:
+        if name in ("check", "run", "bench"):
             p.add_argument("--model", required=True, help="model document to load")
+        if name in ("run", "bench"):
             p.add_argument("--entry", help="Class.operation entry point override")
             p.add_argument(
                 "--contracts", choices=["off", "prepost", "full"], default="prepost",

@@ -87,14 +87,23 @@ def parse_manifest(text: str, unit: str = "<mashup>", source_dir: str = ".") -> 
     return MashupManifest(package, requires, main, unit, source_dir)
 
 
-def load_manifest(path: str) -> MashupManifest:
+def read_source(path: str, what: str, unit: str | None = None) -> str:
+    """Return the UTF-8 text of ``path``.
+
+    A file that cannot be opened or decoded is a ``UnitNotFound`` error
+    (``cannot read <what>: ...``) reported against ``unit``, or ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UnitParseError(
-            [Diagnostic("UnitNotFound", f"cannot read manifest: {exc}", path)]
+            [Diagnostic("UnitNotFound", f"cannot read {what}: {exc}", unit or path)]
         ) from exc
+
+
+def load_manifest(path: str) -> MashupManifest:
+    text = read_source(path, "manifest")
     return parse_manifest(text, os.path.basename(path), os.path.dirname(path) or ".")
 
 
@@ -117,13 +126,7 @@ def resolve_requires(manifest: MashupManifest) -> list[Unit]:
         if key in seen:
             return
         seen.add(key)
-        try:
-            with open(resolved, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise UnitParseError(
-                [Diagnostic("UnitNotFound", f"cannot read unit: {exc}", require_path)]
-            ) from exc
+        text = read_source(resolved, "unit", require_path)
         ext = os.path.splitext(require_path)[1]
         parser = _PARSERS.get(ext)
         if parser is None:
@@ -268,42 +271,44 @@ def merge_contributions(a: ClassContribution, b: ClassContribution) -> ClassCont
 # ---------------------------------------------------------------------------
 
 
-def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-    """Scala-style linearization over a supertype DAG.
+def linearize_all(graph: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
+    """Scala-style linearization of every class of a supertype DAG.
 
-    The class comes first, followed by the linearizations of its declared
+    A class comes first, followed by the linearizations of its declared
     supertypes concatenated in reverse declaration order; a class occurring
     several times keeps only its last (rightmost) occurrence.  ``Root`` is
-    always final.
+    always final.  Keeping last occurrences composes, so each class reuses
+    its supertypes' results instead of expanding the whole DAG.
     """
     cycle = supertype_cycle(graph)
     if cycle:
         raise CompositionError(
             [Diagnostic("CycleError", "supertype cycle: " + " -> ".join(cycle))]
         )
-    memo: dict[str, list[str]] = {}
+    memo: dict[str, tuple[str, ...]] = {ROOT_CLASS: (ROOT_CLASS,)}
 
-    def raw(c: str) -> list[str]:
-        if c in memo:
-            return memo[c]
-        out = [c]
-        for sup in reversed(graph.get(c, ())):
-            if sup == ROOT_CLASS:
-                continue
-            out.extend(raw(sup))
-        memo[c] = out
-        return out
+    def lin(c: str) -> tuple[str, ...]:
+        if c not in memo:
+            # walk the concatenation right to left, keeping first sightings
+            parts = [(ROOT_CLASS,)] + [lin(sup) for sup in graph.get(c, ())]
+            seen: set[str] = set()
+            out: list[str] = []
+            for part in parts:
+                for name in reversed(part):
+                    if name not in seen:
+                        seen.add(name)
+                        out.append(name)
+            out.append(c)
+            out.reverse()
+            memo[c] = tuple(out)
+        return memo[c]
 
-    expanded = raw(class_name)
-    seen: set[str] = set()
-    result: list[str] = []
-    for name in reversed(expanded):
-        if name not in seen:
-            seen.add(name)
-            result.append(name)
-    result.reverse()
-    result.append(ROOT_CLASS)
-    return tuple(result)
+    return {name: lin(name) for name in graph}
+
+
+def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """The linearization of one class; see :func:`linearize_all`."""
+    return linearize_all({**graph, class_name: graph.get(class_name, ())})[class_name]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +518,12 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     if sink:
         raise CompositionError(sink.items)
 
-    lin_of = {name: linearize(name, graph) for name in all_names}
+    try:
+        lin_of = linearize_all(graph)
+    except RecursionError:
+        raise CompositionError(
+            [Diagnostic("HierarchyTooDeep", "class hierarchy is nested too deeply", "<compose>")]
+        ) from None
 
     # own (declared-at-this-class) members, with unit attribution
     own_features: dict[str, list[tuple[Attribute | Reference, str]]] = {}

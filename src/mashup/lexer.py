@@ -1,4 +1,4 @@
-"""Hand-rolled tokenizer shared by every unit grammar, plus the
+"""Regex tokenizer shared by every unit grammar, plus the
 ``package``/``require`` header that manifests, constraint units and behavior
 units all open with.
 
@@ -9,6 +9,7 @@ integer literals, string literals and punctuation, so feature names such as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Pos, syntax_error
@@ -21,6 +22,24 @@ _PUNCT = [
 ]
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# An opening quote and the longest run of plain characters and escapes after
+# it.  Where a string does not close, the run stops at a bad escape's
+# backslash or at the end of the line or input.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[nt"\\])*'
+
+# One group per token kind; a match always exists, so the tokens tile the text.
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<ident>[^\W\d]\w*)",
+    r"(?P<int>[0-9]+)",
+    rf'(?P<string>{_STRING_BODY}")',
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    rf'(?P<error>{_STRING_BODY}(?P<bad_escape>\\)?|.)',
+]))
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -41,77 +60,34 @@ class Lexer:
 
     def _scan(self) -> list[Token]:
         toks: list[Token] = []
-        text = self.text
-        i, line, col = 0, 1, 1
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                i += 1
-                line += 1
-                col = 1
+        line, line_start = 1, 0
+        for m in _TOKEN.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "skip":
                 continue
-            if c in " \t\r":
-                i += 1
-                col += 1
+            if kind == "newline":
+                line, line_start = line + 1, m.end()
                 continue
-            if c == "/" and text.startswith("//", i):
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            pos = Pos(line, col)
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(Token("ident", text[i:j], pos))
-                col += j - i
-                i = j
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("int", text[i:j], pos))
-                col += j - i
-                i = j
-                continue
-            if c == '"':
-                j = i + 1
-                out: list[str] = []
-                while True:
-                    if j >= n or text[j] == "\n":
-                        raise syntax_error("unterminated string literal", self.unit, pos)
-                    if text[j] == "\\":
-                        if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                            raise syntax_error("bad escape in string literal", self.unit, pos)
-                        out.append(_ESCAPES[text[j + 1]])
-                        j += 2
-                        continue
-                    if text[j] == '"':
-                        break
-                    out.append(text[j])
-                    j += 1
-                toks.append(Token("string", "".join(out), pos))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            for p in _PUNCT:
-                if text.startswith(p, i):
-                    toks.append(Token("punct", p, pos))
-                    i += len(p)
-                    col += len(p)
-                    break
-            else:
-                raise syntax_error(f"unexpected character {c!r}", self.unit, pos)
-        toks.append(Token("eof", "", Pos(line, col)))
+            pos = Pos(line, m.start() - line_start + 1)
+            value = m.group()
+            if kind == "error":
+                if m.group("bad_escape") is not None:
+                    message = "bad escape in string literal"
+                elif value[0] == '"':
+                    message = "unterminated string literal"
+                else:
+                    message = f"unexpected character {value!r}"
+                raise syntax_error(message, self.unit, pos)
+            if kind == "string":
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value[1:-1])
+            toks.append(Token(kind, value, pos))
+        toks.append(Token("eof", "", Pos(line, len(self.text) - line_start + 1)))
         return toks
 
     # -- cursor ------------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.index]  # next() never moves past the eof token
 
     def next(self) -> Token:
         tok = self.peek()

@@ -219,3 +219,71 @@ def test_mashup_color_env_var_controls_ansi(monkeypatch):
     stream = FakeTty()
     print_diagnostics([Diagnostic("Code", "message", "unit")], stream)
     assert stream.getvalue().startswith("\x1b[31m")
+
+
+DEEP = 1200
+
+
+def test_deep_declared_hierarchy_composes(tmp_path):
+    classes = "\n".join(["class C0 { }"] + [f"class C{k} extends C{k - 1} {{ }}"
+                                             for k in range(1, DEEP)])
+    (tmp_path / "p.mm").write_text(f"metamodel p {{\n{classes}\n}}\n")
+    (tmp_path / "p.mashup").write_text('package p;\nrequire "p.mm";\n')
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "p.mashup"))
+    assert (code, err) == (0, ""), err
+    assert out.strip() == f"composed p: {DEEP} classes, 0 aspected"
+
+
+def test_deep_aspect_hierarchy_exits_2(tmp_path):
+    classes = "\n".join(f"class C{k} {{ }}" for k in range(DEEP))
+    (tmp_path / "p.mm").write_text(f"metamodel p {{\n{classes}\n}}\n")
+    (tmp_path / "p.act").write_text('package p;\nrequire "p.mm";\n' + "".join(
+        f"aspect class C{k} inherits C{k + 1} {{}}\n" for k in range(DEEP - 1)))
+    (tmp_path / "p.mashup").write_text('package p;\nrequire "p.mm";\nrequire "p.act";\n')
+    code, _out, err = run_cli("compose", "--manifest", str(tmp_path / "p.mashup"))
+    assert code == 2
+    assert err == "<compose>:0:0: HierarchyTooDeep class hierarchy is nested too deeply\n"
+
+
+def test_non_ascii_digit_bound_is_a_syntax_error(tmp_path):
+    (tmp_path / "p.mm").write_text("metamodel p {\n  class A { attr x: Int[²..1]; }\n}\n")
+    (tmp_path / "p.mashup").write_text('package p;\nrequire "p.mm";\n')
+    code, _out, err = run_cli("compose", "--manifest", str(tmp_path / "p.mashup"))
+    assert code == 1
+    assert err == "p.mm:2:25: SyntaxError expected lower bound or '*'\n"
+
+
+def test_unreadable_files_name_their_unit(tmp_path):
+    manifest = tmp_path / "p.mashup"
+    code, _out, err = run_cli("compose", "--manifest", str(manifest))
+    assert code == 1
+    assert err.startswith(f"{manifest}:0:0: UnitNotFound cannot read manifest: "), err
+    manifest.write_text('package p;\nrequire "sub/ghost.mm";\n')
+    code, _out, err = run_cli("compose", "--manifest", str(manifest))
+    assert code == 1
+    assert err.startswith("sub/ghost.mm:0:0: UnitNotFound cannot read unit: "), err
+    model = tmp_path / "ghost.model"
+    code, _out, err = run_cli("check", "--manifest", str(FUML / "fuml.mashup"),
+                              "--model", str(model))
+    assert code == 1
+    assert err.startswith(f"{model}:0:0: UnitNotFound cannot read model: "), err
+
+
+def test_non_utf8_model_exits_1(tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_bytes(b"\xff\xfe{}")
+    code, _out, err = run_cli("check", "--manifest", str(FUML / "fuml.mashup"),
+                              "--model", str(model))
+    assert code == 1
+    assert err.startswith(f"{model}:0:0: UnitNotFound cannot read model: 'utf-8' codec"), err
+
+
+def test_only_execution_commands_take_execution_options():
+    model = str(MODELS / "worksession.model")
+    for option in (["--contracts", "full"], ["--entry", "Activity.execute"]):
+        with pytest.raises(SystemExit):
+            run_cli("check", "--manifest", str(FUML / "fuml.mashup"), "--model", model,
+                    *option)
+    code, _out, err = run_cli("run", "--manifest", str(FUML / "fuml.mashup"),
+                              "--model", model, "--contracts", "full")
+    assert (code, err) == (0, "")

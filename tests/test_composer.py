@@ -4,18 +4,20 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import FUML, GOLDEN, parse_units, weave
 from mashup.behavior import AspectClass, parse_behavior
 from mashup.composer import (
     CompositionCase, ROOT_CLASS, WovenClass, classify_pair, compose,
-    contribution_of, emit_report, linearize, merge_contributions,
+    contribution_of, emit_report, linearize, linearize_all, merge_contributions,
     parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
 )
 from mashup.contracts import ContractContribution, parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
 from mashup.metamodel import MetaClass, Reference
 from mashup.typecheck import build
+from test_acceptance import _brute_force_lin
 
 # ---------------------------------------------------------------------------
 # cases and unit resolution
@@ -234,6 +236,55 @@ def test_linearize_rejects_cycles():
     with pytest.raises(CompositionError) as exc:
         linearize("A", {"A": ("B",), "B": ("A",)})
     assert exc.value.diagnostics[0].code == "CycleError"
+
+
+@st.composite
+def _dags(draw):
+    """A supertype DAG of up to 12 classes, declared in a random order."""
+    names = [f"C{i}" for i in range(draw(st.integers(1, 12)))]
+    graph = {
+        name: tuple(draw(st.lists(st.sampled_from(names[i + 1:]), unique=True, max_size=3))
+                    if names[i + 1:] else ())
+        for i, name in enumerate(names)
+    }
+    return {name: graph[name] for name in draw(st.permutations(names))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_linearize_all_matches_brute_force(graph):
+    lins = linearize_all(graph)
+    assert list(lins) == list(graph)
+    for name in graph:
+        assert lins[name] == _brute_force_lin(name, graph)
+
+
+class _CountingGraph(dict):
+    """A supertype graph that counts how often each class's entry is read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads: dict[str, int] = {}
+
+    def __getitem__(self, name):
+        self.reads[name] = self.reads.get(name, 0) + 1
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.reads[name] = self.reads.get(name, 0) + 1
+        return super().get(name, default)
+
+
+def test_linearize_all_reads_each_class_a_bounded_number_of_times():
+    levels = 14
+    graph = _CountingGraph({"L0A": (), "L0B": ()})
+    for k in range(1, levels + 1):
+        graph[f"L{k}A"] = (f"L{k - 1}A", f"L{k - 1}B")
+        graph[f"L{k}B"] = (f"L{k - 1}B", f"L{k - 1}A")
+    lins = linearize_all(graph)
+    assert max(graph.reads.values()) <= 3
+    assert lins[f"L{levels}A"][:3] == (f"L{levels}A", f"L{levels - 1}B", f"L{levels - 1}A")
+    assert len(lins[f"L{levels}A"]) == 2 * levels + 2
 
 
 def test_linearization_wellformed_in_fixture(fuml_woven):
