@@ -43,13 +43,6 @@ def _entry_point(args, manifest: MashupManifest) -> tuple[str, str]:
     raise EvalFault("Fault", "no entry point: pass --entry or add a main to the manifest")
 
 
-def _matching_roots(model: ModelInstance, cls: str) -> list[str]:
-    return [
-        oid for oid in model.roots
-        if model.woven.conforms(model.objects[oid].class_name, cls)
-    ]
-
-
 def cmd_compose(args) -> int:
     _manifest, _units, woven = build(args.manifest)
     rich = sum(1 for name in woven.classes if woven.aspect_units.get(name))
@@ -84,19 +77,30 @@ def cmd_check(args) -> int:
     return 4 if bad else 0
 
 
-def cmd_run(args) -> int:
+def _entry(args) -> tuple[ModelInstance, str, list[str]]:
+    """Build the manifest, load the model and resolve the entry: the model,
+    the entry operation and the roots whose class conforms to the entry's."""
     manifest, _units, woven = build(args.manifest)
     model = _load_model(args.model, woven)
     cls, op = _entry_point(args, manifest)
-    roots = _matching_roots(model, cls)
+    roots = [oid for oid in model.roots if woven.conforms(model.objects[oid].class_name, cls)]
     if not roots:
         raise EvalFault("Fault", f"model has no root object of class {cls}")
-    env = Environment(model, args.contracts)
+    return model, op, roots
+
+
+def _run_entry(env: Environment, op: str, roots: list[str]) -> None:
     interp = Interpreter(env)
+    for oid in roots:
+        interp.invoke(ObjRef(oid), op, [])
+
+
+def cmd_run(args) -> int:
+    model, op, roots = _entry(args)
+    env = Environment(model, args.contracts)
     code = 0
     try:
-        for oid in roots:
-            interp.invoke(ObjRef(oid), op, [])
+        _run_entry(env, op, roots)
     except EvalFault as fault:  # both faults and contract violations
         print_diagnostics([Diagnostic(fault.kind, fault.message, args.model)])
         code = fault.exit_code
@@ -106,20 +110,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    manifest, _units, woven = build(args.manifest)
-    base_model = _load_model(args.model, woven)
-    cls, op = _entry_point(args, manifest)
-    if not _matching_roots(base_model, cls):
-        raise EvalFault("Fault", f"model has no root object of class {cls}")
+    base_model, op, roots = _entry(args)
     timings: list[float] = []
     for _rep in range(args.reps):
-        model = base_model.clone()  # load/copy time stays outside the clock
-        env = Environment(model, args.contracts)
-        interp = Interpreter(env)
-        roots = _matching_roots(model, cls)
+        # load/copy time stays outside the clock
+        env = Environment(base_model.clone(), args.contracts)
         start = time.perf_counter()
-        for oid in roots:
-            interp.invoke(ObjRef(oid), op, [])
+        _run_entry(env, op, roots)
         timings.append(time.perf_counter() - start)
     mean = sum(timings) / len(timings)
     print(

@@ -741,50 +741,18 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RichEntry:
-    class_name: str
-    base_artifact: str
-    aspect_traits: tuple[str, ...]
-    factory_line: str | None
-    conversions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    package: str
-    base_units: tuple[str, ...]
-    entries: tuple[RichEntry, ...]
-
-    def render(self) -> str:
-        out = ["composition report", f"package: {self.package}"]
-        out.append("base units: " + (", ".join(self.base_units) or "(none)"))
-        out.append(f"rich classes: {len(self.entries)}")
-        for e in self.entries:
-            out.append("")
-            out.append(f"Rich{e.class_name} = {e.base_artifact} with " + " with ".join(e.aspect_traits))
-            if e.factory_line:
-                out.append(f"  factory: {e.factory_line}")
-            for c in e.conversions:
-                out.append(f"  convert: {c}")
-        return "\n".join(out) + "\n"
-
-
-def build_report(woven: WovenModel) -> CompositionReport:
-    entries = []
-    for name, wc in woven.classes.items():
-        units = woven.aspect_units.get(name)
-        if not units:
-            continue
-        rich = f"Rich{name}"
-        base_artifact = f"{name}Base" if wc.origin == "base" else f"{woven.root_class}Base"
-        traits = tuple(f"{name}Aspect<{u}>" for u in units)
-        factory = None if wc.is_abstract else f"create{name} -> {rich}"
-        conversions = (f"{name} <-> {rich}",) + tuple(f"{t} -> {rich}" for t in traits)
-        entries.append(RichEntry(name, base_artifact, traits, factory, conversions))
-    return CompositionReport(woven.package, woven.base_units, tuple(entries))
-
-
 def emit_report(woven: WovenModel) -> str:
     """Deterministic, human-readable account of the weaving result."""
-    return build_report(woven).render()
+    rich = [(name, wc) for name, wc in woven.classes.items() if woven.aspect_units.get(name)]
+    out = ["composition report", f"package: {woven.package}",
+           "base units: " + (", ".join(woven.base_units) or "(none)"),
+           f"rich classes: {len(rich)}"]
+    for name, wc in rich:
+        base = f"{name}Base" if wc.origin == "base" else f"{woven.root_class}Base"
+        traits = [f"{name}Aspect<{u}>" for u in woven.aspect_units[name]]
+        out += ["", f"Rich{name} = {base} with " + " with ".join(traits)]
+        if not wc.is_abstract:
+            out.append(f"  factory: create{name} -> Rich{name}")
+        out.append(f"  convert: {name} <-> Rich{name}")
+        out += [f"  convert: {t} -> Rich{name}" for t in traits]
+    return "\n".join(out) + "\n"

@@ -360,10 +360,6 @@ def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _render_type(t: SemType) -> str:
-    return str(t)
-
-
 def pretty_print(mm: Metamodel) -> str:
     """Render a metamodel back to source; parsing the result is an identity."""
     out = [f"metamodel {mm.name} {{"]
@@ -383,10 +379,10 @@ def pretty_print(mm: Metamodel) -> str:
                 line += f" opposite {r.opposite}"
             out.append(line + ";")
         for op in c.operations:
-            params = ", ".join(f"{p.name}: {_render_type(p.type)}" for p in op.params)
+            params = ", ".join(f"{p.name}: {p.type}" for p in op.params)
             line = f"    op {op.name}({params})"
             if op.return_type != VOID:
-                line += f": {_render_type(op.return_type)}"
+                line += f": {op.return_type}"
             out.append(line + ";")
         out.append("  }")
     out.append("}")

@@ -423,11 +423,18 @@ class _ReturnSignal(Exception):
 
 
 class _Frame:
-    __slots__ = ("self_obj", "scopes", "defining_class", "op_name")
+    """One activation: ``self``, its variable scopes, and whether it is pure.
+    A pure frame (a contract rule; ``eval_expr`` by default) faults on
+    operation calls, instantiation and model mutation, so a constraint can
+    never change the model it inspects."""
 
-    def __init__(self, self_obj: Obj, defining_class: str | None, op_name: str | None):
+    __slots__ = ("self_obj", "scopes", "pure", "defining_class", "op_name")
+
+    def __init__(self, self_obj: Obj, scopes: list[dict[str, Value]], pure: bool,
+                 defining_class: str | None = None, op_name: str | None = None):
         self.self_obj = self_obj
-        self.scopes: list[dict[str, Value]] = [{}]
+        self.scopes = scopes
+        self.pure = pure
         self.defining_class = defining_class
         self.op_name = op_name
 
@@ -446,14 +453,12 @@ class Environment:
 class Interpreter:
     """Tree-walking evaluator for expressions and method bodies.
 
-    In pure mode (constraint checking) operation calls, instantiation and
-    feature mutation fault instead of executing, so invariants can never
-    change the model they inspect.
+    Whether code may call operations, instantiate or mutate the model is
+    not the interpreter's state but that of the ``_Frame`` the code runs in.
     """
 
-    def __init__(self, env: Environment, pure: bool = False):
+    def __init__(self, env: Environment):
         self.env = env
-        self.pure = pure
         self.frames: list[_Frame] = []
 
     # -- dispatch ---------------------------------------------------------
@@ -493,11 +498,9 @@ class Interpreter:
         return result
 
     def _execute_method(self, owner: str, mdef: MethodDef, obj: Obj, args) -> Value:
-        frame = _Frame(obj, owner, mdef.sig.name)
-        frame.scopes[0] = {p.name: a for p, a in zip(mdef.sig.params, args)}
-        self.frames.append(frame)
+        self.frames.append(_Frame(obj, [], False, owner, mdef.sig.name))
         try:
-            self.exec_block(mdef.body)
+            self.exec_block(mdef.body, {p.name: a for p, a in zip(mdef.sig.params, args)})
             return VOID_VALUE
         except _ReturnSignal as ret:
             return ret.value
@@ -529,16 +532,13 @@ class Interpreter:
 
     # -- contracts ---------------------------------------------------------
 
-    def _eval_rule(self, body, obj: Obj, scope: dict[str, Value]) -> Value:
-        frame = _Frame(obj, None, None)
-        frame.scopes[0] = scope
-        self.frames.append(frame)
-        was_pure = self.pure
-        self.pure = True
+    def _eval_in_frame(self, e, obj: Obj, scope: dict[str, Value], pure: bool) -> Value:
+        """Evaluate ``e`` in a frame of its own, with ``self`` = ``obj`` and a
+        copy of ``scope`` as its only scope."""
+        self.frames.append(_Frame(obj, [dict(scope)], pure))
         try:
-            return self.eval(body)
+            return self.eval(e)
         finally:
-            self.pure = was_pure
             self.frames.pop()
 
     def _contract_scope(self, wc, op: str, mdef: MethodDef, args) -> dict[str, Value]:
@@ -561,9 +561,7 @@ class Interpreter:
         for _owner, clauses in groups:
             if all(self._rule_holds(c.body, obj, scope) for c in clauses):
                 return
-        name = groups[0][1][0].name
-        self.env.trace.append(ContractViolationEvent("pre", name, obj.id))
-        raise ContractViolation("PreconditionViolation", name, obj.id)
+        raise self._violation("PreconditionViolation", "pre", groups[0][1][0].name, obj)
 
     def _check_post(self, wc, obj: Obj, op: str, mdef: MethodDef, args, result: Value) -> None:
         clauses = wc.flat_post.get(op)
@@ -573,26 +571,35 @@ class Interpreter:
         scope["result"] = result
         for _owner, clause in clauses:
             if not self._rule_holds(clause.body, obj, scope):
-                self.env.trace.append(ContractViolationEvent("post", clause.name, obj.id))
-                raise ContractViolation("PostconditionViolation", clause.name, obj.id)
+                raise self._violation("PostconditionViolation", "post", clause.name, obj)
 
     def _check_invariants(self, wc, obj: Obj) -> None:
         for _owner, inv in wc.flat_invariants:
             if not self._rule_holds(inv.body, obj, {}):
-                self.env.trace.append(ContractViolationEvent("inv", inv.name, obj.id))
-                raise ContractViolation("InvariantViolation", inv.name, obj.id)
+                raise self._violation("InvariantViolation", "inv", inv.name, obj)
+
+    def _violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
+        """Trace a violated contract rule and build the error it raises."""
+        self.env.trace.append(ContractViolationEvent(kind, name, obj.id))
+        return ContractViolation(error, name, obj.id)
 
     def _rule_holds(self, body, obj: Obj, scope: dict[str, Value]) -> bool:
-        value = self._eval_rule(body, obj, dict(scope))
+        value = self._eval_in_frame(body, obj, scope, True)
         if not isinstance(value, BoolV):
             raise EvalFault("TypeFault", "contract rule did not yield a Bool")
         return value.b
 
     # -- statements --------------------------------------------------------
 
-    def exec_block(self, stmts) -> None:
-        for stmt in stmts:
-            _EXEC[type(stmt)](self, stmt)
+    def exec_block(self, stmts, scope: dict[str, Value]) -> None:
+        """Run ``stmts`` with ``scope`` pushed as their innermost scope."""
+        scopes = self.frames[-1].scopes
+        scopes.append(scope)
+        try:
+            for stmt in stmts:
+                _EXEC[type(stmt)](self, stmt)
+        finally:
+            scopes.pop()
 
     def _exec_vardecl(self, stmt: VarDecl) -> None:
         value = self.eval(stmt.init) if stmt.init is not None else _type_default(stmt.type)
@@ -634,16 +641,13 @@ class Interpreter:
         cond = self.eval(stmt.cond)
         if not isinstance(cond, BoolV):
             raise EvalFault("TypeFault", "if condition did not yield a Bool")
-        frame = self.frames[-1]
-        frame.scopes.append({})
-        try:
-            self.exec_block(stmt.then if cond.b else stmt.orelse)
-        finally:
-            frame.scopes.pop()
+        self.exec_block(stmt.then if cond.b else stmt.orelse, {})
 
     def _exec_loop(self, stmt: Loop) -> None:
-        frame = self.frames[-1]
-        frame.scopes.append({})
+        # the loop scope holds a from-clause's variable; each pass of the
+        # body gets a fresh scope inside it
+        scopes = self.frames[-1].scopes
+        scopes.append({})
         try:
             if stmt.init is not None:
                 _EXEC[type(stmt.init)](self, stmt.init)
@@ -651,30 +655,20 @@ class Interpreter:
                 cond = self.eval(stmt.until)
                 if not isinstance(cond, BoolV):
                     raise EvalFault("TypeFault", "loop condition did not yield a Bool")
-                done = not cond.b if stmt.while_style else cond.b
-                if done:
+                if cond.b != stmt.while_style:
                     return
-                frame.scopes.append({})
-                try:
-                    self.exec_block(stmt.body)
-                finally:
-                    frame.scopes.pop()
+                self.exec_block(stmt.body, {})
         finally:
-            frame.scopes.pop()
+            scopes.pop()
 
-    def _exec_eachloop(self, stmt: EachLoop) -> None:
+    def _exec_eachloop(self, stmt: EachLoop | EachBlock) -> None:
         recv = self.eval(stmt.receiver)
         if isinstance(recv, VoidV):
             return
         if not isinstance(recv, Coll):
             raise EvalFault("TypeFault", "each expects a collection")
-        frame = self.frames[-1]
         for item in list(recv.items):
-            frame.scopes.append({stmt.param: item})
-            try:
-                self.exec_block(stmt.body)
-            finally:
-                frame.scopes.pop()
+            self.exec_block(stmt.body, {stmt.param: item})
 
     def _exec_return(self, stmt: Return) -> None:
         raise _ReturnSignal(self.eval(stmt.value) if stmt.value is not None else VOID_VALUE)
@@ -715,7 +709,7 @@ class Interpreter:
         self._execute_method(owner, mdef, obj, args)
 
     def _mutation_guard(self) -> None:
-        if self.pure:
+        if self.frames[-1].pure:
             raise EvalFault("TypeFault", "model mutation in a side-effect-free context")
 
     # -- expressions -------------------------------------------------------
@@ -767,7 +761,7 @@ class Interpreter:
             raise EvalFault("TypeFault", f"operation call {e.op} on void")
         if not isinstance(recv, ObjRef):
             raise EvalFault("TypeFault", f"operation call {e.op} on {render_value(recv)}")
-        if self.pure:
+        if self.frames[-1].pure:
             raise EvalFault("TypeFault", f"operation call {e.op} in a side-effect-free context")
         args = [self.eval(a) for a in e.args]
         return self.invoke(recv, e.op, args)
@@ -792,58 +786,36 @@ class Interpreter:
             if not isinstance(other, Coll):
                 raise EvalFault("TypeFault", "intersection expects a collection argument")
             return Coll(recv.kind, [x for x in recv.items if x in other.items])
-        lam = e.lam
-        frame = self.frames[-1]
-        if kind == "collect":
-            out = []
-            for item in recv.items:
-                frame.scopes.append({lam.param: item})
-                try:
-                    out.append(self.eval(lam.body))
-                finally:
-                    frame.scopes.pop()
-            return make_coll(recv.kind, out)
-        if kind in ("select", "reject"):
-            keep = kind == "select"
-            out = []
-            for item in recv.items:
-                frame.scopes.append({lam.param: item})
-                try:
-                    test = self.eval(lam.body)
-                finally:
-                    frame.scopes.pop()
-                if not isinstance(test, BoolV):
-                    raise EvalFault("TypeFault", f"{kind} lambda did not yield a Bool")
-                if test.b == keep:
-                    out.append(item)
-            return Coll(recv.kind, out)
-        if kind in ("forAll", "exists"):
-            want_all = kind == "forAll"
-            for item in recv.items:
-                frame.scopes.append({lam.param: item})
-                try:
-                    test = self.eval(lam.body)
-                finally:
-                    frame.scopes.pop()
-                if not isinstance(test, BoolV):
-                    raise EvalFault("TypeFault", f"{kind} lambda did not yield a Bool")
-                if want_all and not test.b:
-                    return FALSE
-                if not want_all and test.b:
-                    return TRUE
-            return TRUE if want_all else FALSE
-        # each with an expression body: evaluate and discard
+        # one binding loop for every lambda: collect gathers the values (each
+        # drops them); select and reject keep, and forAll and exists stop at,
+        # the elements whose test yields the Bool ``hit``
+        hit = _LAMBDA_HITS.get(kind)
+        quantifier = kind in ("forAll", "exists")
+        param, body, scopes = e.lam.param, e.lam.body, self.frames[-1].scopes
+        out = []
         for item in recv.items:
-            frame.scopes.append({lam.param: item})
+            scopes.append({param: item})
             try:
-                self.eval(lam.body)
+                value = self.eval(body)
             finally:
-                frame.scopes.pop()
-        return VOID_VALUE
+                scopes.pop()
+            if hit is None:
+                out.append(value)
+            elif not isinstance(value, BoolV):
+                raise EvalFault("TypeFault", f"{kind} lambda did not yield a Bool")
+            elif value.b == hit:
+                if quantifier:
+                    return value
+                out.append(item)
+        if hit is None:
+            return make_coll(recv.kind, out) if kind == "collect" else VOID_VALUE
+        if quantifier:
+            return FALSE if hit else TRUE  # forAll passed every element, exists none
+        return Coll(recv.kind, out)
 
     def _eval_eachblock(self, e: EachBlock) -> Value:
         self._mutation_guard()
-        self._exec_eachloop(EachLoop(e.receiver, e.param, e.body, e.pos))
+        self._exec_eachloop(e)
         return VOID_VALUE
 
     def _eval_typetest(self, e: TypeTest) -> Value:
@@ -922,7 +894,7 @@ class Interpreter:
         return self.eval(e.then if cond.b else e.orelse)
 
     def _eval_new(self, e: New) -> Value:
-        if self.pure:
+        if self.frames[-1].pure:
             raise EvalFault("TypeFault", "new in a side-effect-free context")
         return create_instance(self.env.model, e.class_name)
 
@@ -957,6 +929,9 @@ _EXEC = {
 }
 
 
+_LAMBDA_HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
+
+
 def _type_default(t: SemType) -> Value:
     if t.kind == "prim":
         return _PRIM_DEFAULTS[t.name]
@@ -968,11 +943,7 @@ def _type_default(t: SemType) -> Value:
 def eval_expr(e, env: Environment, self_obj, scope: dict[str, Value] | None = None,
               pure: bool = True) -> Value:
     """Evaluate one expression with self bound; pure by default."""
-    interp = Interpreter(env, pure=pure)
-    frame = _Frame(env.model.resolve(self_obj), None, None)
-    frame.scopes[0] = dict(scope or {})
-    interp.frames.append(frame)
-    return interp.eval(e)
+    return Interpreter(env)._eval_in_frame(e, env.model.resolve(self_obj), scope or {}, pure)
 
 
 def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
@@ -1221,16 +1192,32 @@ def _check_forest(model: ModelInstance, container_of: dict[str, tuple[str, str]]
                 "ContainmentError",
                 f"object {oid} records container {obj.container}, slots say {expected}",
             )
-    # cycle detection over the container map
+    # Cycle detection over the container map.  Climbing from an object, the
+    # first node met twice is where its chain enters a cycle.  ``entry``
+    # memoizes that node per object (None for a chain that ends at a root),
+    # so each object is climbed through once: a node on a cycle is its own
+    # entry, and any other object has its container's.
+    entry: dict[str, str | None] = {}
     for oid in model.objects:
-        seen = set()
-        cur = oid
-        while cur in container_of:
-            if cur in seen:
-                sink.add("ContainmentError", f"containment cycle through {cur}")
-                break
-            seen.add(cur)
-            cur = container_of[cur][0]
+        link = container_of.get(oid)
+        if link is None or link[0] not in container_of:
+            continue  # a root, or contained by one: no cycle
+        if oid not in entry:
+            if link[0] in entry:
+                entry[oid] = entry[link[0]]
+            else:
+                path: dict[str, None] = {}  # the climb, in order
+                cur = oid
+                while cur in container_of and cur not in entry and cur not in path:
+                    path[cur] = None
+                    cur = container_of[cur][0]
+                found = cur if cur in path else entry.get(cur)
+                on_cycle = False
+                for node in path:
+                    on_cycle = on_cycle or node == cur
+                    entry[node] = node if on_cycle else found
+        if entry[oid] is not None:
+            sink.add("ContainmentError", f"containment cycle through {entry[oid]}")
     if len(set(model.roots)) != len(model.roots):
         sink.add("ConformanceError", "roots list repeats an object")
     declared = set(model.roots)

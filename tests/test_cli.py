@@ -175,6 +175,25 @@ def test_run_without_matching_root_exits_5(tmp_path):
     assert code == 5 and "no root object of class Activity" in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_run_and_bench_resolve_the_entry_alike(tmp_path, command):
+    manifest = str(FUML / "fuml.mashup")
+    path = tmp_path / "norota.model"
+    path.write_text('{"conformsTo": "fuml", "objects": '
+                    '[{"id": "c1", "class": "Class", "slots": {}}], "roots": ["@c1"]}')
+    assert run_cli(command, "--manifest", manifest, "--model", str(path)) == (
+        5, "", f"{manifest}:0:0: Fault model has no root object of class Activity\n")
+    # run reports a fault of the entry against the model, bench against the manifest
+    where = str(path) if command == "run" else manifest
+    assert run_cli(command, "--manifest", manifest, "--model", str(path),
+                   "--entry", "Class.run") == (
+        5, "", f"{where}:0:0: NoSuchMethod Class has no operation run\n")
+    worksession = str(MODELS / "worksession.model")
+    assert run_cli(command, "--manifest", manifest, "--model", worksession,
+                   "--entry", "Activity.") == (
+        5, "", f"{manifest}:0:0: Fault --entry wants Class.operation, got 'Activity.'\n")
+
+
 def test_run_entry_override_and_bad_entry():
     code, out, _ = run_cli("run", "--manifest", str(FUML / "fuml.mashup"),
                            "--model", str(MODELS / "worksession.model"),

@@ -1,0 +1,384 @@
+"""The interpreter's observable behaviour, pinned row by row.
+
+Each row runs one method body or one expression and records the exact
+``env.trace`` renderings plus either the rendered result or the exact
+``(kind, message)`` of the fault it ends in.  Bodies are woven with
+``strict=False``, so ill-typed code reaches the interpreter and each
+dynamic check fires.  Any other evaluator for the same ASTs must give the
+same rows.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from helpers import weave
+from mashup.diagnostics import EvalFault
+from mashup.exprs import Coll, EachBlock, IntV, VarRef, parse_expr, render_value
+from mashup.runtime import (
+    Environment, ModelInstance, add_to_feature, check_model, create_instance,
+    eval_expr, invoke, set_feature,
+)
+
+TABLE_MM = """
+metamodel t {
+  class A {
+    attr n: Int;
+    ref kids: B[*] containment;
+    ref one: B[0..1];
+  }
+  class B { attr w: Int; }
+}
+"""
+
+# Operations every method-body row can call; ``show`` makes a value visible
+# in the trace through its OpExit event.
+HELPERS = """
+  operation show(v : Int) : Int is do return v end
+  operation need(v : Int) : Int is do return v end
+  operation twice(v : Int) : Int is do
+    var v : Int init v + v
+    return v
+  end
+"""
+
+
+def _model(woven) -> ModelInstance:
+    """o1: A with n = 0 and kids o2 (w = 1), o3 (w = 2)."""
+    model = ModelInstance(woven)
+    a = create_instance(model, "A")
+    for w in (1, 2):
+        b = create_instance(model, "B")
+        set_feature(model, b, "w", IntV(w))
+        add_to_feature(model, a, "kids", b)
+    return model
+
+
+def _shown(value) -> str:
+    text = render_value(value)
+    return f"{value.kind}{text}" if isinstance(value, Coll) else text
+
+
+def _outcome(thunk, env):
+    try:
+        result = ("value", _shown(thunk()))
+    except EvalFault as fault:
+        result = (fault.kind, fault.message)
+    return [event.render() for event in env.trace], result
+
+
+def _act(body: str, returns: str = "Void", inv: str = "", policy: str = "prepost"):
+    """Weave ``body`` as ``A.run`` and invoke it on o1."""
+    def run():
+        woven = weave(
+            mm=TABLE_MM,
+            act='package t;\nrequire "t.mm";\naspect class A {\n' + HELPERS
+                + f"  operation run() : {returns} is do\n{body}\n  end\n}}\n",
+            inv=['package t;\nrequire "t.mm";\naspect class A {\n' + inv + "\n}\n"] if inv else (),
+            strict=False,
+        )
+        model = _model(woven)
+        env = Environment(model, policy)
+        return _outcome(lambda: invoke(model, "o1", "run", None, policy, env)[0], env)
+    return run
+
+
+def _seq(*ints: int) -> Coll:
+    return Coll("Sequence", [IntV(i) for i in ints])
+
+
+def _expr(text, scope=None, pure: bool = True):
+    """Evaluate ``text`` (source, or an AST) with self = o1."""
+    def run():
+        model = _model(weave(mm=TABLE_MM, act='package t;\nrequire "t.mm";\naspect class A {\n'
+                             + HELPERS + "}\n", strict=False))
+        env = Environment(model)
+        e = parse_expr(text) if isinstance(text, str) else text
+        return _outcome(lambda: eval_expr(e, env, "o1", scope, pure=pure), env)
+    return run
+
+
+def _checked(inv: str):
+    """``check_model`` results for an invariant unit on the fixture model."""
+    def run():
+        woven = weave(mm=TABLE_MM, inv='package t;\nrequire "t.mm";\naspect class A {\n'
+                      + inv + "\n}\n", strict=False)
+        results = check_model(_model(woven))
+        return [], [(r.status, r.invariant, r.obj_id, r.detail) for r in results]
+    return run
+
+
+_TF = "TypeFault"
+_IN, _OUT = "OpEnter\to1.run", "OpExit\to1.run\t"
+
+
+def _show(v: int) -> list[str]:
+    return ["OpEnter\to1.show", f"OpExit\to1.show\t{v}"]
+
+
+CASES = {
+    # -- every TypeFault site ----------------------------------------------
+    "if condition not Bool": (
+        _act('if 1 then self.trace("then") end'),
+        [_IN], (_TF, "if condition did not yield a Bool")),
+    "if expression condition not Bool": (
+        _expr("if 1 then 2 else 3 end"), [], (_TF, "if condition did not yield a Bool")),
+    "until condition not Bool": (
+        _act('until 1 loop self.trace("body") end'),
+        [_IN], (_TF, "loop condition did not yield a Bool")),
+    "while condition not Bool": (
+        _act("while 0 loop end"), [_IN], (_TF, "loop condition did not yield a Bool")),
+    "from condition not Bool after its init": (
+        _act("from var i : Int init self.show(4) until i loop end"),
+        [_IN] + _show(4), (_TF, "loop condition did not yield a Bool")),
+    "each statement over a non-collection": (
+        _act('self.n.each { x | self.trace("body") }'),
+        [_IN], (_TF, "each expects a collection")),
+    "each block in expression position over a non-collection": (
+        _act('return self.n.each { x | self.trace("body") }'),
+        [_IN], (_TF, "each expects a collection")),
+    "each lambda over a non-collection": (
+        _expr("x.each { i | i }", {"x": IntV(1)}), [], (_TF, "each on non-collection 1")),
+    "collect over a non-collection": (
+        _expr("x.collect { i | i }", {"x": IntV(1)}), [], (_TF, "collect on non-collection 1")),
+    "size of a non-collection": (
+        _expr("self.n.size()"), [], (_TF, "size on non-collection 0")),
+    "select lambda not Bool": (
+        _expr("c.select { i | i }", {"c": _seq(1)}), [],
+        (_TF, "select lambda did not yield a Bool")),
+    "reject lambda not Bool": (
+        _expr("c.reject { i | i }", {"c": _seq(1)}), [],
+        (_TF, "reject lambda did not yield a Bool")),
+    "forAll lambda not Bool": (
+        _expr("c.forAll { i | i }", {"c": _seq(1)}), [],
+        (_TF, "forAll lambda did not yield a Bool")),
+    "exists lambda not Bool": (
+        _expr("c.exists { i | i }", {"c": _seq(1)}), [],
+        (_TF, "exists lambda did not yield a Bool")),
+    "select lambda not Bool on a later element": (
+        _expr('c.select { i | if i > 1 then "no" else true end }', {"c": _seq(1, 2)}), [],
+        (_TF, "select lambda did not yield a Bool")),
+    "intersection with a non-collection": (
+        _expr("c.intersection(1)", {"c": _seq(1)}), [],
+        (_TF, "intersection expects a collection argument")),
+    "not of a non-Bool": (
+        _expr("not 1"), [], (_TF, "not expects a Bool")),
+    "and with a non-Bool left operand": (
+        _expr("1 and true"), [], (_TF, "and expects Bool operands")),
+    "and with a non-Bool right operand": (
+        _expr("true and 1"), [], (_TF, "and expects Bool operands")),
+    "or with a non-Bool left operand": (
+        _expr("1 or false"), [], (_TF, "or expects Bool operands")),
+    "or with a non-Bool right operand": (
+        _expr("false or 1"), [], (_TF, "or expects Bool operands")),
+    "and short-circuits": (_expr("false and 1"), [], ("value", "false")),
+    "or short-circuits": (_expr("true or 1"), [], ("value", "true")),
+    "plus on a Bool": (
+        _expr("1 + true"), [], (_TF, "+ expects Int operands, got 1 and true")),
+    "minus on Strings": (
+        _expr('"a" - "b"'), [], (_TF, '- expects Int operands, got "a" and "b"')),
+    "plus on a String and an Int": (
+        _expr('"a" + 1'), [], (_TF, '+ expects Int operands, got "a" and 1')),
+    "times on void": (
+        _expr("void * 2"), [], (_TF, "* expects Int operands, got void and 2")),
+    "less-than on a String": (
+        _expr('1 < "a"'), [], (_TF, '< expects Int operands, got 1 and "a"')),
+    "plus on Strings concatenates": (_expr('"a" + "b"'), [], ("value", '"ab"')),
+    "division truncates toward zero": (_expr("-7 / 2"), [], ("value", "-3")),
+    "division by zero": (_expr("1 / 0"), [], ("DivisionByZero", "division by zero")),
+    "navigation on a non-object": (
+        _expr("x.w", {"x": IntV(3)}), [], (_TF, "cannot navigate w on 3")),
+    "navigation to an unknown feature": (
+        _expr("self.zz"), [], (_TF, "A has no feature zz")),
+    "navigation on void": (_expr("self.one.w"), [], ("value", "void")),
+    "failed asType": (
+        _expr("self.asType(B)"), [], (_TF, "cannot cast A object o1 to B")),
+    "asType on a non-object": (
+        _expr("x.asType(A)", {"x": IntV(3)}), [], (_TF, "asType on 3")),
+    "oclIsKindOf on a non-object": (
+        _expr("x.oclIsKindOf(A)", {"x": IntV(3)}), [], (_TF, "oclIsKindOf on 3")),
+    "asType and oclIsKindOf on void": (
+        _expr("self.one.asType(B) == void and not self.one.oclIsKindOf(B)"), [],
+        ("value", "true")),
+    "operation call on void": (
+        _expr("self.one.show(1)", pure=False), [], (_TF, "operation call show on void")),
+    "operation call on a non-object": (
+        _expr("x.show(1)", {"x": IntV(3)}, pure=False), [],
+        (_TF, "operation call show on 3")),
+    "feature assignment on void": (
+        _act("self.one.w := 1"), [_IN], (_TF, "cannot assign feature w on void")),
+    "element add on void": (
+        _act("self.one.w.add(1)"), [_IN], (_TF, "cannot add to feature w on void")),
+    "unbound variable": (_expr("nope + 1"), [], ("UnboundVariable", "unbound variable nope")),
+    "assignment to an unbound variable": (
+        _act("nope := 1"), [_IN], ("UnboundVariable", "unbound variable nope")),
+    # -- forAll / exists short-circuit -------------------------------------
+    "forAll stops at the first false element": (
+        _act("var c : Sequence<Int>\nc := c.add(5)\nc := c.add(20)\nc := c.add(0)\n"
+             "return c.forAll { i | 10 / self.show(i) > 1 }", "Bool"),
+        [_IN] + _show(5) + _show(20) + [_OUT + "false"], ("value", "false")),
+    "exists stops at the first true element": (
+        _act("var c : Sequence<Int>\nc := c.add(20)\nc := c.add(5)\nc := c.add(0)\n"
+             "return c.exists { i | 10 / self.show(i) > 1 }", "Bool"),
+        [_IN] + _show(20) + _show(5) + [_OUT + "true"], ("value", "true")),
+    "forAll never evaluates a faulting later element": (
+        _expr("c.forAll { i | 10 / i > 1 }", {"c": _seq(5, 20, 0)}), [], ("value", "false")),
+    "exists never evaluates a faulting later element": (
+        _expr("c.exists { i | 10 / i > 1 }", {"c": _seq(20, 5, 0)}), [], ("value", "true")),
+    "forAll and exists over every element": (
+        _expr("c.forAll { i | i > 0 } and not c.exists { i | i > 2 }", {"c": _seq(1, 2)}),
+        [], ("value", "true")),
+    "forAll and exists over nothing": (
+        _expr("c.forAll { i | false } and not c.exists { i | true }", {"c": _seq()}),
+        [], ("value", "true")),
+    "lambda results keep the receiver's kind": (
+        _expr("self.kids.select { b | b.w > 1 }"), [], ("value", "OrderedSet[@o3]")),
+    "reject keeps the false elements": (
+        _expr("c.reject { i | i > 1 }", {"c": _seq(1, 2, 0)}), [], ("value", "Sequence[1, 0]")),
+    "collect over a set de-duplicates": (
+        _expr("self.kids.collect { b | b.w * 0 }"), [], ("value", "OrderedSet[0]")),
+    # -- each --------------------------------------------------------------
+    "each statement over void": (
+        _act('self.one.each { b | self.trace("body") }\nself.trace("after")'),
+        [_IN, "NodeExecuted\tafter", _OUT + "void"], ("value", "void")),
+    "each lambda over void": (
+        _expr("self.one.each { b | b }"), [], ("value", "void")),
+    "select over void": (
+        _expr("self.one.select { b | true }"), [], ("value", "void")),
+    "each statement visits every element": (
+        _act("self.kids.each { b | self.show(b.w) }"),
+        [_IN] + _show(1) + _show(2) + [_OUT + "void"], ("value", "void")),
+    "each block in expression position runs its body": (
+        _act("return self.kids.each { b | self.show(b.w) }"),
+        [_IN] + _show(1) + _show(2) + [_OUT + "void"], ("value", "void")),
+    "each lambda discards its values": (
+        _expr("self.kids.each { b | self.show(b.w) }", pure=False),
+        _show(1) + _show(2), ("value", "void")),
+    "each block is refused in a pure context": (
+        _expr(EachBlock(VarRef("c"), "i", ()), {"c": _seq(1)}), [],
+        (_TF, "model mutation in a side-effect-free context")),
+    "each block runs outside a pure context": (
+        _expr(EachBlock(VarRef("c"), "i", ()), {"c": _seq(1)}, pure=False), [],
+        ("value", "void")),
+    # -- loops -------------------------------------------------------------
+    "until, while and from loops": (
+        _act("var i : Int init 0\n"
+             "until i >= 2 loop\n  self.show(i)\n  i := i + 1\nend\n"
+             "while i > 0 loop\n  i := i - 1\n  self.show(i)\nend\n"
+             "from var j : Int init 3 until j == 5 loop\n  self.show(j)\n  j := j + 1\nend\n"
+             "return i", "Int"),
+        [_IN] + _show(0) + _show(1) + _show(1) + _show(0) + _show(3) + _show(4)
+        + [_OUT + "0"], ("value", "0")),
+    "until that holds at once never runs its body": (
+        _act('until true loop self.trace("body") end'), [_IN, _OUT + "void"], ("value", "void")),
+    "from variable is scoped to its loop": (
+        _act("from var j : Int init 0 until true loop end\nreturn j", "Int"),
+        [_IN], ("UnboundVariable", "unbound variable j")),
+    "loop body variables are fresh on each pass": (
+        _act("var i : Int init 0\n"
+             "until i == 2 loop\n  var k : Int\n  k := k + 1\n  self.show(k)\n  i := i + 1\nend"),
+        [_IN] + _show(1) + _show(1) + [_OUT + "void"], ("value", "void")),
+    "loop body variables are not seen by the condition": (
+        _act("from var i : Int init 0 until i > 0 and k > 0 loop\n"
+             "  var k : Int init 1\n  i := i + 1\nend"),
+        [_IN], ("UnboundVariable", "unbound variable k")),
+    "return from inside a loop": (
+        _act("while true loop\n  return 7\nend", "Int"), [_IN, _OUT + "7"], ("value", "7")),
+    # -- scopes ------------------------------------------------------------
+    "shadowing in nested blocks": (
+        _act("var x : Int init 1\n"
+             "if true then\n  var x : Int init 2\n  self.show(x)\n  x := 3\n  self.show(x)\nend\n"
+             "self.show(x)\n"
+             "if x == 1 then\n  x := 4\nelse\n  x := 5\nend\n"
+             "return x", "Int"),
+        [_IN] + _show(2) + _show(3) + _show(1) + [_OUT + "4"], ("value", "4")),
+    "if block variables do not leak": (
+        _act("if true then\n  var z : Int init 1\nend\nreturn z", "Int"),
+        [_IN], ("UnboundVariable", "unbound variable z")),
+    "shadowing in lambdas": (
+        _act("var x : Int init 5\nvar c : Sequence<Int>\nc := c.add(7)\n"
+             "c.each { x | self.show(x)\n  var y : Int init x + 1\n  self.show(y) }\n"
+             "self.show(x)\n"
+             "var d : Sequence<Int> init c.collect { x | x + x }\n"
+             "self.show(x)\n"
+             "return d", "Sequence<Int>"),
+        [_IN] + _show(7) + _show(8) + _show(5) + _show(5) + [_OUT + "[14]"],
+        ("value", "Sequence[14]")),
+    "lambda inside a lambda sees the outer parameter": (
+        _expr("c.collect { a | c.select { b | b > a }.size() }", {"c": _seq(1, 2, 3)}), [],
+        ("value", "Sequence[2, 1, 0]")),
+    "each block variables do not leak": (
+        _act("self.kids.each { b | var z : Int init 1 }\nreturn z", "Int"),
+        [_IN], ("UnboundVariable", "unbound variable z")),
+    "lambda parameters do not leak": (
+        _act("var d : OrderedSet<B> init self.kids.select { q | q.w > 1 }\nreturn q", "B"),
+        [_IN], ("UnboundVariable", "unbound variable q")),
+    "each block assigns an outer variable": (
+        _act("var total : Int init 0\nself.kids.each { b | total := total + b.w }\n"
+             "return total", "Int"),
+        [_IN, _OUT + "3"], ("value", "3")),
+    "a parameter redeclared in the body is overwritten": (
+        _act("return self.twice(3)", "Int"),
+        [_IN, "OpEnter\to1.twice", "OpExit\to1.twice\t6", _OUT + "6"], ("value", "6")),
+    # -- purity ------------------------------------------------------------
+    "pure refusal of an operation call": (
+        _expr("self.show(1)"), [], (_TF, "operation call show in a side-effect-free context")),
+    "pure refusal of new": (
+        _expr("B.new()"), [], (_TF, "new in a side-effect-free context")),
+    "impure expression calls an operation": (
+        _expr("self.show(4)", pure=False), _show(4), ("value", "4")),
+    "impure expression creates an object": (
+        _expr("B.new()", pure=False), [], ("value", "@o4")),
+    "precondition calling an operation is refused": (
+        _act("self.show(1)", inv="pre probe on run : self.show(1) > 0;"),
+        [_IN], (_TF, "operation call show in a side-effect-free context")),
+    "postcondition calling new is refused": (
+        _act("self.show(1)", inv="post mk on run : B.new() == void;"),
+        [_IN] + _show(1), (_TF, "new in a side-effect-free context")),
+    "purity ends with the rule": (
+        _act("self.show(1)\nself.n := 2", inv="pre ok on run : true;\npost ok2 on run : self.n == 2;"),
+        [_IN] + _show(1) + [_OUT + "void"], ("value", "void")),
+    "invariant calling an operation is an error result": (
+        _checked("inv probe : self.show(1) > 0;"), [],
+        [("error", "probe", "o1", "TypeFault: operation call show in a side-effect-free context")]),
+    "invariant results": (
+        _checked("inv zero : self.n == 0;\ninv many : self.kids.size() > 2;\ninv odd : 1;"), [],
+        [("holds", "zero", "o1", ""), ("violated", "many", "o1", ""),
+         ("error", "odd", "o1", "invariant did not yield a Bool")]),
+    # -- contract violations -----------------------------------------------
+    "precondition violation": (
+        _act("self.show(1)", inv="pre positive on run : self.n > 0;"),
+        [_IN, "ContractViolation\tpre positive @ o1"],
+        ("PreconditionViolation", "positive @ o1")),
+    "postcondition violation": (
+        _act("return self.show(1)", "Int", inv="post small on run : result < 1;"),
+        [_IN] + _show(1) + ["ContractViolation\tpost small @ o1"],
+        ("PostconditionViolation", "small @ o1")),
+    "postcondition sees parameters and result": (
+        _act("return self.twice(4)", "Int",
+             inv="post echo on twice : result == v + v;\npost wrong on need : result == v + 1;"),
+        [_IN, "OpEnter\to1.twice", "OpExit\to1.twice\t8", _OUT + "8"], ("value", "8")),
+    "invariant violation under the full policy": (
+        _act("self.n := 0 - 1", inv="inv nonneg : self.n >= 0;", policy="full"),
+        [_IN, "ContractViolation\tinv nonneg @ o1"],
+        ("InvariantViolation", "nonneg @ o1")),
+    "invariants are not checked under prepost": (
+        _act("self.n := 0 - 1", inv="inv nonneg : self.n >= 0;"),
+        [_IN, _OUT + "void"], ("value", "void")),
+    "contracts are not checked under off": (
+        _act("self.show(1)", inv="pre never on run : false;", policy="off"),
+        [_IN] + _show(1) + [_OUT + "void"], ("value", "void")),
+    "nested precondition violation": (
+        _act("self.show(1)\nself.need(0)", inv="pre need_pos on need : v > 0;"),
+        [_IN] + _show(1) + ["OpEnter\to1.need", "ContractViolation\tpre need_pos @ o1"],
+        ("PreconditionViolation", "need_pos @ o1")),
+    "contract rule that is not Bool": (
+        _act("self.show(1)", inv="pre odd on run : 1;"),
+        [_IN], (_TF, "contract rule did not yield a Bool")),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_interpreter_behaviour_is_pinned(case):
+    run, trace, outcome = CASES[case]
+    assert run() == (trace, outcome)

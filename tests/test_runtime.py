@@ -10,7 +10,7 @@ from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
 from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
-    ModelInstance, NodeExecuted, add_to_feature, check_model,
+    ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
     conformance_check, create_instance, default_value, invoke, is_default,
     load_model, remove_from_feature, save_model, set_feature,
 )
@@ -802,6 +802,83 @@ def test_conformance_diagnostics_are_pinned(fuml_woven, case):
     found = conformance_check(model)
     assert [(d.code, d.message) for d in found] == expected
     assert {d.render()[:len("<model>:0:0: ")] for d in found} == {"<model>:0:0: "}
+
+
+_CHAIN_WOVEN = weave(mm="metamodel t { class N { ref kids: N[*] containment; } }")
+
+
+def _chain_model(parents: list[int | None]) -> ModelInstance:
+    """Objects n0, n1, ...; ``parents[i]`` is the index of n<i>'s container."""
+    model = ModelInstance(_CHAIN_WOVEN)
+    for i in range(len(parents)):
+        model.objects[f"n{i}"] = obj = Obj(f"n{i}", "N")
+        obj.slots["kids"] = Coll("OrderedSet")
+    for i, parent in enumerate(parents):
+        if parent is None:
+            model.roots.append(f"n{i}")
+        else:
+            model.objects[f"n{parent}"].slots["kids"].items.append(ObjRef(f"n{i}"))
+            model.objects[f"n{i}"].container = (f"n{parent}", "kids")
+    return model
+
+
+def _climbed_cycles(parents: list[int | None]) -> list[str]:
+    """Cycle messages as a climb from every object, in object order, finds
+    them: the first node each climb meets twice."""
+    out = []
+    for i in range(len(parents)):
+        seen, cur = set(), i
+        while parents[cur] is not None:
+            if cur in seen:
+                out.append(f"containment cycle through n{cur}")
+                break
+            seen.add(cur)
+            cur = parents[cur]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-1, 11), min_size=1, max_size=12))
+def test_cycle_diagnostics_match_a_climb_from_every_object(picks):
+    parents = [p if 0 <= p < len(picks) else None for p in picks]
+    found = [d.message for d in conformance_check(_chain_model(parents))
+             if "cycle" in d.message]
+    assert found == _climbed_cycles(parents)
+
+
+def test_cycle_detection_climbs_each_object_once():
+    """A containment chain 1000 deep: counting the lines ``_check_forest``
+    executes keeps the guard independent of speed (a climb from every
+    object ran about 2 million)."""
+    import sys
+
+    depth = 1000
+    chains = [  # (parents, cycle diagnostics)
+        ([None] + list(range(depth - 1)), 0),  # containers first
+        (list(range(1, depth)) + [None], 0),  # children first
+        ([depth - 1] + list(range(depth - 1)), depth),  # one cycle through all
+    ]
+    for parents, cycles in chains:
+        model = _chain_model(parents)
+        lines = 0
+
+        def tracer(frame, _event, _arg):
+            if frame.f_code.co_name != "_check_forest":
+                return None
+
+            def count(_frame, event, _arg):
+                nonlocal lines
+                lines += event == "line"
+                return count
+            return count
+
+        sys.settrace(tracer)
+        try:
+            found = conformance_check(model)
+        finally:
+            sys.settrace(None)
+        assert len([d for d in found if "cycle" in d.message]) == cycles
+        assert lines <= 30 * depth, lines
 
 
 def test_save_load_round_trip(fuml_woven):
