@@ -19,9 +19,7 @@ import sys
 import time
 
 from .composer import MashupManifest, WovenModel, emit_report, read_source
-from .diagnostics import (
-    ContractViolation, Diagnostic, EvalFault, WorkbenchError, print_diagnostics,
-)
+from .diagnostics import Diagnostic, EvalFault, WorkbenchError, print_diagnostics
 from .runtime import (
     Environment, Interpreter, ModelInstance, ObjRef, check_model, load_model,
 )
@@ -167,9 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ContractViolation as violation:
-        print_diagnostics([Diagnostic(violation.kind, violation.message, args.manifest)])
-        return violation.exit_code
     except WorkbenchError as err:
         print_diagnostics(err.diagnostics)
         return err.exit_code

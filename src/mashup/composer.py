@@ -9,6 +9,11 @@ behavior units alike) into its base metamodel class, producing one
   wins, the implicit reflection root ``Root`` is always final),
 * a merged feature table (any two declarations of the same feature name in
   one linearization are a clash; features cannot be renamed),
+* a slot plan per feature, settled here once for every model operation:
+  its bounds, collection kind, default, value class or conforming target
+  classes, opposite and containment; the plans in declaration order, in
+  save (name) order, and the link slots (those with an opposite or a
+  containment),
 * a method table in linearization order, rewritten by explicit renamings,
 * flattened contracts: invariants accumulate down the hierarchy, effective
   preconditions are the disjunction of per-class groups, effective
@@ -35,9 +40,10 @@ from .contracts import (
 from .diagnostics import (
     CompositionError, Diagnostic, DiagnosticSink, UnitParseError, nested_too_deeply,
 )
+from .exprs import Coll, Value, type_default
 from .lexer import Lexer, parse_header
 from .metamodel import (
-    Attribute, MetaClass, Metamodel, OperationSig, Param, Reference,
+    Attribute, MetaClass, Metamodel, OperationSig, Param, Reference, feature_type,
     parse_metamodel, supertype_cycle,
 )
 from .semtypes import PRIMITIVES, SemType, STRING, VOID, class_type
@@ -316,6 +322,36 @@ def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 
+class SlotPlan:
+    """What creating, assigning, checking, loading and saving ask of one
+    slot.  ``conforming`` maps a class name to the names of the classes
+    conforming to it (None: every class).  Every class that inherits a
+    feature shares its plan."""
+
+    __slots__ = ("name", "feat", "many", "lower", "kind", "default", "prim", "targets",
+                 "opposite", "containment")
+
+    def __init__(self, feat: Attribute | Reference,
+                 conforming: dict[str, frozenset[str] | None]):
+        t = feature_type(feat)
+        self.name = feat.name
+        self.feat = feat
+        self.many = feat.bounds.many
+        self.lower = feat.bounds.lower
+        # a many-valued slot's collection kind, or a single one's shared default
+        self.kind = t.name if self.many else None
+        self.default = None if self.many else type_default(t)
+        elem = t.elem if self.many else t
+        # the value class of an attribute's elements
+        self.prim = type(type_default(elem)) if elem.kind == "prim" else None
+        is_ref = isinstance(feat, Reference)
+        # class names a referenced object may have (only itself for a target
+        # no unit declares); None when all conform
+        self.targets = conforming.get(feat.target, frozenset((feat.target,))) if is_ref else None
+        self.opposite = feat.opposite if is_ref else None
+        self.containment = is_ref and feat.containment
+
+
 @dataclass
 class WovenClass:
     name: str
@@ -337,6 +373,14 @@ class WovenClass:
         default_factory=dict
     )
     flat_post: dict[str, tuple[tuple[str, ConditionDecl], ...]] = field(default_factory=dict)
+    # slot plans in declaration order, in save (name) order, and the link slots
+    slots: dict[str, SlotPlan] = field(default_factory=dict)
+    save_order: tuple[SlotPlan, ...] = ()
+    links: tuple[SlotPlan, ...] = ()
+
+    def fresh_slots(self) -> dict[str, Value]:
+        """Every slot at its type default."""
+        return {name: Coll(sp.kind) if sp.many else sp.default for name, sp in self.slots.items()}
 
 
 @dataclass
@@ -346,7 +390,8 @@ class WovenModel:
     root_class: str = ROOT_CLASS
     base_units: tuple[str, ...] = ()
     aspect_units: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    provenance: dict[tuple[str, str, str], str] = field(default_factory=dict)
+    # (class, method) -> the behavior unit that declares the body
+    method_units: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def conforms(self, sub: str, sup: str) -> bool:
         if sup == self.root_class or sub == sup:
@@ -432,7 +477,7 @@ def resolve_method_conflicts(wc: WovenClass, woven: WovenModel) -> list[Diagnost
             f"{wc.name}.{op} is defined by unrelated classes "
             f"{', '.join(owners)}; add an explicit renaming",
             mdef0.pos,
-            woven.provenance.get(("method", owner0, mdef0.sig.name)),
+            woven.method_units.get((owner0, mdef0.sig.name)),
         )
     return sink.items
 
@@ -545,15 +590,29 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         own_features[name] = feats
         own_sigs[name] = sigs
 
-    woven = WovenModel(package, {}, ROOT_CLASS)
-    woven.base_units = tuple(dict.fromkeys(mm.source_unit for mm in metamodels))
-    for name in all_names:
-        if name in contribs:
-            woven.aspect_units[name] = contribs[name].units
+    woven = WovenModel(
+        package, {}, ROOT_CLASS,
+        base_units=tuple(dict.fromkeys(mm.source_unit for mm in metamodels)),
+        aspect_units={name: contribs[name].units for name in all_names if name in contribs},
+        method_units={(name, m.sig.name): unit
+                      for name, cc in contribs.items() for m, unit in cc.methods},
+    )
+
+    # the classes conforming to each class, from one inverse pass over the
+    # linearizations; every class conforms to the root
+    below: dict[str, set[str]] = {}
+    for name, lin in lin_of.items():
+        for sup in lin:
+            below.setdefault(sup, set()).add(name)
+    conforming = {sup: frozenset(names) for sup, names in below.items()}
+    conforming[ROOT_CLASS] = None
+    plans = {(name, feat.name): SlotPlan(feat, conforming)
+             for name, feats in own_features.items() for feat, _unit in feats}
 
     for name in all_names:
         lin = lin_of[name]
         features: dict[str, tuple[Attribute | Reference, str]] = {}
+        slots: dict[str, SlotPlan] = {}
         for cls in lin:
             for feat, unit_name in own_features.get(cls, ()):
                 if feat.name in features:
@@ -566,6 +625,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                         )]
                     )
                 features[feat.name] = (feat, cls)
+                slots[feat.name] = plans[cls, feat.name]
 
         op_sigs: dict[str, tuple[OperationSig, str]] = {}
         for cls in lin:
@@ -606,11 +666,12 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             method_table=table,
             raw_definers={op: tuple(entries) for op, entries in definers.items()},
             ambiguous_ops=ambiguous,
+            slots=slots,
+            save_order=tuple(slots[fname] for fname in sorted(slots)),
+            links=tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment),
         )
         wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, contribs)
         woven.classes[name] = wc
-
-    _record_provenance(woven, base, contribs)
     return woven
 
 
@@ -655,25 +716,6 @@ def _apply_renaming(
     else:
         del table[rename.op_name]
     return table
-
-
-def _record_provenance(woven, base, contribs) -> None:
-    for name, (cls, unit_name) in base.items():
-        woven.provenance[("class", name, "")] = unit_name
-        for f in cls.features():
-            woven.provenance[("feature", name, f.name)] = unit_name
-    for name, cc in contribs.items():
-        woven.provenance.setdefault(("class", name, ""), cc.units[0] if cc.units else "")
-        for f, unit_name in cc.attributes + cc.references:
-            woven.provenance[("feature", name, f.name)] = unit_name
-        for m, unit_name in cc.methods:
-            woven.provenance[("method", name, m.sig.name)] = unit_name
-        for inv, unit_name in cc.invariants:
-            woven.provenance[("inv", name, inv.name)] = unit_name
-        for c, unit_name in cc.pre_conditions:
-            woven.provenance[("pre", name, f"{c.op_name}.{c.name}")] = unit_name
-        for c, unit_name in cc.post_conditions:
-            woven.provenance[("post", name, f"{c.op_name}.{c.name}")] = unit_name
 
 
 # ---------------------------------------------------------------------------

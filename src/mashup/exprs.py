@@ -225,6 +225,19 @@ class Coll:
 
 Value = Union[IntV, BoolV, StringV, VoidV, ObjRef, Coll]
 
+# Shared scalar defaults; the values are immutable, so one instance serves all.
+_PRIM_DEFAULTS = {"Int": IntV(0), "Bool": FALSE, "String": StringV("")}
+
+
+def type_default(t: SemType) -> Value:
+    """The value a slot or variable of type ``t`` starts with: a shared
+    scalar, a fresh empty collection, or void."""
+    if t.kind == "prim":
+        return _PRIM_DEFAULTS[t.name]
+    if t.kind == "coll":
+        return Coll(t.name)
+    return VOID_VALUE
+
 
 def make_coll(kind: str, items) -> Coll:
     items = list(items)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, DiagnosticSink, NOPOS, Pos, UnitParseError
 from .exprs import parse_sem_type
 from .lexer import Lexer
-from .semtypes import PRIMITIVES, SemType, VOID
+from .semtypes import PRIMITIVES, SemType, VOID, class_type, coll, prim
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,16 @@ class Reference:
     containment: bool = False
     opposite: str | None = None
     pos: Pos = field(default=NOPOS, compare=False)
+
+
+def feature_type(feat: Attribute | Reference) -> SemType:
+    """The static type of a slot: a many-valued attribute is a Sequence and a
+    many-valued reference an OrderedSet of its element type."""
+    if isinstance(feat, Attribute):
+        base = prim(feat.type)
+        return coll("Sequence", base) if feat.bounds.many else base
+    base = class_type(feat.target)
+    return coll("OrderedSet", base) if feat.bounds.many else base
 
 
 @dataclass(frozen=True)

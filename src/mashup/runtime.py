@@ -15,10 +15,12 @@ text is what ``json.dumps(doc, indent=2, sort_keys=True)`` would give, but
 json's C string encoder and the indented layout is assembled here, because
 ``json.dumps`` with an indent runs CPython's pure-Python encoder.
 
-Loading and saving both run the conformance check.  It walks each object
-against a checking plan worked out once per class for that check (bounds,
-value classes, conforming target classes, opposites, containment), and
-formats a message only for what fails.
+Creating, assigning, checking, loading and saving read one table: the slot
+plans that ``compose`` settles for every woven class (bounds, collection
+kind, default, value class or conforming target classes, opposite,
+containment).  Loading and saving both run the conformance check, which
+walks each object against its class's plans and formats a message only for
+what fails.
 
 A model instance plus its environment belongs to one thread at a time; the
 woven model they reference is shared read-only.  Independent instances may
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .behavior import (
     Assign, EachLoop, ExprStmt, If, Loop, MethodDef, Return, SuperCall, VarDecl,
 )
-from .composer import ROOT_BUILTINS, WovenModel
+from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
     ContractViolation, Diagnostic, DiagnosticSink, EvalFault, TypecheckError,
@@ -43,10 +45,9 @@ from .exprs import (
     BinOp, BoolLit, Coll, CollectionOp, EachBlock, FeatureNav, IfExpr, IntLit,
     New, Not, ObjRef, OpCall, SelfRef, StringLit, StringV, TypeTest, Value,
     VarRef, VoidLit, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
-    render_value,
+    render_value, type_default,
 )
-from .metamodel import Attribute, Reference
-from .semtypes import SemType
+from .metamodel import Attribute, Reference, feature_type
 
 POLICY_OFF = "off"
 POLICY_PREPOST = "prepost"
@@ -116,26 +117,16 @@ class Obj:
         return f"Obj({self.id}:{self.class_name})"
 
 
-# Shared scalar defaults; the values are immutable, so one instance serves all.
-_PRIM_DEFAULTS = {"Int": IntV(0), "Bool": FALSE, "String": StringV("")}
-
-
-def _many_kind(feat: Attribute | Reference) -> str:
-    return "Sequence" if isinstance(feat, Attribute) else "OrderedSet"
-
-
 def default_value(feat: Attribute | Reference) -> Value:
     """The type default of a slot: a fresh empty collection or a shared scalar."""
-    if feat.bounds.many:
-        return Coll(_many_kind(feat))
-    return _PRIM_DEFAULTS[feat.type] if isinstance(feat, Attribute) else VOID_VALUE
+    return type_default(feature_type(feat))
 
 
-def is_default(feat: Attribute | Reference, value: Value) -> bool:
-    """``value == default_value(feat)`` without allocating a default."""
-    if feat.bounds.many:
-        return isinstance(value, Coll) and not value.items and value.kind == _many_kind(feat)
-    return value == default_value(feat)
+def is_default(sp: SlotPlan, value: Value) -> bool:
+    """``value == default_value(sp.feat)`` without allocating a default."""
+    if sp.many:
+        return isinstance(value, Coll) and not value.items and value.kind == sp.kind
+    return value == sp.default
 
 
 class ModelInstance:
@@ -210,8 +201,7 @@ def create_instance(model: ModelInstance, class_name: str) -> ObjRef:
     if wc.is_abstract:
         raise EvalFault("AbstractInstantiation", f"class {class_name} is abstract")
     obj = Obj(model.fresh_id(), class_name)
-    for fname, (feat, _owner) in wc.features.items():
-        obj.slots[fname] = default_value(feat)
+    obj.slots = wc.fresh_slots()
     model._register(obj)
     return ObjRef(obj.id)
 
@@ -220,33 +210,31 @@ def create_instance(model: ModelInstance, class_name: str) -> ObjRef:
 # EMOF assignment semantics
 # ---------------------------------------------------------------------------
 
-_PRIM_CLASSES = {"Int": IntV, "Bool": BoolV, "String": StringV}
 
-
-def _feature_def(model: ModelInstance, obj: Obj, feature: str):
-    entry = model.woven.feature(obj.class_name, feature)
-    if entry is None:
+def _slot(model: ModelInstance, obj: Obj, feature: str) -> SlotPlan:
+    wc = model.woven.classes.get(obj.class_name)
+    if wc is None or feature not in wc.slots:
         raise EvalFault("TypeFault", f"{obj.class_name} has no feature {feature}")
-    return entry[0]
+    return wc.slots[feature]
 
 
-def _check_prim(feat: Attribute, value: Value) -> None:
-    if not isinstance(value, _PRIM_CLASSES[feat.type]):
+def _check_prim(sp: SlotPlan, value: Value) -> None:
+    if not isinstance(value, sp.prim):
         raise EvalFault(
-            "TypeFault", f"attribute {feat.name} expects {feat.type}, got {render_value(value)}"
+            "TypeFault", f"attribute {sp.name} expects {sp.feat.type}, got {render_value(value)}"
         )
 
 
-def _check_target(model: ModelInstance, feat: Reference, value: Value) -> None:
+def _check_target(model: ModelInstance, sp: SlotPlan, value: Value) -> None:
     if not isinstance(value, ObjRef):
         raise EvalFault(
-            "TypeFault", f"reference {feat.name} expects an object, got {render_value(value)}"
+            "TypeFault", f"reference {sp.name} expects an object, got {render_value(value)}"
         )
     target = model.obj(value.id)
-    if not model.woven.conforms(target.class_name, feat.target):
+    if sp.targets is not None and target.class_name not in sp.targets:
         raise EvalFault(
             "TypeFault",
-            f"reference {feat.name} expects {feat.target}, got {target.class_name}",
+            f"reference {sp.name} expects {sp.feat.target}, got {target.class_name}",
         )
 
 
@@ -261,17 +249,17 @@ def _check_containment_ok(model: ModelInstance, parent: Obj, child: ObjRef) -> N
         cur = model.obj(cur.container[0]) if cur.container else None
 
 
-def _check_cycle_for_link(model: ModelInstance, src: Obj, feat: Reference, tgt: ObjRef) -> None:
+def _check_cycle_for_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef) -> None:
     """Refuse a link that would close a containment cycle, looking through
     either end of the association (assigning the child side of a containment
     pair must be guarded too)."""
-    if feat.containment:
+    if sp.containment:
         _check_containment_ok(model, src, tgt)
         return
-    if feat.opposite is not None:
+    if sp.opposite is not None:
         t_obj = model.obj(tgt.id)
-        entry = model.woven.feature(t_obj.class_name, feat.opposite)
-        if entry is not None and entry[0].containment:
+        o_sp = model.woven.classes[t_obj.class_name].slots.get(sp.opposite)
+        if o_sp is not None and o_sp.containment:
             _check_containment_ok(model, t_obj, ObjRef(src.id))
 
 
@@ -280,110 +268,107 @@ def _detach(model: ModelInstance, obj: Obj) -> None:
         return
     pid, fname = obj.container
     parent = model.obj(pid)
-    _remove_link(model, parent, _feature_def(model, parent, fname), ObjRef(obj.id))
+    _remove_link(model, parent, _slot(model, parent, fname), ObjRef(obj.id))
 
 
-def _remove_link(model: ModelInstance, src: Obj, feat: Reference, tgt: ObjRef,
+def _remove_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef,
                  sync: bool = True) -> None:
-    slot = src.slots[feat.name]
-    if feat.bounds.many:
+    slot = src.slots[sp.name]
+    if sp.many:
         try:
             slot.items.remove(tgt)
         except ValueError:  # not linked: nothing to undo
             return
     elif slot == tgt:
-        src.slots[feat.name] = VOID_VALUE
-    if feat.containment:
+        src.slots[sp.name] = VOID_VALUE
+    if sp.containment:
         t_obj = model.obj(tgt.id)
-        if t_obj.container == (src.id, feat.name):
+        if t_obj.container == (src.id, sp.name):
             t_obj.container = None
             model._roots_add(tgt.id)
-    if sync and feat.opposite:
+    if sync and sp.opposite:
         t_obj = model.obj(tgt.id)
-        o_feat = _feature_def(model, t_obj, feat.opposite)
-        _remove_link(model, t_obj, o_feat, ObjRef(src.id), sync=False)
+        _remove_link(model, t_obj, _slot(model, t_obj, sp.opposite), ObjRef(src.id), sync=False)
 
 
-def _add_link(model: ModelInstance, src: Obj, feat: Reference, tgt: ObjRef,
+def _add_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef,
               sync: bool = True) -> None:
-    if feat.containment:
+    if sp.containment:
         t_obj = model.obj(tgt.id)
         _detach(model, t_obj)
-        t_obj.container = (src.id, feat.name)
+        t_obj.container = (src.id, sp.name)
         model._roots_remove(tgt.id)
-    slot = src.slots[feat.name]
-    if feat.bounds.many:
+    slot = src.slots[sp.name]
+    if sp.many:
         if tgt not in slot.items:
             slot.items.append(tgt)
     else:
-        old = slot
-        if isinstance(old, ObjRef) and old != tgt:
-            _remove_link(model, src, feat, old)
-        src.slots[feat.name] = tgt
-    if sync and feat.opposite:
+        if isinstance(slot, ObjRef) and slot != tgt:
+            _remove_link(model, src, sp, slot)
+        src.slots[sp.name] = tgt
+    if sync and sp.opposite:
         t_obj = model.obj(tgt.id)
-        o_feat = _feature_def(model, t_obj, feat.opposite)
-        _add_link(model, t_obj, o_feat, ObjRef(src.id), sync=False)
+        _add_link(model, t_obj, _slot(model, t_obj, sp.opposite), ObjRef(src.id), sync=False)
 
 
 def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
     """Whole-slot assignment with bidirectional and containment upkeep."""
     obj = model.resolve(obj)
-    feat = _feature_def(model, obj, feature)
-    if isinstance(feat, Attribute):
-        if feat.bounds.many:
+    sp = _slot(model, obj, feature)
+    if sp.prim is not None:
+        if sp.many:
             if not isinstance(value, Coll):
                 raise EvalFault("TypeFault", f"attribute {feature} expects a collection")
             for x in value.items:
-                _check_prim(feat, x)
-            obj.slots[feature] = make_coll("Sequence", value.items)
+                _check_prim(sp, x)
+            obj.slots[feature] = make_coll(sp.kind, value.items)
         else:
-            _check_prim(feat, value)
+            _check_prim(sp, value)
             obj.slots[feature] = value
         return
-    if feat.bounds.many:
+    if sp.many:
         if not isinstance(value, Coll):
             raise EvalFault("TypeFault", f"reference {feature} expects a collection")
-        new = make_coll("OrderedSet", value.items)
+        new = make_coll(sp.kind, value.items)
         for x in new.items:
-            _check_target(model, feat, x)
+            _check_target(model, sp, x)
         for x in new.items:
-            _check_cycle_for_link(model, obj, feat, x)
+            _check_cycle_for_link(model, obj, sp, x)
         for x in list(obj.slots[feature].items):
-            _remove_link(model, obj, feat, x)
+            _remove_link(model, obj, sp, x)
         for x in new.items:
-            _add_link(model, obj, feat, x)
+            _add_link(model, obj, sp, x)
         return
     if isinstance(value, VoidV):
         old = obj.slots[feature]
         if isinstance(old, ObjRef):
-            _remove_link(model, obj, feat, old)
+            _remove_link(model, obj, sp, old)
         obj.slots[feature] = VOID_VALUE
         return
-    _check_target(model, feat, value)
-    _check_cycle_for_link(model, obj, feat, value)
+    _check_target(model, sp, value)
+    _check_cycle_for_link(model, obj, sp, value)
     if obj.slots[feature] == value:
         return
     old = obj.slots[feature]
     if isinstance(old, ObjRef):
-        _remove_link(model, obj, feat, old)
-    _add_link(model, obj, feat, value)
+        _remove_link(model, obj, sp, old)
+    _add_link(model, obj, sp, value)
 
 
 def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
     """Element-wise add; duplicates on unique collections are a no-op."""
     obj = model.resolve(obj)
-    feat = _feature_def(model, obj, feature)
-    if isinstance(feat, Attribute):
-        if not feat.bounds.many:
+    sp = _slot(model, obj, feature)
+    if sp.prim is not None:
+        if not sp.many:
             raise EvalFault("TypeFault", f"cannot add to single-valued attribute {feature}")
-        _check_prim(feat, value)
+        _check_prim(sp, value)
         obj.slots[feature].items.append(value)
         return
-    if feat.bounds.many:
-        _check_target(model, feat, value)
-        _check_cycle_for_link(model, obj, feat, value)
-        _add_link(model, obj, feat, value)
+    if sp.many:
+        _check_target(model, sp, value)
+        _check_cycle_for_link(model, obj, sp, value)
+        _add_link(model, obj, sp, value)
         return
     if not isinstance(obj.slots[feature], VoidV):
         raise EvalFault(
@@ -395,9 +380,9 @@ def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> Non
 def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
     """Element-wise removal; absent elements are a no-op."""
     obj = model.resolve(obj)
-    feat = _feature_def(model, obj, feature)
-    if isinstance(feat, Attribute):
-        if not feat.bounds.many:
+    sp = _slot(model, obj, feature)
+    if sp.prim is not None:
+        if not sp.many:
             raise EvalFault("TypeFault", f"cannot remove from single-valued attribute {feature}")
         try:
             obj.slots[feature].items.remove(value)
@@ -406,10 +391,8 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
         return
     if not isinstance(value, ObjRef):
         return
-    if feat.bounds.many:
-        _remove_link(model, obj, feat, value)
-    elif obj.slots[feature] == value:
-        _remove_link(model, obj, feat, value)
+    if sp.many or obj.slots[feature] == value:
+        _remove_link(model, obj, sp, value)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +585,7 @@ class Interpreter:
             scopes.pop()
 
     def _exec_vardecl(self, stmt: VarDecl) -> None:
-        value = self.eval(stmt.init) if stmt.init is not None else _type_default(stmt.type)
+        value = self.eval(stmt.init) if stmt.init is not None else type_default(stmt.type)
         self.frames[-1].scopes[-1][stmt.name] = value
 
     def _exec_assign(self, stmt: Assign) -> None:
@@ -785,7 +768,11 @@ class Interpreter:
             other = self.eval(e.arg)
             if not isinstance(other, Coll):
                 raise EvalFault("TypeFault", "intersection expects a collection argument")
-            return Coll(recv.kind, [x for x in recv.items if x in other.items])
+            try:  # test membership by hash, as make_coll de-duplicates
+                members = set(other.items)
+                return Coll(recv.kind, [x for x in recv.items if x in members])
+            except TypeError:  # nested collections cannot be hashed
+                return Coll(recv.kind, [x for x in recv.items if x in other.items])
         # one binding loop for every lambda: collect gathers the values (each
         # drops them); select and reject keep, and forAll and exists stop at,
         # the elements whose test yields the Bool ``hit``
@@ -932,14 +919,6 @@ _EXEC = {
 _LAMBDA_HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
 
 
-def _type_default(t: SemType) -> Value:
-    if t.kind == "prim":
-        return _PRIM_DEFAULTS[t.name]
-    if t.kind == "coll":
-        return Coll(t.name)
-    return VOID_VALUE
-
-
 def eval_expr(e, env: Environment, self_obj, scope: dict[str, Value] | None = None,
               pure: bool = True) -> Value:
     """Evaluate one expression with self bound; pure by default."""
@@ -1004,122 +983,49 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-class _FeaturePlan:
-    """What conformance asks of one slot of one class."""
-
-    __slots__ = ("name", "feat", "many", "lower", "kind", "default", "prim", "targets",
-                 "opposite", "containment")
-
-    def __init__(self, feat: Attribute | Reference, conforming):
-        self.name = feat.name
-        self.feat = feat
-        self.many = feat.bounds.many
-        self.lower = feat.bounds.lower
-        # a many-valued slot's collection kind, or a single one's shared default
-        self.kind = _many_kind(feat) if self.many else None
-        self.default = None if self.many else default_value(feat)
-        is_attr = isinstance(feat, Attribute)
-        self.prim = _PRIM_CLASSES[feat.type] if is_attr else None
-        # class names a referenced object may have; None when all conform
-        self.targets = None if is_attr else conforming(feat.target)
-        self.opposite = None if is_attr else feat.opposite
-        self.containment = not is_attr and feat.containment
-
-
-class _ClassPlan:
-    """The checking plan of one woven class: a feature plan per slot in
-    declaration order, the same sorted by name (the order they are saved
-    in), and the references that link objects to each other (those with an
-    opposite or a containment)."""
-
-    __slots__ = ("abstract", "features", "by_name", "links")
-
-    def __init__(self, wc, conforming):
-        self.abstract = wc.is_abstract
-        self.features = {
-            name: _FeaturePlan(feat, conforming) for name, (feat, _owner) in wc.features.items()
-        }
-        self.by_name = tuple(self.features[name] for name in sorted(self.features))
-        self.links = tuple(
-            fp for fp in self.features.values() if fp.opposite is not None or fp.containment
-        )
-
-    def fresh_slots(self) -> dict[str, Value]:
-        """Every slot at its type default, as ``default_value`` gives it."""
-        return {name: Coll(fp.kind) if fp.many else fp.default
-                for name, fp in self.features.items()}
-
-
-class _Plans(dict):
-    """Class name -> checking plan, each built on first use; None for a
-    class the woven model does not declare."""
-
-    def __init__(self, woven: WovenModel):
-        super().__init__()
-        self.woven = woven
-        self._conforming: dict[str, frozenset[str] | None] = {}
-
-    def __missing__(self, class_name: str) -> _ClassPlan | None:
-        wc = self.woven.classes.get(class_name)
-        plan = self[class_name] = None if wc is None else _ClassPlan(wc, self.conforming)
-        return plan
-
-    def conforming(self, target: str) -> frozenset[str] | None:
-        """The class names ``c`` with ``woven.conforms(c, target)``; None
-        for the root class, to which every name conforms."""
-        if target not in self._conforming:
-            woven = self.woven
-            self._conforming[target] = None if target == woven.root_class else frozenset(
-                [target] + [name for name, wc in woven.classes.items()
-                            if target in wc.linearization]
-            )
-        return self._conforming[target]
-
-
 def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Diagnostic]:
     """Structural validity: types, bounds, opposite listing, containment forest.
 
-    One walk checks every slot against its class's plan and gathers the
+    One walk checks every slot against its class's slot plans and gathers the
     opposite and containment links; a message is formatted only for what
     fails.  Diagnostics keep a fixed order: each object's slot findings,
     then opposite mismatches, then containment and roots.  ``source``
     labels them.
     """
     sink, opposites, containment = (DiagnosticSink(source) for _ in range(3))
-    objects = model.objects
-    plans = _Plans(model.woven)
+    objects, classes = model.objects, model.woven.classes
     container_of: dict[str, tuple[str, str]] = {}
     for oid, obj in objects.items():
-        plan = plans[obj.class_name]
-        if plan is None:
+        wc = classes.get(obj.class_name)
+        if wc is None:
             sink.add("UnknownClass", f"object {oid} has unknown class {obj.class_name}")
             continue
-        if plan.abstract:
+        if wc.is_abstract:
             sink.add("AbstractInstance", f"object {oid} instantiates abstract {obj.class_name}")
-        slots, features = obj.slots, plan.features
+        slots, features = obj.slots, wc.slots
         for fname, value in slots.items():
-            fp = features.get(fname)
-            if fp is None:
+            sp = features.get(fname)
+            if sp is None:
                 sink.add("UnknownFeature", f"object {oid} has unknown slot {fname}")
                 continue
-            if fp.many:
+            if sp.many:
                 if not isinstance(value, Coll):
-                    sink.add("ConformanceError", f"{oid}.{fp.name} must hold a collection")
+                    sink.add("ConformanceError", f"{oid}.{sp.name} must hold a collection")
                     continue
                 items = value.items
-                if len(items) < fp.lower:
+                if len(items) < sp.lower:
                     sink.add("ConformanceError",
-                             f"{oid}.{fp.name} holds {len(items)} element(s), lower bound is "
-                             f"{fp.lower}")
+                             f"{oid}.{sp.name} holds {len(items)} element(s), lower bound is "
+                             f"{sp.lower}")
             elif isinstance(value, VoidV):
-                if fp.prim is not None:
-                    sink.add("ConformanceError", f"attribute {oid}.{fp.name} cannot be void")
-                elif fp.lower >= 1:
-                    sink.add("ConformanceError", f"required reference {oid}.{fp.name} is unset")
+                if sp.prim is not None:
+                    sink.add("ConformanceError", f"attribute {oid}.{sp.name} cannot be void")
+                elif sp.lower >= 1:
+                    sink.add("ConformanceError", f"required reference {oid}.{sp.name} is unset")
                 continue
             else:
                 items = (value,)
-            prim, targets = fp.prim, fp.targets
+            prim, targets = sp.prim, sp.targets
             for x in items:
                 if prim is not None:
                     if isinstance(x, prim):
@@ -1128,26 +1034,26 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
                     target = objects.get(x.id)
                     if target is not None and (targets is None or target.class_name in targets):
                         continue
-                sink.add("ConformanceError", _element_problem(objects, f"{oid}.{fp.name}", fp, x))
+                sink.add("ConformanceError", _element_problem(objects, f"{oid}.{sp.name}", sp, x))
         if slots.keys() != features.keys():
             for fname in features:
                 if fname not in slots:
                     sink.add("MissingSlot", f"object {oid} lacks slot {fname}")
-        for fp in plan.links:
-            value = slots.get(fp.name)
+        for sp in wc.links:
+            value = slots.get(sp.name)
             for tgt in value.items if isinstance(value, Coll) else (value,):
                 if not isinstance(tgt, ObjRef):
                     continue
                 tid = tgt.id
-                if fp.opposite is not None:
+                if sp.opposite is not None:
                     t_obj = objects.get(tid)
-                    if t_obj is not None and not _holds(t_obj.slots.get(fp.opposite), oid):
+                    if t_obj is not None and not _holds(t_obj.slots.get(sp.opposite), oid):
                         opposites.add(
                             "OppositeMismatch",
-                            f"{oid}.{fp.name} lists {tid} but {tid}.{fp.opposite} "
+                            f"{oid}.{sp.name} lists {tid} but {tid}.{sp.opposite} "
                             f"does not list {oid}",
                         )
-                if fp.containment:
+                if sp.containment:
                     if tid in container_of:
                         containment.add(
                             "ContainmentError",
@@ -1155,20 +1061,20 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
                             f"and {oid}",
                         )
                     else:
-                        container_of[tid] = (oid, fp.name)
+                        container_of[tid] = (oid, sp.name)
     _check_forest(model, container_of, containment)
     return sink.items + opposites.items + containment.items
 
 
-def _element_problem(objects: dict[str, Obj], where: str, fp: _FeaturePlan, value) -> str:
-    if fp.prim is not None:
-        return f"{where} expects {fp.feat.type}"
+def _element_problem(objects: dict[str, Obj], where: str, sp: SlotPlan, value) -> str:
+    if sp.prim is not None:
+        return f"{where} expects {sp.feat.type}"
     if not isinstance(value, ObjRef):
         return f"{where} expects an object reference"
     target = objects.get(value.id)
     if target is None:
         return f"{where} points at undeclared id {value.id}"
-    return f"{where} expects {fp.feat.target}, found {target.class_name}"
+    return f"{where} expects {sp.feat.target}, found {target.class_name}"
 
 
 def _holds(value, oid: str) -> bool:
@@ -1281,8 +1187,7 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
             f"{woven.package!r}",
         )
     model = ModelInstance(woven)
-    objects = model.objects
-    plans = _Plans(woven)
+    objects, classes = model.objects, woven.classes
     entries = doc["objects"]
     for entry in entries:
         oid = entry["id"]
@@ -1290,24 +1195,24 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
         if oid in objects:
             sink.add("ConformanceError", f"duplicate object id {oid}")
             continue
-        plan = plans[cls]
-        if plan is None:
+        wc = classes.get(cls)
+        if wc is None:
             sink.add("UnknownClass", f"object {oid} has unknown class {cls}")
             continue
         obj = objects[oid] = Obj(oid, cls)
-        obj.slots = plan.fresh_slots()
+        obj.slots = wc.fresh_slots()
     if sink:
         raise TypecheckError(sink.items)
 
     for entry in entries:
         obj = objects[entry["id"]]
-        features = plans[obj.class_name].features
+        features = classes[obj.class_name].slots
         for fname, raw in entry.get("slots", {}).items():
-            fp = features.get(fname)
-            if fp is None:
+            sp = features.get(fname)
+            if sp is None:
                 sink.add("UnknownFeature", f"object {obj.id} has unknown slot {fname}")
                 continue
-            value = _decode_slot(objects, obj.id, fp, raw, sink)
+            value = _decode_slot(objects, obj.id, sp, raw, sink)
             if value is not None:
                 obj.slots[fname] = value
     if sink:
@@ -1315,14 +1220,14 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
 
     # derive containers from containment slots
     for obj in objects.values():
-        for fp in plans[obj.class_name].links:
-            if not fp.containment:
+        for sp in classes[obj.class_name].links:
+            if not sp.containment:
                 continue
-            value = obj.slots[fp.name]
-            for tgt in value.items if fp.many else (value,) if isinstance(value, ObjRef) else ():
+            value = obj.slots[sp.name]
+            for tgt in value.items if sp.many else (value,) if isinstance(value, ObjRef) else ():
                 child = objects[tgt.id]
                 if child.container is None:
-                    child.container = (obj.id, fp.name)
+                    child.container = (obj.id, sp.name)
     for r in doc.get("roots", []):
         if not isinstance(r, str) or not r.startswith("@"):
             sink.add("ConformanceError", f"roots entries must be @id strings, found {r!r}")
@@ -1336,37 +1241,37 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
     return model
 
 
-def _decode_slot(objects: dict[str, Obj], oid: str, fp: _FeaturePlan, raw,
+def _decode_slot(objects: dict[str, Obj], oid: str, sp: SlotPlan, raw,
                  sink: DiagnosticSink):
-    if fp.many:
+    if sp.many:
         if not isinstance(raw, list):
-            sink.add("ConformanceError", f"{oid}.{fp.name} must be a list")
+            sink.add("ConformanceError", f"{oid}.{sp.name} must be a list")
             return None
         elements = raw
     elif raw is None:
-        if fp.prim is not None:
-            sink.add("ConformanceError", f"attribute {oid}.{fp.name} cannot be null")
+        if sp.prim is not None:
+            sink.add("ConformanceError", f"attribute {oid}.{sp.name} cannot be null")
             return None
         return VOID_VALUE
     else:
         elements = (raw,)
-    if fp.prim is None:
+    if sp.prim is None:
         # the direct route for well-formed "@id" references
         items = [
             ObjRef(x[1:]) if isinstance(x, str) and x[:1] == "@" and x[1:] in objects
-            else _decode_element(objects, oid, fp, x, sink)
+            else _decode_element(objects, oid, sp, x, sink)
             for x in elements
         ]
     else:
-        items = [_decode_element(objects, oid, fp, x, sink) for x in elements]
-    if not fp.many:
+        items = [_decode_element(objects, oid, sp, x, sink) for x in elements]
+    if not sp.many:
         return items[0]
-    return make_coll(fp.kind, [v for v in items if v is not None])
+    return make_coll(sp.kind, [v for v in items if v is not None])
 
 
-def _decode_element(objects: dict[str, Obj], oid: str, fp: _FeaturePlan, raw,
+def _decode_element(objects: dict[str, Obj], oid: str, sp: SlotPlan, raw,
                     sink: DiagnosticSink):
-    prim = fp.prim
+    prim = sp.prim
     if prim is IntV and isinstance(raw, int) and not isinstance(raw, bool):
         return IntV(raw)
     if prim is BoolV and isinstance(raw, bool):
@@ -1375,15 +1280,15 @@ def _decode_element(objects: dict[str, Obj], oid: str, fp: _FeaturePlan, raw,
         return StringV(raw)
     if prim is not None:
         sink.add("ConformanceError",
-                 f"{oid}.{fp.name} expects a {fp.feat.type} scalar, found {raw!r}")
+                 f"{oid}.{sp.name} expects a {sp.feat.type} scalar, found {raw!r}")
         return None
     if not isinstance(raw, str) or not raw.startswith("@"):
         sink.add("ConformanceError",
-                 f"{oid}.{fp.name} expects an \"@id\" reference, found {raw!r}")
+                 f"{oid}.{sp.name} expects an \"@id\" reference, found {raw!r}")
         return None
     tid = raw[1:]
     if tid not in objects:
-        sink.add("ConformanceError", f"{oid}.{fp.name} points at undeclared id {tid}")
+        sink.add("ConformanceError", f"{oid}.{sp.name} points at undeclared id {tid}")
         return None
     return ObjRef(tid)
 
@@ -1426,15 +1331,15 @@ def save_model(model: ModelInstance) -> str:
     problems = conformance_check(model)
     if problems:
         raise TypecheckError(problems)
-    plans = _Plans(model.woven)
+    classes = model.woven.classes
     objects = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
         # conformance leaves exactly the class's features in the slots
         slots = [
-            f"{_quote(fp.name)}: {_json_slot(value)}"
-            for fp in plans[obj.class_name].by_name
-            if not is_default(fp.feat, value := obj.slots[fp.name])
+            f"{_quote(sp.name)}: {_json_slot(value)}"
+            for sp in classes[obj.class_name].save_order
+            if not is_default(sp, value := obj.slots[sp.name])
         ]
         objects.append(_json_block("{}", [
             f'"class": {_quote(obj.class_name)}',

@@ -27,18 +27,8 @@ from .exprs import (
     BinOp, BoolLit, CollectionOp, EachBlock, Expr, FeatureNav, IfExpr, IntLit,
     New, Not, OpCall, SelfRef, StringLit, TypeTest, VarRef, VoidLit,
 )
-from .metamodel import Attribute, OperationSig, Reference
-from .semtypes import (
-    BOOL, ERROR, INT, SemType, STRING, VOID, class_type, coll, is_error, prim,
-)
-
-
-def feature_type(feat: Attribute | Reference) -> SemType:
-    if isinstance(feat, Attribute):
-        base = prim(feat.type)
-        return coll("Sequence", base) if feat.bounds.many else base
-    base = class_type(feat.target)
-    return coll("OrderedSet", base) if feat.bounds.many else base
+from .metamodel import OperationSig, feature_type
+from .semtypes import BOOL, ERROR, INT, SemType, STRING, VOID, class_type, coll, is_error
 
 
 def assignable(woven: WovenModel, src: SemType, dst: SemType) -> bool:
@@ -60,11 +50,15 @@ def assignable(woven: WovenModel, src: SemType, dst: SemType) -> bool:
 
 @dataclass
 class TypeContext:
+    """What checking one rule or method body needs: the woven model, the
+    class of ``self``, the sink, purity, the method whose body is checked
+    (None for a rule) and the variable scopes."""
+
     woven: WovenModel
     self_class: str
     sink: DiagnosticSink
     pure: bool = False
-    return_type: SemType = VOID
+    method: MethodDef | None = None
     scopes: list[dict[str, SemType]] = field(default_factory=lambda: [{}])
 
     def lookup(self, name: str) -> SemType | None:
@@ -78,10 +72,11 @@ class TypeContext:
             self.sink.add("DuplicateVariable", f"variable {name} already declared here", pos)
         self.scopes[-1][name] = t
 
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
+    def block(self, stmts, scope: dict[str, SemType]) -> None:
+        """Check ``stmts`` with ``scope`` pushed as their innermost scope."""
+        self.scopes.append(scope)
+        for stmt in stmts:
+            _check_stmt(stmt, self)
         self.scopes.pop()
 
 
@@ -230,10 +225,9 @@ def _typecheck_collection_op(e: CollectionOp, ctx: TypeContext) -> SemType:
         return ERROR
     elem = rt.elem
     if e.lam is not None:
-        ctx.push()
-        ctx.scopes[-1][e.lam.param] = elem
+        ctx.scopes.append({e.lam.param: elem})
         body_t = typecheck_expr(e.lam.body, ctx)
-        ctx.pop()
+        ctx.scopes.pop()
         if e.op_kind == "collect":
             return coll(rt.name, body_t)
         if e.op_kind in ("select", "reject", "forAll", "exists"):
@@ -423,19 +417,12 @@ def _check_method(
             mdef.pos,
         )
 
-    ctx = TypeContext(woven, cls, sink, pure=False, return_type=mdef.sig.return_type)
-    for p in mdef.sig.params:
-        ctx.scopes[-1][p.name] = p.type
-    _check_block(mdef.body, ctx, cls, mdef, woven)
+    ctx = TypeContext(woven, cls, sink, method=mdef)
+    ctx.block(mdef.body, {p.name: p.type for p in mdef.sig.params})
 
 
-def _check_block(stmts, ctx: TypeContext, cls: str, mdef: MethodDef, woven: WovenModel) -> None:
-    for stmt in stmts:
-        _check_stmt(stmt, ctx, cls, mdef, woven)
-
-
-def _check_stmt(stmt, ctx: TypeContext, cls: str, mdef: MethodDef, woven: WovenModel) -> None:
-    sink = ctx.sink
+def _check_stmt(stmt, ctx: TypeContext) -> None:
+    sink, woven = ctx.sink, ctx.woven
     if isinstance(stmt, VarDecl):
         if stmt.init is not None:
             it = typecheck_expr(stmt.init, ctx)
@@ -470,22 +457,17 @@ def _check_stmt(stmt, ctx: TypeContext, cls: str, mdef: MethodDef, woven: WovenM
         ct = typecheck_expr(stmt.cond, ctx)
         if not is_error(ct) and ct != BOOL:
             sink.add("TypeMismatch", f"if condition must be Bool, found {ct}", stmt.pos)
-        ctx.push()
-        _check_block(stmt.then, ctx, cls, mdef, woven)
-        ctx.pop()
-        ctx.push()
-        _check_block(stmt.orelse, ctx, cls, mdef, woven)
-        ctx.pop()
+        ctx.block(stmt.then, {})
+        ctx.block(stmt.orelse, {})
         return
     if isinstance(stmt, Loop):
-        ctx.push()
+        ctx.scopes.append({})
         if stmt.init is not None:
-            _check_stmt(stmt.init, ctx, cls, mdef, woven)
+            _check_stmt(stmt.init, ctx)
         ct = typecheck_expr(stmt.until, ctx)
         if not is_error(ct) and ct != BOOL:
             sink.add("TypeMismatch", f"loop condition must be Bool, found {ct}", stmt.pos)
-        _check_block(stmt.body, ctx, cls, mdef, woven)
-        ctx.pop()
+        ctx.block(stmt.body, ctx.scopes.pop())  # the body shares the loop's scope
         return
     if isinstance(stmt, EachLoop):
         rt = typecheck_expr(stmt.receiver, ctx)
@@ -495,13 +477,10 @@ def _check_stmt(stmt, ctx: TypeContext, cls: str, mdef: MethodDef, woven: WovenM
                 sink.add("TypeMismatch", f"each expects a collection, found {rt}", stmt.pos)
             else:
                 elem = rt.elem
-        ctx.push()
-        ctx.scopes[-1][stmt.param] = elem
-        _check_block(stmt.body, ctx, cls, mdef, woven)
-        ctx.pop()
+        ctx.block(stmt.body, {stmt.param: elem})
         return
     if isinstance(stmt, Return):
-        want = ctx.return_type
+        want = ctx.method.sig.return_type
         if stmt.value is None:
             if want != VOID:
                 sink.add("TypeMismatch", f"return needs a value of type {want}", stmt.pos)
@@ -515,14 +494,13 @@ def _check_stmt(stmt, ctx: TypeContext, cls: str, mdef: MethodDef, woven: WovenM
             sink.add("TypeMismatch", f"return type {want} cannot accept {vt}", stmt.pos)
         return
     if isinstance(stmt, SuperCall):
-        _check_super(stmt, ctx, cls, mdef, woven)
+        _check_super(stmt, ctx)
         return
     raise AssertionError(f"unhandled statement node {type(stmt).__name__}")
 
 
-def _check_super(stmt: SuperCall, ctx: TypeContext, cls: str, mdef: MethodDef,
-                 woven: WovenModel) -> None:
-    sink = ctx.sink
+def _check_super(stmt: SuperCall, ctx: TypeContext) -> None:
+    sink, woven, cls, mdef = ctx.sink, ctx.woven, ctx.self_class, ctx.method
     op = mdef.sig.name
     wc = woven.classes[cls]
     if stmt.qualifier is not None:

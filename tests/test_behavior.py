@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from helpers import parse_units
 from mashup.behavior import (
     EachLoop, If, Loop, Return, SuperCall, VarDecl, parse_behavior,
@@ -174,6 +176,35 @@ aspect class Host {
 """,
     )
     assert "BadSuper" in codes
+
+
+SCOPES_MM = "metamodel s { class K { attr n: Int; ref ks: K[*]; } }"
+
+
+@pytest.mark.parametrize("body,expected", [
+    # an if branch and an each body check in a scope of their own
+    ("if true then var x : Int init 1 end\nvar x : Int init 2", []),
+    ("if true then var x : Int init 1 else var x : Int init 2 end", []),
+    ("if true then var x : Int init 1 end\nself.n := x",
+     [("UnknownVariable", "unbound variable x")]),
+    ("self.ks.each { k | var y : Int init 1 }\nvar y : Int init 2", []),
+    ("self.ks.each { k | var k : K }", [("DuplicateVariable", "variable k already declared here")]),
+    # a loop body shares the loop's scope with its from clause
+    ("from var i : Int init 0 until i > 3 loop var i : Int init 1 end",
+     [("DuplicateVariable", "variable i already declared here")]),
+    ("from var i : Int init 0 until i > 3 loop i := i + 1 end\nvar i : Int init 1", []),
+    ("while self.n > 0 loop var j : Int init 1 end\nself.n := j",
+     [("UnknownVariable", "unbound variable j")]),
+    # parameters share the body's scope, and returns follow the signature
+    ("var v : Int init 1", [("DuplicateVariable", "variable v already declared here")]),
+    ("if true then return 1 end", [("TypeMismatch", "operation returns Void; drop the return value")]),
+], ids=["then-scope", "else-scope", "then-leak", "each-scope", "each-param", "loop-shared",
+        "loop-ends", "while-leak", "param-scope", "void-return"])
+def test_block_scopes_are_pinned(body, expected):
+    units = parse_units(mm=SCOPES_MM, act='package s;\nrequire "s.mm";\naspect class K {\n'
+                        f"  operation go(v : Int) : Void is do\n{body}\n  end\n}}\n")
+    diagnostics = typecheck_behavior(units[1], compose(units))
+    assert [(d.code, d.message) for d in diagnostics] == expected
 
 
 def test_string_into_int_assignment_diagnosed():

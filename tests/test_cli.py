@@ -194,6 +194,24 @@ def test_run_and_bench_resolve_the_entry_alike(tmp_path, command):
         5, "", f"{manifest}:0:0: Fault --entry wants Class.operation, got 'Activity.'\n")
 
 
+def test_bench_contract_violation_exits_4(tmp_path):
+    """A violated postcondition ends bench with exit code 4, reported
+    against the manifest."""
+    (tmp_path / "p.mm").write_text(COUNTER_MM)
+    (tmp_path / "p.act").write_text('package p;\nrequire "p.mm";\naspect class Counter {\n'
+                                    "  operation start() : Void is do self.n := self.n + 1 end\n}\n")
+    (tmp_path / "p.inv").write_text('package p;\nrequire "p.mm";\nrequire "p.act";\n'
+                                    "aspect class Counter { post still on start : self.n == 0; }\n")
+    manifest = tmp_path / "p.mashup"
+    manifest.write_text('package p;\nrequire "p.mm";\nrequire "p.act";\nrequire "p.inv";\n'
+                        "main Counter.start;\n")
+    model = tmp_path / "c.model"
+    model.write_text('{"conformsTo": "p", "objects": [{"id": "c", "class": "Counter", '
+                     '"slots": {}}], "roots": ["@c"]}')
+    assert run_cli("bench", "--manifest", str(manifest), "--model", str(model)) == (
+        4, "", f"{manifest}:0:0: PostconditionViolation still @ c\n")
+
+
 def test_run_entry_override_and_bad_entry():
     code, out, _ = run_cli("run", "--manifest", str(FUML / "fuml.mashup"),
                            "--model", str(MODELS / "worksession.model"),

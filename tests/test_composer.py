@@ -6,16 +6,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FUML, GOLDEN, parse_units, weave
+from helpers import DIAMOND, FUML, GOLDEN, parse_units, weave
 from mashup.behavior import AspectClass, parse_behavior
 from mashup.composer import (
     CompositionCase, ROOT_CLASS, WovenClass, classify_pair, compose,
-    contribution_of, emit_report, linearize, linearize_all, merge_contributions,
-    parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
+    contribution_of, emit_report, linearize, linearize_all, load_manifest,
+    merge_contributions, parse_manifest, resolve_method_conflicts, resolve_requires,
+    validate_woven,
 )
 from mashup.contracts import ContractContribution, parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
 from mashup.metamodel import MetaClass, Reference
+from mashup.runtime import default_value
 from mashup.typecheck import build
 from test_acceptance import _brute_force_lin
 
@@ -285,6 +287,80 @@ def test_linearize_all_reads_each_class_a_bounded_number_of_times():
     assert max(graph.reads.values()) <= 3
     assert lins[f"L{levels}A"][:3] == (f"L{levels}A", f"L{levels - 1}B", f"L{levels - 1}A")
     assert len(lins[f"L{levels}A"]) == 2 * levels + 2
+
+
+# ---------------------------------------------------------------------------
+# slot plans
+# ---------------------------------------------------------------------------
+
+
+def _assert_slot_plans(woven):
+    """Every class's slot plans against the facts they are settled from."""
+    names = list(woven.classes)
+    for wc in woven.classes.values():
+        assert list(wc.slots) == list(wc.features)
+        assert [sp.name for sp in wc.save_order] == sorted(wc.slots)
+        assert wc.links == tuple(
+            sp for sp in wc.slots.values() if isinstance(sp.feat, Reference)
+            and (sp.feat.opposite is not None or sp.feat.containment))
+        assert wc.fresh_slots() == {
+            fname: default_value(feat) for fname, (feat, _owner) in wc.features.items()}
+        for fname, (feat, _owner) in wc.features.items():
+            sp = wc.slots[fname]
+            assert sp.feat is feat
+            if not isinstance(feat, Reference):
+                assert sp.targets is None
+                continue
+            for name in names + [feat.target]:
+                assert (sp.targets is None or name in sp.targets) == woven.conforms(
+                    name, feat.target), (wc.name, fname, name)
+
+
+@pytest.mark.parametrize("manifest", [
+    FUML / "fuml.mashup", DIAMOND / "diamond.mashup", DIAMOND / "diamond_renamed.mashup",
+], ids=lambda path: path.name)
+def test_slot_plans_of_the_example_languages(manifest):
+    woven = compose(resolve_requires(load_manifest(str(manifest))))
+    _assert_slot_plans(woven)
+
+
+_BOUNDS = st.sampled_from(["", "[0..1]", "[1..1]", "[*]", "[2..*]"])
+
+
+@st.composite
+def _languages(draw):
+    """A metamodel over a random class DAG, with attributes, references with
+    and without containment, opposite pairs, and an aspect reference to the
+    root or to a class no unit declares."""
+    graph = draw(_dags())
+    names = list(graph)
+    members: dict[str, list[str]] = {name: [] for name in names}
+    for i, name in enumerate(names):
+        for k in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["Int", "Bool", "String"]))
+            members[name].append(f"attr a{i}_{k}: {kind}{draw(_BOUNDS)};")
+        for k in range(draw(st.integers(0, 2))):
+            target = draw(st.sampled_from(names))
+            containment = " containment" if draw(st.booleans()) else ""
+            members[name].append(f"ref r{i}_{k}: {target}{draw(_BOUNDS)}{containment};")
+    for k in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        containment = " containment" if draw(st.booleans()) else ""
+        members[a].append(f"ref p{k}: {b}{draw(_BOUNDS)}{containment} opposite q{k};")
+        members[b].append(f"ref q{k}: {a}{draw(_BOUNDS)} opposite p{k};")
+    mm = "metamodel g {\n" + "".join(
+        f"  class {name}{' extends ' + ', '.join(supers) if supers else ''} "
+        f"{{ {' '.join(members[name])} }}\n" for name, supers in graph.items()) + "}\n"
+    act = (f'package g;\nrequire "g.mm";\naspect class {draw(st.sampled_from(names))} '
+           f"{{ ref extra: {draw(st.sampled_from(['Root', 'Ghost'] + names))}[*]; }}\n")
+    return mm, act
+
+
+@settings(max_examples=100, deadline=None)
+@given(_languages())
+def test_slot_plans_agree_with_the_woven_model(language):
+    mm, act = language
+    _assert_slot_plans(weave(mm=mm, act=act, strict=False))
 
 
 def test_linearization_wellformed_in_fixture(fuml_woven):

@@ -382,3 +382,40 @@ CASES = {
 def test_interpreter_behaviour_is_pinned(case):
     run, trace, outcome = CASES[case]
     assert run() == (trace, outcome)
+
+
+DIAMOND_MM = """
+metamodel s {
+  class A { }
+  class B extends A { }
+  class C extends A { }
+  class D extends B, C { }
+}
+"""
+
+DIAMOND_ACT = """package s;
+require "s.mm";
+aspect class A { operation who() : Void is do self.trace("A") end }
+aspect class B { method who() : Void is do self.trace("B") super() end }
+aspect class C { method who() : Void is do self.trace("C") super() end }
+aspect class D {
+  method who() : Void is do
+    self.trace("D")
+    super[B]()
+    super[C]()
+    super()
+  end
+}
+"""
+
+
+def test_qualified_super_starts_at_the_named_supertype():
+    """D's linearization is D C B A: ``super[B]`` runs B then A, ``super[C]``
+    runs C, B and A, and a plain ``super`` from D does the same as
+    ``super[C]``.  The strict weave also type checks every ``super``."""
+    model = ModelInstance(weave(mm=DIAMOND_MM, act=DIAMOND_ACT))
+    d = create_instance(model, "D")
+    _result, env = invoke(model, d, "who")
+    assert [event.render() for event in env.trace] == (
+        ["OpEnter\to1.who"] + [f"NodeExecuted\t{c}" for c in "DBACBACBA"]
+        + ["OpExit\to1.who\tvoid"])

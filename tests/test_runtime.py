@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import FUML, MODELS, weave
+from mashup.composer import SlotPlan
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
-from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV
+from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
-    ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
-    conformance_check, create_instance, default_value, invoke, is_default,
+    Environment, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
+    conformance_check, create_instance, default_value, eval_expr, invoke, is_default,
     load_model, remove_from_feature, save_model, set_feature,
 )
 
@@ -181,11 +182,11 @@ metamodel d {
     values = [IntV(0), IntV(1), BoolV(False), BoolV(True), StringV(""), StringV("x"),
               VoidV(), ObjRef("o1"), Coll("OrderedSet"), Coll("OrderedSet", [ObjRef("o1")]),
               Coll("Sequence"), Coll("Set")]
-    for feat, _owner in woven.classes["K"].features.values():
-        default = default_value(feat)
-        assert is_default(feat, default)
+    for sp in woven.classes["K"].slots.values():
+        default = default_value(sp.feat)
+        assert is_default(sp, default)
         for value in values:
-            assert is_default(feat, value) == (value == default)
+            assert is_default(sp, value) == (value == default)
 
 
 def test_load_compares_references_linearly(fuml_woven, monkeypatch):
@@ -204,6 +205,65 @@ def test_load_compares_references_linearly(fuml_woven, monkeypatch):
     load_model(text, fuml_woven)
     monkeypatch.undo()
     assert calls <= 10 * stats["elements"], calls
+
+
+def test_model_operations_build_no_slot_plans(fuml_woven, monkeypatch):
+    """compose settles every slot plan; creating, assigning, checking,
+    loading, saving and running only read them."""
+    built = 0
+    plain_init = SlotPlan.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(SlotPlan, "__init__", counting_init)
+    lib_woven = weave(mm=LIB_MM)
+    assert built == 10  # one per declared feature
+    built = 0
+    model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
+    check_model(model)
+    save_model(model)
+    lib = ModelInstance(lib_woven)
+    home, book, writer = (create_instance(lib, c) for c in ("Library", "Book", "Writer"))
+    set_feature(lib, home, "name", StringV("town"))
+    add_to_feature(lib, home, "book", book)
+    set_feature(lib, book, "author", writer)
+    remove_from_feature(lib, writer, "works", book)
+    invoke(model, "o1", "execute")
+    assert built == 0
+
+
+def test_intersection_compares_elements_linearly(monkeypatch):
+    """``c.intersection(d)`` must not compare each element of c with every
+    element of d; counting comparisons keeps the guard independent of speed."""
+    model = ModelInstance(weave(mm="metamodel t { class A { } }"))
+    a = create_instance(model, "A")
+    scope = {"c": Coll("Sequence", [IntV(i) for i in range(1000)]),
+             "d": Coll("Sequence", [IntV(i) for i in range(1000, 3000)])}
+    calls = 0
+    plain_eq = IntV.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(IntV, "__eq__", counting_eq)
+    result = eval_expr(parse_expr("c.intersection(d)"), Environment(model), a, scope)
+    monkeypatch.undo()
+    assert result == Coll("Sequence", [])
+    assert calls <= 3000, calls
+    # elements that cannot be hashed on either side keep the list test
+    nested = Coll("Sequence", [IntV(1)])
+    scope = {"c": Coll("Sequence", [nested, IntV(2), IntV(1)]),
+             "d": Coll("Sequence", [IntV(1), nested])}
+    intersect = parse_expr("c.intersection(d)")
+    assert eval_expr(intersect, Environment(model), a, scope) == Coll(
+        "Sequence", [nested, IntV(1)])
+    scope["d"] = Coll("Sequence", [IntV(2)])
+    assert eval_expr(intersect, Environment(model), a, scope) == Coll("Sequence", [IntV(2)])
 
 
 def test_containment_cycle_refused(lib_woven):
@@ -295,6 +355,24 @@ def test_type_fault_on_wrong_target(lib):
     assert exc.value.kind == "TypeFault"
     with pytest.raises(EvalFault):
         set_feature(lib, b, "title", IntV(3))
+
+
+def test_reference_targets_conform_by_linearization():
+    woven = weave(mm="metamodel t { class A { ref b: B[0..1]; ref bs: B[*]; } "
+                     "class B { } class C extends B { } }",
+                  act='package t;\nrequire "t.mm";\naspect class A { ref any: Root[0..1]; }\n')
+    model = ModelInstance(woven)
+    a, c = create_instance(model, "A"), create_instance(model, "C")
+    set_feature(model, a, "b", c)  # C conforms to B
+    add_to_feature(model, a, "bs", c)
+    set_feature(model, a, "any", a)  # every class conforms to Root
+    for op, fname, value in ((set_feature, "b", a), (add_to_feature, "bs", a),
+                             (set_feature, "bs", Coll("OrderedSet", [a]))):
+        with pytest.raises(EvalFault) as exc:
+            op(model, a, fname, value)
+        assert (exc.value.kind, exc.value.message) == (
+            "TypeFault", f"reference {fname} expects B, got A")
+    assert conformance_check(model) == []
 
 
 def test_sequence_into_unique_slot_dedupes_first_occurrence(lib):
