@@ -21,7 +21,7 @@ from .diagnostics import (
 from .exprs import parse_expr
 from .metamodel import Metamodel, parse_metamodel, pretty_print, validate_metamodel
 from .runtime import (
-    CheckResult, Environment, Interpreter, ModelInstance, add_to_feature,
+    CheckResult, Interpreter, ModelInstance, add_to_feature,
     check_invariant, check_model, create_instance, eval_expr, invoke,
     load_model, remove_from_feature, save_model, set_feature,
 )

@@ -20,9 +20,7 @@ import time
 
 from .composer import MashupManifest, WovenModel, emit_report, read_source
 from .diagnostics import Diagnostic, EvalFault, WorkbenchError, print_diagnostics
-from .runtime import (
-    Environment, Interpreter, ModelInstance, ObjRef, check_model, load_model,
-)
+from .runtime import Interpreter, ModelInstance, ObjRef, check_model, load_model
 from .typecheck import build
 
 
@@ -87,22 +85,21 @@ def _entry(args) -> tuple[ModelInstance, str, list[str]]:
     return model, op, roots
 
 
-def _run_entry(env: Environment, op: str, roots: list[str]) -> None:
-    interp = Interpreter(env)
+def _run_entry(interp: Interpreter, op: str, roots: list[str]) -> None:
     for oid in roots:
         interp.invoke(ObjRef(oid), op, [])
 
 
 def cmd_run(args) -> int:
     model, op, roots = _entry(args)
-    env = Environment(model, args.contracts)
+    interp = Interpreter(model, args.contracts)
     code = 0
     try:
-        _run_entry(env, op, roots)
+        _run_entry(interp, op, roots)
     except EvalFault as fault:  # both faults and contract violations
         print_diagnostics([Diagnostic(fault.kind, fault.message, args.model)])
         code = fault.exit_code
-    for event in env.trace:
+    for event in interp.trace:
         print(event.render())
     return code
 
@@ -112,9 +109,9 @@ def cmd_bench(args) -> int:
     timings: list[float] = []
     for _rep in range(args.reps):
         # load/copy time stays outside the clock
-        env = Environment(base_model.clone(), args.contracts)
+        interp = Interpreter(base_model.clone(), args.contracts)
         start = time.perf_counter()
-        _run_entry(env, op, roots)
+        _run_entry(interp, op, roots)
         timings.append(time.perf_counter() - start)
     mean = sum(timings) / len(timings)
     print(

@@ -7,10 +7,10 @@ behavior units alike) into its base metamodel class, producing one
 
 * a Scala-style linearization (last occurrence of a repeated superclass
   wins, the implicit reflection root ``Root`` is always final),
-* a merged feature table (any two declarations of the same feature name in
-  one linearization are a clash; features cannot be renamed),
-* a slot plan per feature, settled here once for every model operation:
-  its bounds, collection kind, default, value class or conforming target
+* a slot plan per feature, its one feature table (any two declarations of
+  the same feature name in one linearization are a clash; features cannot
+  be renamed), settled here once for every model operation: the declaring
+  class, bounds, collection kind, default, value class or conforming target
   classes, opposite and containment; the plans in declaration order, in
   save (name) order, and the link slots (those with an opposite or a
   containment),
@@ -323,19 +323,21 @@ def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, 
 
 
 class SlotPlan:
-    """What creating, assigning, checking, loading and saving ask of one
-    slot.  ``conforming`` maps a class name to the names of the classes
-    conforming to it (None: every class).  Every class that inherits a
-    feature shares its plan."""
+    """What type checking, creating, assigning, checking, loading and saving
+    ask of one slot.  ``owner`` is the class declaring the feature;
+    ``conforming`` maps a class name to the names of the classes conforming
+    to it (None: every class).  Every class that inherits a feature shares
+    its plan."""
 
-    __slots__ = ("name", "feat", "many", "lower", "kind", "default", "prim", "targets",
-                 "opposite", "containment")
+    __slots__ = ("name", "feat", "owner", "many", "lower", "kind", "default", "prim",
+                 "targets", "opposite", "containment")
 
-    def __init__(self, feat: Attribute | Reference,
+    def __init__(self, feat: Attribute | Reference, owner: str,
                  conforming: dict[str, frozenset[str] | None]):
         t = feature_type(feat)
         self.name = feat.name
         self.feat = feat
+        self.owner = owner
         self.many = feat.bounds.many
         self.lower = feat.bounds.lower
         # a many-valued slot's collection kind, or a single one's shared default
@@ -359,8 +361,7 @@ class WovenClass:
     is_abstract: bool
     supertypes: tuple[str, ...]
     linearization: tuple[str, ...]
-    # feature/operation tables cover the whole linearization
-    features: dict[str, tuple[Attribute | Reference, str]] = field(default_factory=dict)
+    # the operation table covers the whole linearization, as do the slots
     op_sigs: dict[str, tuple[OperationSig, str]] = field(default_factory=dict)
     base_sig_names: frozenset[str] = frozenset()  # ops declared by the base class itself
     # dispatch view after renamings; raw_definers keeps the unrenamed chains
@@ -399,11 +400,9 @@ class WovenModel:
         wc = self.classes.get(sub)
         return wc is not None and sup in wc.linearization
 
-    def feature(self, class_name: str, feature: str):
+    def feature(self, class_name: str, feature: str) -> SlotPlan | None:
         wc = self.classes.get(class_name)
-        if wc is None:
-            return None
-        return wc.features.get(feature)
+        return wc.slots.get(feature) if wc is not None else None
 
     def op_sig(self, class_name: str, op: str):
         wc = self.classes.get(class_name)
@@ -570,24 +569,33 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             [Diagnostic("HierarchyTooDeep", "class hierarchy is nested too deeply", "<compose>")]
         ) from None
 
-    # own (declared-at-this-class) members, with unit attribution
-    own_features: dict[str, list[tuple[Attribute | Reference, str]]] = {}
+    # the classes conforming to each class, from one inverse pass over the
+    # linearizations; every class conforms to the root
+    below: dict[str, set[str]] = {}
+    for name, lin in lin_of.items():
+        for sup in lin:
+            below.setdefault(sup, set()).add(name)
+    conforming = {sup: frozenset(names) for sup, names in below.items()}
+    conforming[ROOT_CLASS] = None
+
+    # own (declared-at-this-class) members, with unit attribution; one slot
+    # plan per declared feature
+    own_plans: dict[str, list[SlotPlan]] = {}
     own_methods: dict[str, list[tuple[MethodDef, str]]] = {}
     own_sigs: dict[str, list[tuple[OperationSig, str]]] = {}
     for name in all_names:
-        feats: list[tuple[Attribute | Reference, str]] = []
+        feats: list[Attribute | Reference] = []
         sigs: list[tuple[OperationSig, str]] = []
         if name in base:
             cls, unit_name = base[name]
-            feats.extend((f, unit_name) for f in cls.features())
+            feats.extend(cls.features())
             sigs.extend((s, unit_name) for s in cls.operations)
         if name in contribs:
             cc = contribs[name]
-            feats.extend(cc.attributes)
-            feats.extend(cc.references)
+            feats.extend(f for f, _unit in cc.attributes + cc.references)
             own_methods[name] = list(cc.methods)
             sigs.extend((m.sig, unit) for m, unit in cc.methods)
-        own_features[name] = feats
+        own_plans[name] = [SlotPlan(f, name, conforming) for f in feats]
         own_sigs[name] = sigs
 
     woven = WovenModel(
@@ -598,34 +606,20 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                       for name, cc in contribs.items() for m, unit in cc.methods},
     )
 
-    # the classes conforming to each class, from one inverse pass over the
-    # linearizations; every class conforms to the root
-    below: dict[str, set[str]] = {}
-    for name, lin in lin_of.items():
-        for sup in lin:
-            below.setdefault(sup, set()).add(name)
-    conforming = {sup: frozenset(names) for sup, names in below.items()}
-    conforming[ROOT_CLASS] = None
-    plans = {(name, feat.name): SlotPlan(feat, conforming)
-             for name, feats in own_features.items() for feat, _unit in feats}
-
     for name in all_names:
         lin = lin_of[name]
-        features: dict[str, tuple[Attribute | Reference, str]] = {}
         slots: dict[str, SlotPlan] = {}
         for cls in lin:
-            for feat, unit_name in own_features.get(cls, ()):
-                if feat.name in features:
-                    other_owner = features[feat.name][1]
+            for sp in own_plans.get(cls, ()):
+                if sp.name in slots:
                     raise CompositionError(
                         [Diagnostic(
                             "FeatureClash",
-                            f"feature {feat.name} reaches {name} from both "
-                            f"{other_owner} and {cls}",
+                            f"feature {sp.name} reaches {name} from both "
+                            f"{slots[sp.name].owner} and {cls}",
                         )]
                     )
-                features[feat.name] = (feat, cls)
-                slots[feat.name] = plans[cls, feat.name]
+                slots[sp.name] = sp
 
         op_sigs: dict[str, tuple[OperationSig, str]] = {}
         for cls in lin:
@@ -659,7 +653,6 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             is_abstract=base[name][0].is_abstract if name in base else False,
             supertypes=graph[name],
             linearization=lin,
-            features=features,
             op_sigs=op_sigs,
             base_sig_names=frozenset(
                 s.name for s in base[name][0].operations) if name in base else frozenset(),
@@ -747,7 +740,8 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                     "BadLinearization",
                     f"supertype {sup} of {name} must occur exactly once in the linearization",
                 )
-        for fname, (feat, _owner) in wc.features.items():
+        for fname, sp in wc.slots.items():
+            feat = sp.feat
             if isinstance(feat, Reference):
                 if feat.target not in known:
                     sink.add("ClosureError",
@@ -755,7 +749,7 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                     continue
                 if feat.opposite is not None:
                     paired = woven.feature(feat.target, feat.opposite)
-                    opp = paired[0] if paired else None
+                    opp = paired.feat if paired is not None else None
                     if not isinstance(opp, Reference) or opp.opposite != feat.name:
                         sink.add(
                             "OppositeMismatch",

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 

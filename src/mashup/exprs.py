@@ -69,7 +69,6 @@ class OpCall:
     receiver: "Expr"
     op: str
     args: tuple["Expr", ...]
-    qualifier: str | None = None
     pos: Pos = field(default=NOPOS, compare=False)
 
 
@@ -397,7 +396,7 @@ class ExprParser:
             return CollectionOp(receiver, name, arg=args[0], pos=pos)
         if name in LAMBDA_OPS:
             raise self.lx.error(f"{name} requires a lambda: .{name} {{ x | ... }}", pos)
-        return OpCall(receiver, name, tuple(args), None, pos)
+        return OpCall(receiver, name, tuple(args), pos)
 
     def _lambda_op(self, receiver: Expr, name: str, pos: Pos) -> Expr:
         self.lx.expect("{")

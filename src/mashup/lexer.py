@@ -10,7 +10,7 @@ integer literals, string literals and punctuation, so feature names such as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Pos, syntax_error
 
@@ -42,8 +42,7 @@ _TOKEN = re.compile("|".join([
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'string' | 'punct' | 'eof'
     value: str
     pos: Pos

@@ -22,9 +22,9 @@ containment).  Loading and saving both run the conformance check, which
 walks each object against its class's plans and formats a message only for
 what fails.
 
-A model instance plus its environment belongs to one thread at a time; the
-woven model they reference is shared read-only.  Independent instances may
-execute concurrently.
+A model instance and the interpreter running it belong to one thread at a
+time; the woven model they reference is shared read-only.  Independent
+instances may execute concurrently.
 """
 
 from __future__ import annotations
@@ -422,8 +422,13 @@ class _Frame:
         self.op_name = op_name
 
 
-class Environment:
-    """Mutable execution state: model, contract policy and the event trace."""
+class Interpreter:
+    """One run: the model, its contract policy, the event trace and the frame
+    stack, with the tree-walking evaluator for expressions and method bodies.
+
+    Whether code may call operations, instantiate or mutate the model is
+    not the interpreter's state but that of the ``_Frame`` the code runs in.
+    """
 
     def __init__(self, model: ModelInstance, policy: str = POLICY_PREPOST):
         assert policy in (POLICY_OFF, POLICY_PREPOST, POLICY_FULL)
@@ -431,25 +436,13 @@ class Environment:
         self.woven = model.woven
         self.policy = policy
         self.trace: list[TraceEvent] = []
-
-
-class Interpreter:
-    """Tree-walking evaluator for expressions and method bodies.
-
-    Whether code may call operations, instantiate or mutate the model is
-    not the interpreter's state but that of the ``_Frame`` the code runs in.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
         self.frames: list[_Frame] = []
 
     # -- dispatch ---------------------------------------------------------
 
     def invoke(self, recv: ObjRef, op: str, args: list[Value]) -> Value:
-        env = self.env
-        obj = env.model.obj(recv.id)
-        wc = env.woven.classes.get(obj.class_name)
+        obj = self.model.obj(recv.id)
+        wc = self.woven.classes.get(obj.class_name)
         if wc is None:
             raise EvalFault("UnknownClass", f"object {obj.id} has unknown class {obj.class_name}")
         if op in wc.ambiguous_ops:
@@ -468,16 +461,16 @@ class Interpreter:
                 "TypeFault",
                 f"{op} expects {len(mdef.sig.params)} argument(s), got {len(args)}",
             )
-        env.trace.append(OpEnter(obj.id, op))
-        checked = env.policy != POLICY_OFF
+        self.trace.append(OpEnter(obj.id, op))
+        checked = self.policy != POLICY_OFF
         if checked:
-            self._check_pre(wc, obj, op, mdef, args)
+            self._check_pre(wc, obj, op, args)
         result = self._execute_method(owner, mdef, obj, args)
         if checked:
-            self._check_post(wc, obj, op, mdef, args, result)
-            if env.policy == POLICY_FULL:
+            self._check_post(wc, obj, op, args, result)
+            if self.policy == POLICY_FULL:
                 self._check_invariants(wc, obj)
-        env.trace.append(OpExit(obj.id, op, render_value(result)))
+        self.trace.append(OpExit(obj.id, op, render_value(result)))
         return result
 
     def _execute_method(self, owner: str, mdef: MethodDef, obj: Obj, args) -> Value:
@@ -503,7 +496,7 @@ class Interpreter:
         if op == "trace":
             if not isinstance(args[0], StringV):
                 raise EvalFault("TypeFault", "trace expects a String")
-            self.env.trace.append(NodeExecuted(args[0].s))
+            self.trace.append(NodeExecuted(args[0].s))
             return VOID_VALUE
         if op == "fault":
             msg = args[0].s if isinstance(args[0], StringV) else render_value(args[0])
@@ -516,43 +509,35 @@ class Interpreter:
     # -- contracts ---------------------------------------------------------
 
     def _eval_in_frame(self, e, obj: Obj, scope: dict[str, Value], pure: bool) -> Value:
-        """Evaluate ``e`` in a frame of its own, with ``self`` = ``obj`` and a
-        copy of ``scope`` as its only scope."""
-        self.frames.append(_Frame(obj, [dict(scope)], pure))
+        """Evaluate ``e`` in a frame of its own, with ``self`` = ``obj`` and
+        ``scope`` as its only scope."""
+        self.frames.append(_Frame(obj, [scope], pure))
         try:
             return self.eval(e)
         finally:
             self.frames.pop()
 
-    def _contract_scope(self, wc, op: str, mdef: MethodDef, args) -> dict[str, Value]:
-        # bind positional arguments under every name the operation declares
-        # anywhere in the chain, so inherited contracts see their own names
-        scope = {p.name: a for p, a in zip(mdef.sig.params, args)}
-        entry = wc.op_sigs.get(op)
-        sigs = [entry[0]] if entry else []
-        sigs.extend(m.sig for _owner, m in wc.raw_definers.get(op, ()))
-        for sig in sigs:
-            for p, a in zip(sig.params, args):
-                scope.setdefault(p.name, a)
-        return scope
+    def _rule_scope(self, owner: str, op: str, args) -> dict[str, Value]:
+        """The arguments under the parameter names of ``owner``'s signature
+        for ``op``, which its rules were type checked against; nothing is
+        bound when ``owner`` has no such signature."""
+        entry = self.woven.classes[owner].op_sigs.get(op)
+        return {p.name: a for p, a in zip(entry[0].params, args)} if entry else {}
 
-    def _check_pre(self, wc, obj: Obj, op: str, mdef: MethodDef, args) -> None:
+    def _check_pre(self, wc, obj: Obj, op: str, args) -> None:
         groups = wc.flat_pre.get(op)
         if not groups:
             return
-        scope = self._contract_scope(wc, op, mdef, args)
-        for _owner, clauses in groups:
+        for owner, clauses in groups:
+            scope = self._rule_scope(owner, op, args)
             if all(self._rule_holds(c.body, obj, scope) for c in clauses):
                 return
         raise self._violation("PreconditionViolation", "pre", groups[0][1][0].name, obj)
 
-    def _check_post(self, wc, obj: Obj, op: str, mdef: MethodDef, args, result: Value) -> None:
-        clauses = wc.flat_post.get(op)
-        if not clauses:
-            return
-        scope = self._contract_scope(wc, op, mdef, args)
-        scope["result"] = result
-        for _owner, clause in clauses:
+    def _check_post(self, wc, obj: Obj, op: str, args, result: Value) -> None:
+        for owner, clause in wc.flat_post.get(op, ()):
+            scope = self._rule_scope(owner, op, args)
+            scope["result"] = result
             if not self._rule_holds(clause.body, obj, scope):
                 raise self._violation("PostconditionViolation", "post", clause.name, obj)
 
@@ -563,7 +548,7 @@ class Interpreter:
 
     def _violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
         """Trace a violated contract rule and build the error it raises."""
-        self.env.trace.append(ContractViolationEvent(kind, name, obj.id))
+        self.trace.append(ContractViolationEvent(kind, name, obj.id))
         return ContractViolation(error, name, obj.id)
 
     def _rule_holds(self, body, obj: Obj, scope: dict[str, Value]) -> bool:
@@ -601,7 +586,7 @@ class Interpreter:
         if not isinstance(recv, ObjRef):
             raise EvalFault("TypeFault", f"cannot assign feature {lv.feature} on void")
         self._mutation_guard()
-        set_feature(self.env.model, recv, lv.feature, value)
+        set_feature(self.model, recv, lv.feature, value)
 
     def _exec_exprstmt(self, stmt: ExprStmt) -> None:
         e = stmt.expr
@@ -616,7 +601,7 @@ class Interpreter:
                 raise EvalFault("TypeFault", f"cannot add to feature {e.receiver.feature} on void")
             value = self.eval(e.arg)
             self._mutation_guard()
-            add_to_feature(self.env.model, recv, e.receiver.feature, value)
+            add_to_feature(self.model, recv, e.receiver.feature, value)
             return
         self.eval(e)
 
@@ -663,7 +648,7 @@ class Interpreter:
         obj = frame.self_obj
         args = [self.eval(a) for a in stmt.args]
         if stmt.qualifier is not None:
-            source = self.env.woven.classes.get(stmt.qualifier)
+            source = self.woven.classes.get(stmt.qualifier)
             chain = source.raw_definers.get(frame.op_name, ()) if source else ()
             if not chain:
                 raise EvalFault(
@@ -672,7 +657,7 @@ class Interpreter:
                 )
             owner, mdef = chain[0]
         else:
-            wc = self.env.woven.classes[obj.class_name]
+            wc = self.woven.classes[obj.class_name]
             chain = wc.raw_definers.get(frame.op_name, ())
             owners = [o for o, _m in chain]
             try:
@@ -727,7 +712,7 @@ class Interpreter:
             return VOID_VALUE
         if not isinstance(recv, ObjRef):
             raise EvalFault("TypeFault", f"cannot navigate {e.feature} on {render_value(recv)}")
-        obj = self.env.model.obj(recv.id)
+        obj = self.model.obj(recv.id)
         try:
             value = obj.slots[e.feature]
         except KeyError:
@@ -811,8 +796,8 @@ class Interpreter:
             return FALSE if e.test_kind == "oclIsKindOf" else VOID_VALUE
         if not isinstance(recv, ObjRef):
             raise EvalFault("TypeFault", f"{e.test_kind} on {render_value(recv)}")
-        obj = self.env.model.obj(recv.id)
-        conforms = self.env.woven.conforms(obj.class_name, e.target)
+        obj = self.model.obj(recv.id)
+        conforms = self.woven.conforms(obj.class_name, e.target)
         if e.test_kind == "oclIsKindOf":
             return TRUE if conforms else FALSE
         if not conforms:
@@ -883,7 +868,7 @@ class Interpreter:
     def _eval_new(self, e: New) -> Value:
         if self.frames[-1].pure:
             raise EvalFault("TypeFault", "new in a side-effect-free context")
-        return create_instance(self.env.model, e.class_name)
+        return create_instance(self.model, e.class_name)
 
 
 _EVAL = {
@@ -919,20 +904,19 @@ _EXEC = {
 _LAMBDA_HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
 
 
-def eval_expr(e, env: Environment, self_obj, scope: dict[str, Value] | None = None,
+def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None = None,
               pure: bool = True) -> Value:
     """Evaluate one expression with self bound; pure by default."""
-    return Interpreter(env)._eval_in_frame(e, env.model.resolve(self_obj), scope or {}, pure)
+    return interp._eval_in_frame(e, interp.model.resolve(self_obj), dict(scope or {}), pure)
 
 
 def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
-           policy: str = POLICY_PREPOST, env: Environment | None = None) -> tuple[Value, Environment]:
-    """Dispatch one operation; returns the result and the environment (trace)."""
-    env = env or Environment(model, policy)
-    interp = Interpreter(env)
+           policy: str = POLICY_PREPOST,
+           interp: Interpreter | None = None) -> tuple[Value, Interpreter]:
+    """Dispatch one operation; returns the result and the interpreter (trace)."""
+    interp = interp or Interpreter(model, policy)
     ref = obj if isinstance(obj, ObjRef) else ObjRef(model.resolve(obj).id)
-    result = interp.invoke(ref, op, list(args or []))
-    return result, env
+    return interp.invoke(ref, op, list(args or [])), interp
 
 
 # ---------------------------------------------------------------------------
@@ -949,13 +933,13 @@ class CheckResult:
     detail: str = ""
 
 
-def check_invariant(inv: InvariantDecl, obj, model: ModelInstance,
-                    owner: str = "") -> CheckResult:
-    """Evaluate one invariant on one object; faults become error results."""
-    env = Environment(model, POLICY_OFF)
+def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = "",
+                    interp: Interpreter | None = None) -> CheckResult:
+    """Evaluate one invariant on one object; faults become error results.
+    ``interp`` (by default a fresh one without contracts) evaluates it."""
     obj = model.resolve(obj)
     try:
-        value = eval_expr(inv.body, env, obj, pure=True)
+        value = eval_expr(inv.body, interp or Interpreter(model, POLICY_OFF), obj)
     except EvalFault as fault:
         return CheckResult("error", inv.name, obj.id, owner, str(fault))
     if isinstance(value, BoolV) and value.b:
@@ -966,7 +950,9 @@ def check_invariant(inv: InvariantDecl, obj, model: ModelInstance,
 
 
 def check_model(model: ModelInstance) -> list[CheckResult]:
-    """Every flattened invariant of every object, in deterministic order."""
+    """Every flattened invariant of every object, in deterministic order, all
+    evaluated by one interpreter."""
+    interp = Interpreter(model, POLICY_OFF)
     out: list[CheckResult] = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
@@ -974,7 +960,7 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
         if wc is None:
             continue
         for owner, inv in wc.flat_invariants:
-            out.append(check_invariant(inv, obj, model, owner))
+            out.append(check_invariant(inv, obj, model, owner, interp))
     return out
 
 
@@ -995,6 +981,7 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
     sink, opposites, containment = (DiagnosticSink(source) for _ in range(3))
     objects, classes = model.objects, model.woven.classes
     container_of: dict[str, tuple[str, str]] = {}
+    listed: dict[int, set[str]] = {}  # the ids of long opposite collections (_holds)
     for oid, obj in objects.items():
         wc = classes.get(obj.class_name)
         if wc is None:
@@ -1047,7 +1034,7 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
                 tid = tgt.id
                 if sp.opposite is not None:
                     t_obj = objects.get(tid)
-                    if t_obj is not None and not _holds(t_obj.slots.get(sp.opposite), oid):
+                    if t_obj is not None and not _holds(t_obj.slots.get(sp.opposite), oid, listed):
                         opposites.add(
                             "OppositeMismatch",
                             f"{oid}.{sp.name} lists {tid} but {tid}.{sp.opposite} "
@@ -1077,14 +1064,22 @@ def _element_problem(objects: dict[str, Obj], where: str, sp: SlotPlan, value) -
     return f"{where} expects {sp.feat.target}, found {target.class_name}"
 
 
-def _holds(value, oid: str) -> bool:
-    """Whether a reference slot's value lists the object ``oid``."""
+def _holds(value, oid: str, listed: dict[int, set[str]]) -> bool:
+    """Whether a reference slot's value lists the object ``oid``.  A long
+    collection is read once, into the set of ids it lists, which ``listed``
+    keeps by the collection's identity while the check runs."""
     if isinstance(value, ObjRef):
         return value.id == oid
-    if isinstance(value, Coll):
-        for x in value.items:
-            if isinstance(x, ObjRef) and x.id == oid:
-                return True
+    if not isinstance(value, Coll):
+        return False
+    if len(value.items) > 8:  # past about 8 elements, hashing beats scanning
+        ids = listed.get(id(value))
+        if ids is None:
+            ids = listed[id(value)] = {x.id for x in value.items if isinstance(x, ObjRef)}
+        return oid in ids
+    for x in value.items:
+        if isinstance(x, ObjRef) and x.id == oid:
+            return True
     return False
 
 

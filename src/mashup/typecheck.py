@@ -115,11 +115,11 @@ def typecheck_expr(e: Expr, ctx: TypeContext) -> SemType:
                 e.pos,
             )
             return ERROR
-        entry = woven.feature(rt.name, e.feature)
-        if entry is None:
+        sp = woven.feature(rt.name, e.feature)
+        if sp is None:
             ctx.sink.add("UnknownFeature", f"{rt.name} has no feature {e.feature}", e.pos)
             return ERROR
-        return feature_type(entry[0])
+        return feature_type(sp.feat)
     if isinstance(e, OpCall):
         rt = typecheck_expr(e.receiver, ctx)
         arg_types = [typecheck_expr(a, ctx) for a in e.args]

@@ -277,7 +277,8 @@ metamodel lib {
 def _assert_opposite_coherence(model: ModelInstance):
     for oid, obj in model.objects.items():
         wc = model.woven.classes[obj.class_name]
-        for fname, (feat, _o) in wc.features.items():
+        for fname, sp in wc.slots.items():
+            feat = sp.feat
             if getattr(feat, "opposite", None) is None or not hasattr(feat, "target"):
                 continue
             value = obj.slots[fname]
@@ -293,7 +294,8 @@ def _assert_containment_forest(model: ModelInstance):
     container = {}
     for oid, obj in model.objects.items():
         wc = model.woven.classes[obj.class_name]
-        for fname, (feat, _o) in wc.features.items():
+        for fname, sp in wc.slots.items():
+            feat = sp.feat
             if not getattr(feat, "containment", False):
                 continue
             value = obj.slots[fname]

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DIAMOND, FUML, GOLDEN, parse_units, weave
-from mashup.behavior import AspectClass, parse_behavior
+from mashup.behavior import AspectClass, BehaviorModule, parse_behavior
 from mashup.composer import (
-    CompositionCase, ROOT_CLASS, WovenClass, classify_pair, compose,
+    CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose,
     contribution_of, emit_report, linearize, linearize_all, load_manifest,
     merge_contributions, parse_manifest, resolve_method_conflicts, resolve_requires,
     validate_woven,
 )
 from mashup.contracts import ContractContribution, parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
-from mashup.metamodel import MetaClass, Reference
+from mashup.metamodel import MetaClass, Metamodel, Reference
 from mashup.runtime import default_value
 from mashup.typecheck import build
 from test_acceptance import _brute_force_lin
@@ -101,8 +101,8 @@ def test_fuml_weave_merges_all_three_concerns(fuml_woven):
         ("CreateObjectAction", "fUML_is_class")
     ]
     # aspect-added features landed in the merged table
-    assert activity.features["halted"][1] == "Activity"
-    assert activity.features["agenda"][1] == "Activity"
+    assert activity.slots["halted"].owner == "Activity"
+    assert activity.slots["agenda"].owner == "Activity"
 
 
 def test_same_base_class_twice_is_forbidden():
@@ -294,20 +294,43 @@ def test_linearize_all_reads_each_class_a_bounded_number_of_times():
 # ---------------------------------------------------------------------------
 
 
-def _assert_slot_plans(woven):
-    """Every class's slot plans against the facts they are settled from."""
+def _declared_features(units) -> dict[str, list]:
+    """Each class's own features, in the order compose declares them: the
+    metamodel's, then the aspects' attributes, then their references."""
+    base: dict[str, list] = {}
+    attrs: dict[str, list] = {}
+    refs: dict[str, list] = {}
+    for unit in units:
+        if isinstance(unit, Metamodel):
+            for cls in unit.classes:
+                base[cls.name] = list(cls.features())
+        elif isinstance(unit, BehaviorModule):
+            for aspect in unit.aspects:
+                attrs.setdefault(aspect.class_name, []).extend(aspect.added_attributes)
+                refs.setdefault(aspect.class_name, []).extend(aspect.added_references)
+    return {name: base.get(name, []) + attrs.get(name, []) + refs.get(name, [])
+            for name in {**base, **attrs, **refs}}
+
+
+def _assert_slot_plans(woven, units):
+    """Every class's slot plans against the units' features along its
+    linearization."""
     names = list(woven.classes)
+    declared = _declared_features(units)
     for wc in woven.classes.values():
-        assert list(wc.slots) == list(wc.features)
+        expected = {feat.name: (feat, owner)
+                    for owner in wc.linearization for feat in declared.get(owner, ())}
+        assert list(wc.slots) == list(expected)
         assert [sp.name for sp in wc.save_order] == sorted(wc.slots)
         assert wc.links == tuple(
             sp for sp in wc.slots.values() if isinstance(sp.feat, Reference)
             and (sp.feat.opposite is not None or sp.feat.containment))
         assert wc.fresh_slots() == {
-            fname: default_value(feat) for fname, (feat, _owner) in wc.features.items()}
-        for fname, (feat, _owner) in wc.features.items():
+            fname: default_value(feat) for fname, (feat, _owner) in expected.items()}
+        for fname, (feat, owner) in expected.items():
             sp = wc.slots[fname]
-            assert sp.feat is feat
+            assert sp.feat is feat and sp.owner == owner
+            assert woven.feature(wc.name, fname) is sp
             if not isinstance(feat, Reference):
                 assert sp.targets is None
                 continue
@@ -320,8 +343,8 @@ def _assert_slot_plans(woven):
     FUML / "fuml.mashup", DIAMOND / "diamond.mashup", DIAMOND / "diamond_renamed.mashup",
 ], ids=lambda path: path.name)
 def test_slot_plans_of_the_example_languages(manifest):
-    woven = compose(resolve_requires(load_manifest(str(manifest))))
-    _assert_slot_plans(woven)
+    units = resolve_requires(load_manifest(str(manifest)))
+    _assert_slot_plans(compose(units), units)
 
 
 _BOUNDS = st.sampled_from(["", "[0..1]", "[1..1]", "[*]", "[2..*]"])
@@ -360,7 +383,8 @@ def _languages(draw):
 @given(_languages())
 def test_slot_plans_agree_with_the_woven_model(language):
     mm, act = language
-    _assert_slot_plans(weave(mm=mm, act=act, strict=False))
+    units = parse_units(mm=mm, act=act)
+    _assert_slot_plans(compose(units), units)
 
 
 def test_linearization_wellformed_in_fixture(fuml_woven):
@@ -602,7 +626,7 @@ def test_validate_woven_flags_unknown_target(fuml_woven):
     broken = WovenClass(
         name="X", origin="base", is_abstract=False, supertypes=(),
         linearization=("X", ROOT_CLASS),
-        features={"r": (Reference("r", "Ghost"), "X")},
+        slots={"r": SlotPlan(Reference("r", "Ghost"), "X", {})},
     )
     import copy
     woven = copy.copy(fuml_woven)

@@ -12,7 +12,7 @@ from mashup.exprs import (
     SelfRef, StringV, TypeTest, VoidV, make_coll, parse_expr, render_value,
 )
 from mashup.runtime import (
-    Environment, ModelInstance, create_instance, eval_expr, load_model,
+    Interpreter, ModelInstance, create_instance, eval_expr, load_model,
 )
 from mashup.semtypes import BOOL, COLLECTION_KINDS, INT, STRING
 from mashup.typecheck import TypeContext, typecheck_expr
@@ -59,7 +59,7 @@ def test_precedence_and_if_expression():
 @pytest.fixture(scope="module")
 def session(fuml_woven):
     model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
-    return model, Environment(model)
+    return model, Interpreter(model)
 
 
 def test_eval_name_navigation(session):
@@ -127,7 +127,7 @@ def test_kind_of_matches_linearization(session, fuml_woven):
 def test_void_propagation_and_void_call_fault(fuml_woven):
     model = ModelInstance(fuml_woven)
     ref = create_instance(model, "CreateObjectAction")
-    env = Environment(model)
+    env = Interpreter(model)
     obj = model.obj(ref.id)
     # classifier is unset: navigation flows void, kind-of is false
     assert eval_expr(parse_expr("self.classifier.oclIsKindOf(Class)"), env, obj).b is False

@@ -119,15 +119,14 @@ def test_diamond_without_rename_is_ambiguous():
 
 def test_diamond_rename_dispatches_both_bodies(tmp_path):
     _m, _u, woven = build(str(DIAMOND / "diamond_renamed.mashup"))
-    from mashup.runtime import ModelInstance, create_instance, Environment, Interpreter
+    from mashup.runtime import ModelInstance, create_instance, Interpreter
 
     model = ModelInstance(woven)
     d = create_instance(model, "D")
-    env = Environment(model)
-    interp = Interpreter(env)
+    interp = Interpreter(model)
     interp.invoke(d, "run", [])
     interp.invoke(d, "runC", [])
-    labels = [e.label for e in env.trace if isinstance(e, NodeExecuted)]
+    labels = [e.label for e in interp.trace if isinstance(e, NodeExecuted)]
     assert labels == ["B.run", "C.run"]
 
 

@@ -1,7 +1,7 @@
 """The interpreter's observable behaviour, pinned row by row.
 
 Each row runs one method body or one expression and records the exact
-``env.trace`` renderings plus either the rendered result or the exact
+``interp.trace`` renderings plus either the rendered result or the exact
 ``(kind, message)`` of the fault it ends in.  Bodies are woven with
 ``strict=False``, so ill-typed code reaches the interpreter and each
 dynamic check fires.  Any other evaluator for the same ASTs must give the
@@ -16,7 +16,7 @@ from helpers import weave
 from mashup.diagnostics import EvalFault
 from mashup.exprs import Coll, EachBlock, IntV, VarRef, parse_expr, render_value
 from mashup.runtime import (
-    Environment, ModelInstance, add_to_feature, check_model, create_instance,
+    Interpreter, ModelInstance, add_to_feature, check_model, create_instance,
     eval_expr, invoke, set_feature,
 )
 
@@ -59,12 +59,12 @@ def _shown(value) -> str:
     return f"{value.kind}{text}" if isinstance(value, Coll) else text
 
 
-def _outcome(thunk, env):
+def _outcome(thunk, interp):
     try:
         result = ("value", _shown(thunk()))
     except EvalFault as fault:
         result = (fault.kind, fault.message)
-    return [event.render() for event in env.trace], result
+    return [event.render() for event in interp.trace], result
 
 
 def _act(body: str, returns: str = "Void", inv: str = "", policy: str = "prepost"):
@@ -78,8 +78,8 @@ def _act(body: str, returns: str = "Void", inv: str = "", policy: str = "prepost
             strict=False,
         )
         model = _model(woven)
-        env = Environment(model, policy)
-        return _outcome(lambda: invoke(model, "o1", "run", None, policy, env)[0], env)
+        interp = Interpreter(model, policy)
+        return _outcome(lambda: invoke(model, "o1", "run", None, policy, interp)[0], interp)
     return run
 
 
@@ -92,9 +92,9 @@ def _expr(text, scope=None, pure: bool = True):
     def run():
         model = _model(weave(mm=TABLE_MM, act='package t;\nrequire "t.mm";\naspect class A {\n'
                              + HELPERS + "}\n", strict=False))
-        env = Environment(model)
+        interp = Interpreter(model)
         e = parse_expr(text) if isinstance(text, str) else text
-        return _outcome(lambda: eval_expr(e, env, "o1", scope, pure=pure), env)
+        return _outcome(lambda: eval_expr(e, interp, "o1", scope, pure=pure), interp)
     return run
 
 

@@ -5,13 +5,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FUML, MODELS, weave
+from helpers import FUML, MODELS, run_cli, weave
 from mashup.composer import SlotPlan
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
 from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
-    Environment, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
+    Interpreter, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
     conformance_check, create_instance, default_value, eval_expr, invoke, is_default,
     load_model, remove_from_feature, save_model, set_feature,
 )
@@ -251,7 +251,7 @@ def test_intersection_compares_elements_linearly(monkeypatch):
         return plain_eq(self, other)
 
     monkeypatch.setattr(IntV, "__eq__", counting_eq)
-    result = eval_expr(parse_expr("c.intersection(d)"), Environment(model), a, scope)
+    result = eval_expr(parse_expr("c.intersection(d)"), Interpreter(model), a, scope)
     monkeypatch.undo()
     assert result == Coll("Sequence", [])
     assert calls <= 3000, calls
@@ -260,10 +260,10 @@ def test_intersection_compares_elements_linearly(monkeypatch):
     scope = {"c": Coll("Sequence", [nested, IntV(2), IntV(1)]),
              "d": Coll("Sequence", [IntV(1), nested])}
     intersect = parse_expr("c.intersection(d)")
-    assert eval_expr(intersect, Environment(model), a, scope) == Coll(
+    assert eval_expr(intersect, Interpreter(model), a, scope) == Coll(
         "Sequence", [nested, IntV(1)])
     scope["d"] = Coll("Sequence", [IntV(2)])
-    assert eval_expr(intersect, Environment(model), a, scope) == Coll("Sequence", [IntV(2)])
+    assert eval_expr(intersect, Interpreter(model), a, scope) == Coll("Sequence", [IntV(2)])
 
 
 def test_containment_cycle_refused(lib_woven):
@@ -459,6 +459,60 @@ def test_inherited_contract_sees_its_own_parameter_names():
     assert invoke(model, sub, "m", [IntV(2)])[0] == IntV(3)
     with pytest.raises(ContractViolation):
         invoke(model, sub, "m", [IntV(0)])
+
+
+RENAMED_MM = "metamodel s { class A { op m(x: Int): Int; } class B extends A { } }"
+RENAMED_ACT = ('package s;\nrequire "s.mm";\n'
+               "aspect class B {\n"
+               "  method m(y : Int) : Int is do return y end\n"
+               "  operation go() : Void is do self.m(3) end\n}\n")
+RENAMED_INV = ('package s;\nrequire "s.mm";\n'
+               "aspect class A { pre pos on m : x > 0; post same on m : result == x; }\n")
+
+
+def test_contracts_bind_the_signature_they_were_checked_against(tmp_path):
+    """A's rules name A's parameter ``x``, which the type checker checked
+    them against; B's body calls it ``y``.  Each rule binds the arguments
+    under its declaring class's signature."""
+    model = ModelInstance(weave(mm=RENAMED_MM, act=RENAMED_ACT, inv=RENAMED_INV))
+    b = create_instance(model, "B")
+    assert invoke(model, b, "m", [IntV(3)])[0] == IntV(3)
+    with pytest.raises(ContractViolation) as exc:
+        invoke(model, b, "m", [IntV(0)])
+    assert (exc.value.kind, exc.value.message) == ("PreconditionViolation", f"pos @ {b.id}")
+    for name, text in (("s.mm", RENAMED_MM), ("s.act", RENAMED_ACT), ("s.inv", RENAMED_INV),
+                       ("s.mashup", 'package s;\nrequire "s.mm";\nrequire "s.act";\n'
+                                    'require "s.inv";\nmain B.go;\n'),
+                       ("b.model", '{"conformsTo": "s", "objects": [{"id": "b", "class": "B", '
+                                   '"slots": {}}], "roots": ["@b"]}')):
+        (tmp_path / name).write_text(text)
+    assert run_cli("run", "--manifest", str(tmp_path / "s.mashup"),
+                   "--model", str(tmp_path / "b.model")) == (
+        0, "OpEnter\tb.go\nOpEnter\tb.m\nOpExit\tb.m\t3\nOpExit\tb.go\tvoid\n", "")
+
+
+def test_check_model_builds_one_interpreter(monkeypatch):
+    """Every invariant of every object is evaluated by one interpreter."""
+    built = 0
+    plain_init = Interpreter.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(Interpreter, "__init__", counting_init)
+    woven = weave(mm="metamodel m { class A { attr x: Int; } }",
+                  inv='package m;\nrequire "m.mm";\n'
+                      "aspect class A { inv pos : self.x >= 0; inv small : self.x < 3; }")
+    for n in (1, 2, 40):
+        model = ModelInstance(woven)
+        for i in range(n):
+            set_feature(model, create_instance(model, "A"), "x", IntV(i))
+        built = 0
+        results = check_model(model)
+        assert len(results) == 2 * n and built == 1
+        assert [r.status for r in results].count("violated") == max(0, n - 3)
 
 
 def test_postcondition_conjunction_rejects_any_level():
@@ -959,6 +1013,47 @@ def test_cycle_detection_climbs_each_object_once():
         assert lines <= 30 * depth, lines
 
 
+_HUB_WOVEN = weave(mm="metamodel h { class Hub { ref incoming: Edge[*] opposite target; } "
+                      "class Edge { ref target: Hub[0..1] opposite incoming; } }")
+
+
+def test_opposite_check_reads_each_opposite_collection_once():
+    """A hub with 1000 incoming edges: checking each edge's ``target``
+    against the hub's ``incoming`` must not scan that collection once per
+    edge.  Counting the lines conformance runs keeps the guard independent
+    of speed (a scan per edge ran about a million)."""
+    import sys
+
+    n = 1000
+
+    def hub_doc(listed: range) -> str:
+        edges = [{"id": f"e{i}", "class": "Edge", "slots": {"target": "@h"}} for i in range(n)]
+        return json.dumps({"conformsTo": "h", "roots": ["@h"] + [f"@e{i}" for i in range(n)],
+                           "objects": [{"id": "h", "class": "Hub", "slots": {
+                               "incoming": [f"@e{i}" for i in listed]}}] + edges})
+
+    with pytest.raises(TypecheckError) as exc:
+        load_model(hub_doc(range(1, n)), _HUB_WOVEN)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<model>:0:0: OppositeMismatch e0.target lists h but h.incoming does not list e0"]
+    model = load_model(hub_doc(range(n)), _HUB_WOVEN)
+    lines = 0
+
+    def count(frame, event, _arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    sys.settrace(lambda frame, _event, _arg: count if frame.f_code.co_filename
+                 == conformance_check.__code__.co_filename else None)
+    try:
+        found = conformance_check(model)
+    finally:
+        sys.settrace(None)
+    assert found == []
+    assert lines <= 100 * n, lines
+
+
 def test_save_load_round_trip(fuml_woven):
     model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
     text = save_model(model)
@@ -1037,9 +1132,9 @@ def reference_doc(model: ModelInstance) -> dict:
     objects = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
-        features = model.woven.classes[obj.class_name].features
+        plans = model.woven.classes[obj.class_name].slots
         slots = {fname: encode(value) for fname, value in obj.slots.items()
-                 if value != default_value(features[fname][0])}
+                 if value != default_value(plans[fname].feat)}
         objects.append({"id": oid, "class": obj.class_name, "slots": slots})
     return {"conformsTo": model.woven.package, "objects": objects,
             "roots": ["@" + r for r in model.roots]}

@@ -1,0 +1,133 @@
+"""Pinned diagnostics of the type checker.
+
+Every unit below is woven with the metamodel ``MM`` and type checked; it
+must yield exactly these rendered diagnostics, in this order.  With the
+other suites, the rows reach every diagnostic ``typecheck`` can report.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from helpers import parse_units
+from mashup.composer import compose
+from mashup.diagnostics import DiagnosticSink
+from mashup.exprs import CollectionOp, FeatureNav, SelfRef
+from mashup.typecheck import TypeContext, typecheck_expr, typecheck_units
+
+MM = """metamodel t {
+  abstract class Shape { attr n: Int; ref ks: K[*]; op area(): Int; }
+  class K extends Shape { attr s: String; }
+  class L extends K { }
+}
+"""
+
+H = 'package t;\nrequire "t.mm";\n'
+
+
+def act(members: str, cls: str = "K") -> str:
+    """A behavior unit: ``members`` in an aspect of ``cls``, beside a helper
+    operation ``take``."""
+    return (H + f"aspect class {cls} {{\n"
+            + "  operation take(v : Int) : Int is do return v end\n" + members + "\n}\n")
+
+
+def run(body: str, returns: str = "Void") -> str:
+    """A behavior unit whose operation ``K.run`` has ``body``; its lines
+    start on line 6."""
+    return act(f"  operation run() : {returns} is do\n{body}\n  end")
+
+
+def inv(members: str, cls: str = "K") -> str:
+    return H + f"aspect class {cls} {{\n{members}\n}}\n"
+
+
+CASES = [
+    # expressions
+    ("bad-navigation", "inv", inv("  inv i : 1.n == 0;"),
+     ["u0.inv:4:13: BadNavigation cannot navigate feature n on a value of type Int"]),
+    ("bad-call", "act", run("    1.take(2)"),
+     ["u0.act:6:7: BadCall cannot call take on a value of type Int"]),
+    ("unknown-operation", "act", run("    self.ghost()"),
+     ["u0.act:6:10: UnknownOperation K has no operation ghost"]),
+    ("bad-each", "act", run("    var x : Int init self.ks.each { k | var y : Int init 1 }"),
+     ["u0.act:6:30: BadEach an each block with statements must stand alone as a statement",
+      "u0.act:6:5: TypeMismatch cannot initialize x: Int with Void"]),
+    ("bad-type-test", "inv", inv("  inv i : 1.oclIsKindOf(K);"),
+     ["u0.inv:4:13: BadTypeTest oclIsKindOf applies to objects, not Int"]),
+    ("type-test-unknown-class", "inv", inv("  inv i : self.oclIsKindOf(Ghost);"),
+     ["u0.inv:4:16: UnknownClass unknown class Ghost"]),
+    ("new-unknown-class", "act", run("    var g : K init Ghost.new()"),
+     ["u0.act:6:26: UnknownClass unknown class Ghost"]),
+    ("new-abstract", "act", run("    var g : Shape init Shape.new()"),
+     ["u0.act:6:30: AbstractInstantiation cannot instantiate abstract class Shape"]),
+    ("aspect-target-act", "act", act("", cls="Ghost"),
+     ["u0.act:3:14: UnknownClass aspect targets unknown class Ghost"]),
+    ("aspect-target-inv", "inv", inv("  inv i : true;", cls="Ghost"),
+     ["u0.inv:3:14: UnknownClass aspect targets unknown class Ghost"]),
+    # type mismatches
+    ("not-bool", "inv", inv("  inv i : not 1;"),
+     ["u0.inv:4:11: TypeMismatch not expects Bool, found Int"]),
+    ("if-expr-condition", "inv", inv("  inv i : if 1 then true else false end;"),
+     ["u0.inv:4:11: TypeMismatch if condition must be Bool, found Int"]),
+    ("if-branches", "inv", inv('  inv i : if true then 1 else "a" end == 1;'),
+     ["u0.inv:4:11: TypeMismatch if branches disagree: Int vs String"]),
+    ("argument-type", "act", run("    self.take(true)"),
+     ["u0.act:6:10: TypeMismatch argument v of take expects Int, found Bool"]),
+    ("non-collection", "inv", inv("  inv i : self.n.size() == 0;"),
+     ["u0.inv:4:18: TypeMismatch size expects a collection receiver, found Int"]),
+    ("lambda-not-bool", "inv", inv("  inv i : self.ks.forAll { k | k.n };"),
+     ["u0.inv:4:19: TypeMismatch forAll lambda must yield Bool, found Int"]),
+    ("cannot-add", "inv", inv("  inv i : self.ks.add(1).isEmpty();"),
+     ["u0.inv:4:19: TypeMismatch cannot add Int to a collection of K"]),
+    ("cannot-intersect", "inv", inv("  inv i : self.ks.intersection(self.n).isEmpty();"),
+     ["u0.inv:4:19: TypeMismatch cannot intersect OrderedSet<K> with Int"]),
+    ("cannot-compare", "inv", inv('  inv i : self.n == "a";'),
+     ["u0.inv:4:18: TypeMismatch cannot compare Int with String"]),
+    ("int-operands", "inv", inv('  inv i : self.s < 1 and self.n - true == 0;'),
+     ["u0.inv:4:18: TypeMismatch < expects Int operands, found String",
+      "u0.inv:4:33: TypeMismatch - expects Int operands, found Bool"]),
+    # rules
+    ("non-boolean-condition", "inv", inv("  pre p on area : self.n + 1;"),
+     ["u0.inv:4:7: NonBooleanRule condition p must be Bool, found Int"]),
+    # statements
+    ("cannot-initialize", "act", run("    var x : Int init true"),
+     ["u0.act:6:5: TypeMismatch cannot initialize x: Int with Bool"]),
+    ("assign-unbound", "act", run("    z := 1"),
+     ["u0.act:6:5: UnknownVariable unbound variable z"]),
+    ("assign-ill-typed", "act", run("    var x : Int\n    x := true"),
+     ["u0.act:7:5: TypeMismatch cannot assign Bool to x: Int"]),
+    ("if-condition", "act", run("    if 1 then end"),
+     ["u0.act:6:5: TypeMismatch if condition must be Bool, found Int"]),
+    ("loop-condition", "act", run("    from var i : Int init 0 until i loop end"),
+     ["u0.act:6:5: TypeMismatch loop condition must be Bool, found Int"]),
+    ("each-non-collection", "act", run("    self.n.each { i | self.take(i) }"),
+     ["u0.act:6:12: TypeMismatch each expects a collection, found Int"]),
+    ("return-needs-value", "act", run("    return", "Int"),
+     ["u0.act:6:5: TypeMismatch return needs a value of type Int"]),
+    ("super-unrelated", "act", act("  operation go() : Void is do super[K]() end", cls="L"),
+     ["u0.act:5:31: BadSuper super[K]: K provides no go"]),
+    ("super-top", "act", act("  operation go() : Void is do super() end"),
+     ["u0.act:5:31: BadSuper K.go has no inherited definition to call"]),
+]
+
+# rows whose unit is checked against a model it was not woven into
+UNWOVEN = {"aspect-target-act", "aspect-target-inv"}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_type_checker_diagnostics_are_pinned(case):
+    name, kind, text, expected = case
+    units = parse_units(mm=MM, **{kind: text})
+    woven = compose(units[:1] if name in UNWOVEN else units)
+    assert [d.render() for d in typecheck_units(units[1:], woven)] == expected
+
+
+def test_collection_op_without_a_lambda_is_diagnosed():
+    """No unit source parses to a lambda operation without its lambda."""
+    woven = compose(parse_units(mm=MM))
+    sink = DiagnosticSink("u0.inv")
+    e = CollectionOp(FeatureNav(SelfRef(), "ks"), "select")
+    typecheck_expr(e, TypeContext(woven, "K", sink, pure=True))
+    assert [d.render() for d in sink.items] == [
+        "u0.inv:0:0: BadCollectionOp select requires a lambda"]
