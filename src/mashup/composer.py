@@ -578,23 +578,21 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     conforming = {sup: frozenset(names) for sup, names in below.items()}
     conforming[ROOT_CLASS] = None
 
-    # own (declared-at-this-class) members, with unit attribution; one slot
-    # plan per declared feature
+    # own (declared-at-this-class) members; one slot plan per declared feature
     own_plans: dict[str, list[SlotPlan]] = {}
-    own_methods: dict[str, list[tuple[MethodDef, str]]] = {}
-    own_sigs: dict[str, list[tuple[OperationSig, str]]] = {}
+    own_methods: dict[str, list[MethodDef]] = {}
+    own_sigs: dict[str, list[OperationSig]] = {}
     for name in all_names:
         feats: list[Attribute | Reference] = []
-        sigs: list[tuple[OperationSig, str]] = []
+        sigs: list[OperationSig] = []
         if name in base:
-            cls, unit_name = base[name]
-            feats.extend(cls.features())
-            sigs.extend((s, unit_name) for s in cls.operations)
+            feats.extend(base[name][0].features())
+            sigs.extend(base[name][0].operations)
         if name in contribs:
             cc = contribs[name]
             feats.extend(f for f, _unit in cc.attributes + cc.references)
-            own_methods[name] = list(cc.methods)
-            sigs.extend((m.sig, unit) for m, unit in cc.methods)
+            own_methods[name] = [m for m, _unit in cc.methods]
+            sigs.extend(m.sig for m in own_methods[name])
         own_plans[name] = [SlotPlan(f, name, conforming) for f in feats]
         own_sigs[name] = sigs
 
@@ -623,12 +621,12 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
 
         op_sigs: dict[str, tuple[OperationSig, str]] = {}
         for cls in lin:
-            for sig, _unit in own_sigs.get(cls, ()):
+            for sig in own_sigs.get(cls, ()):
                 op_sigs.setdefault(sig.name, (sig, cls))
 
         definers: dict[str, list[tuple[str, MethodDef]]] = {}
         for cls in lin:
-            for mdef, _unit in own_methods.get(cls, ()):
+            for mdef in own_methods.get(cls, ()):
                 definers.setdefault(mdef.sig.name, []).append((cls, mdef))
 
         table: dict[str, tuple[tuple[str, MethodDef], ...]] = {

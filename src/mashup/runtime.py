@@ -981,7 +981,7 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
     sink, opposites, containment = (DiagnosticSink(source) for _ in range(3))
     objects, classes = model.objects, model.woven.classes
     container_of: dict[str, tuple[str, str]] = {}
-    listed: dict[int, set[str]] = {}  # the ids of long opposite collections (_holds)
+    listed: dict[int, set[str]] = {}  # the ids of long opposite collections (_lists)
     for oid, obj in objects.items():
         wc = classes.get(obj.class_name)
         if wc is None:
@@ -1034,12 +1034,15 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
                 tid = tgt.id
                 if sp.opposite is not None:
                     t_obj = objects.get(tid)
-                    if t_obj is not None and not _holds(t_obj.slots.get(sp.opposite), oid, listed):
-                        opposites.add(
-                            "OppositeMismatch",
-                            f"{oid}.{sp.name} lists {tid} but {tid}.{sp.opposite} "
-                            f"does not list {oid}",
-                        )
+                    if t_obj is not None:
+                        back = t_obj.slots.get(sp.opposite)
+                        if not (back.id == oid if back.__class__ is ObjRef
+                                else _lists(back, oid, listed)):
+                            opposites.add(
+                                "OppositeMismatch",
+                                f"{oid}.{sp.name} lists {tid} but {tid}.{sp.opposite} "
+                                f"does not list {oid}",
+                            )
                 if sp.containment:
                     if tid in container_of:
                         containment.add(
@@ -1064,15 +1067,16 @@ def _element_problem(objects: dict[str, Obj], where: str, sp: SlotPlan, value) -
     return f"{where} expects {sp.feat.target}, found {target.class_name}"
 
 
-def _holds(value, oid: str, listed: dict[int, set[str]]) -> bool:
-    """Whether a reference slot's value lists the object ``oid``.  A long
-    collection is read once, into the set of ids it lists, which ``listed``
-    keeps by the collection's identity while the check runs."""
-    if isinstance(value, ObjRef):
-        return value.id == oid
+_SCAN_LIMIT = 8  # the measured crossover (BENCH_10.json "opposite_crossover")
+
+
+def _lists(value, oid: str, listed: dict[int, set[str]]) -> bool:
+    """Whether a collection value lists the object ``oid``: scanned up to
+    ``_SCAN_LIMIT`` elements, past it read once into the set of its ids,
+    which ``listed`` keeps by the collection's identity while the check runs."""
     if not isinstance(value, Coll):
         return False
-    if len(value.items) > 8:  # past about 8 elements, hashing beats scanning
+    if len(value.items) > _SCAN_LIMIT:
         ids = listed.get(id(value))
         if ids is None:
             ids = listed[id(value)] = {x.id for x in value.items if isinstance(x, ObjRef)}

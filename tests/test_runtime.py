@@ -11,7 +11,7 @@ from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
 from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
-    Interpreter, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
+    _SCAN_LIMIT, Interpreter, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
     conformance_check, create_instance, default_value, eval_expr, invoke, is_default,
     load_model, remove_from_feature, save_model, set_feature,
 )
@@ -1017,6 +1017,40 @@ _HUB_WOVEN = weave(mm="metamodel h { class Hub { ref incoming: Edge[*] opposite 
                       "class Edge { ref target: Hub[0..1] opposite incoming; } }")
 
 
+def _hub_doc(n: int, listed: range) -> str:
+    """A hub ``h`` with ``n`` edges targeting it, of which ``incoming`` lists
+    those in ``listed``."""
+    edges = [{"id": f"e{i}", "class": "Edge", "slots": {"target": "@h"}} for i in range(n)]
+    return json.dumps({"conformsTo": "h", "roots": ["@h"] + [f"@e{i}" for i in range(n)],
+                       "objects": [{"id": "h", "class": "Hub", "slots": {
+                           "incoming": [f"@e{i}" for i in listed]}}] + edges})
+
+
+@pytest.mark.parametrize("n", [2, _SCAN_LIMIT, _SCAN_LIMIT + 1, 1000])
+def test_opposite_check_agrees_on_short_and_long_collections(n):
+    """Opposite collections up to ``_SCAN_LIMIT`` are scanned and longer ones
+    hashed; both report every unlisted edge, in link order, and the hub is
+    told apart from an edge that targets another hub."""
+    model = load_model(_hub_doc(n, range(n)), _HUB_WOVEN)
+    assert conformance_check(model) == []
+    with pytest.raises(TypecheckError) as exc:
+        load_model(_hub_doc(n, range(1, n, 2)), _HUB_WOVEN)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"<model>:0:0: OppositeMismatch e{i}.target lists h but h.incoming does not list e{i}"
+        for i in range(0, n, 2)]
+    doc = json.loads(_hub_doc(n, range(n)))  # odd edges retargeted to a hub g
+    for edge in doc["objects"][2::2]:
+        edge["slots"]["target"] = "@g"
+    doc["roots"].append("@g")
+    doc["objects"].append({"id": "g", "class": "Hub", "slots": {
+        "incoming": [f"@e{i}" for i in range(1, n, 2)]}})
+    with pytest.raises(TypecheckError) as exc:
+        load_model(json.dumps(doc), _HUB_WOVEN)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"<model>:0:0: OppositeMismatch h.incoming lists e{i} but e{i}.target does not list h"
+        for i in range(1, n, 2)]
+
+
 def test_opposite_check_reads_each_opposite_collection_once():
     """A hub with 1000 incoming edges: checking each edge's ``target``
     against the hub's ``incoming`` must not scan that collection once per
@@ -1025,18 +1059,11 @@ def test_opposite_check_reads_each_opposite_collection_once():
     import sys
 
     n = 1000
-
-    def hub_doc(listed: range) -> str:
-        edges = [{"id": f"e{i}", "class": "Edge", "slots": {"target": "@h"}} for i in range(n)]
-        return json.dumps({"conformsTo": "h", "roots": ["@h"] + [f"@e{i}" for i in range(n)],
-                           "objects": [{"id": "h", "class": "Hub", "slots": {
-                               "incoming": [f"@e{i}" for i in listed]}}] + edges})
-
     with pytest.raises(TypecheckError) as exc:
-        load_model(hub_doc(range(1, n)), _HUB_WOVEN)
+        load_model(_hub_doc(n, range(1, n)), _HUB_WOVEN)
     assert [d.render() for d in exc.value.diagnostics] == [
         "<model>:0:0: OppositeMismatch e0.target lists h but h.incoming does not list e0"]
-    model = load_model(hub_doc(range(n)), _HUB_WOVEN)
+    model = load_model(_hub_doc(n, range(n)), _HUB_WOVEN)
     lines = 0
 
     def count(frame, event, _arg):
