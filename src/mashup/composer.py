@@ -20,8 +20,8 @@ behavior units alike) into its base metamodel class, producing one
   postconditions the conjunction of every clause.
 
 Two base metamodel classes with the same name can never be mixed; that
-composition is forbidden outright.  Aspect contributions to a name no
-metamodel declares create an aspect-only class.
+composition is forbidden outright.  An aspect reopens a class a metamodel
+declares; an aspect of any other name is an error.
 
 compose() is a pure function of its input units; the returned WovenModel is
 never mutated afterwards and may be shared read-only across threads.
@@ -29,6 +29,7 @@ never mutated afterwards and may be shared read-only across threads.
 
 from __future__ import annotations
 
+import difflib
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,7 +45,7 @@ from .exprs import Coll, Value, type_default
 from .lexer import Lexer, parse_header
 from .metamodel import (
     Attribute, MetaClass, Metamodel, OperationSig, Param, Reference, feature_type,
-    parse_metamodel, supertype_cycle,
+    parse_metamodel, supertypes_first,
 )
 from .semtypes import PRIMITIVES, SemType, STRING, VOID, class_type
 
@@ -284,32 +285,29 @@ def linearize_all(graph: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...
     supertypes concatenated in reverse declaration order; a class occurring
     several times keeps only its last (rightmost) occurrence.  ``Root`` is
     always final.  Keeping last occurrences composes, so each class reuses
-    its supertypes' results instead of expanding the whole DAG.
+    its supertypes' results instead of expanding the whole DAG: classes are
+    linearized supertypes first, so no hierarchy is too deep.
     """
-    cycle = supertype_cycle(graph)
+    order, cycle = supertypes_first(graph)
     if cycle:
         raise CompositionError(
             [Diagnostic("CycleError", "supertype cycle: " + " -> ".join(cycle))]
         )
     memo: dict[str, tuple[str, ...]] = {ROOT_CLASS: (ROOT_CLASS,)}
-
-    def lin(c: str) -> tuple[str, ...]:
-        if c not in memo:
-            # walk the concatenation right to left, keeping first sightings
-            parts = [(ROOT_CLASS,)] + [lin(sup) for sup in graph.get(c, ())]
-            seen: set[str] = set()
-            out: list[str] = []
-            for part in parts:
-                for name in reversed(part):
-                    if name not in seen:
-                        seen.add(name)
-                        out.append(name)
-            out.append(c)
-            out.reverse()
-            memo[c] = tuple(out)
-        return memo[c]
-
-    return {name: lin(name) for name in graph}
+    for c in order:
+        # walk the concatenation right to left, keeping first sightings
+        parts = [(ROOT_CLASS,)] + [memo[sup] for sup in graph[c]]
+        seen: set[str] = set()
+        out: list[str] = []
+        for part in parts:
+            for name in reversed(part):
+                if name not in seen:
+                    seen.add(name)
+                    out.append(name)
+        out.append(c)
+        out.reverse()
+        memo[c] = tuple(out)
+    return {name: memo[name] for name in graph}
 
 
 def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -357,7 +355,6 @@ class SlotPlan:
 @dataclass
 class WovenClass:
     name: str
-    origin: str  # 'base' | 'aspect'
     is_abstract: bool
     supertypes: tuple[str, ...]
     linearization: tuple[str, ...]
@@ -497,10 +494,10 @@ def _is_ambiguous(entries, lin_of: dict[str, tuple[str, ...]]) -> bool:
 def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     """Weave parsed units into a WovenModel.
 
-    Raises CompositionError for forbidden base/base mixes, member clashes,
-    dangling names, supertype cycles and bad renamings.  Ambiguous methods
-    do not abort composition; they are recorded on the class and reported by
-    resolve_method_conflicts.
+    Raises CompositionError for forbidden base/base mixes, aspects of
+    undeclared classes, member clashes, dangling names, supertype cycles and
+    bad renamings.  Ambiguous methods do not abort composition; they are
+    recorded on the class and reported by resolve_method_conflicts.
     """
     metamodels = [u for u in units if isinstance(u, Metamodel)]
     if not metamodels:
@@ -525,6 +522,12 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                 )
             base[cls.name] = (cls, mm.source_unit)
 
+    if ROOT_CLASS in base:
+        raise CompositionError(
+            [Diagnostic("ReservedName", f"{ROOT_CLASS} is the implicit reflection root")]
+        )
+
+    sink = DiagnosticSink("<compose>")
     contribs: dict[str, ClassContribution] = {}
     for unit in units:
         aspects: tuple = ()
@@ -533,41 +536,32 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         elif isinstance(unit, BehaviorModule):
             aspects = unit.aspects
         for aspect in aspects:
+            name = aspect.class_name
+            if name not in base:
+                hint = difflib.get_close_matches(name, base, n=1)
+                sink.add("UnknownAspectTarget", f"aspect targets unknown class {name}"
+                         + (f"; did you mean {hint[0]}?" if hint else ""),
+                         aspect.pos, unit.source_unit)
+                continue
             cc = contribution_of(aspect, unit.source_unit)
-            name = cc.class_name
             contribs[name] = merge_contributions(contribs[name], cc) if name in contribs else cc
+    if sink:
+        raise CompositionError(sink.items)
 
-    all_names = list(base)
-    for name in contribs:
-        if name not in all_names:
-            all_names.append(name)
-    if ROOT_CLASS in all_names:
-        raise CompositionError(
-            [Diagnostic("ReservedName", f"{ROOT_CLASS} is the implicit reflection root")]
-        )
-
-    sink = DiagnosticSink("<compose>")
     graph: dict[str, tuple[str, ...]] = {}
-    for name in all_names:
-        declared = base[name][0].supertypes if name in base else ()
-        added = contribs[name].added_supertypes if name in contribs else ()
-        supers = list(declared)
-        for s in added:
+    for name in base:
+        supers = list(base[name][0].supertypes)
+        for s in contribs[name].added_supertypes if name in contribs else ():
             if s not in supers:
                 supers.append(s)
         for s in supers:
-            if s not in all_names:
+            if s not in base:
                 sink.add("ResolutionError", f"class {name} inherits unknown class {s}")
         graph[name] = tuple(supers)
     if sink:
         raise CompositionError(sink.items)
 
-    try:
-        lin_of = linearize_all(graph)
-    except RecursionError:
-        raise CompositionError(
-            [Diagnostic("HierarchyTooDeep", "class hierarchy is nested too deeply", "<compose>")]
-        ) from None
+    lin_of = linearize_all(graph)
 
     # the classes conforming to each class, from one inverse pass over the
     # linearizations; every class conforms to the root
@@ -582,12 +576,9 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     own_plans: dict[str, list[SlotPlan]] = {}
     own_methods: dict[str, list[MethodDef]] = {}
     own_sigs: dict[str, list[OperationSig]] = {}
-    for name in all_names:
-        feats: list[Attribute | Reference] = []
-        sigs: list[OperationSig] = []
-        if name in base:
-            feats.extend(base[name][0].features())
-            sigs.extend(base[name][0].operations)
+    for name in base:
+        feats: list[Attribute | Reference] = list(base[name][0].features())
+        sigs: list[OperationSig] = list(base[name][0].operations)
         if name in contribs:
             cc = contribs[name]
             feats.extend(f for f, _unit in cc.attributes + cc.references)
@@ -599,12 +590,12 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     woven = WovenModel(
         package, {}, ROOT_CLASS,
         base_units=tuple(dict.fromkeys(mm.source_unit for mm in metamodels)),
-        aspect_units={name: contribs[name].units for name in all_names if name in contribs},
+        aspect_units={name: contribs[name].units for name in base if name in contribs},
         method_units={(name, m.sig.name): unit
                       for name, cc in contribs.items() for m, unit in cc.methods},
     )
 
-    for name in all_names:
+    for name in base:
         lin = lin_of[name]
         slots: dict[str, SlotPlan] = {}
         for cls in lin:
@@ -647,13 +638,11 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
 
         wc = WovenClass(
             name=name,
-            origin="base" if name in base else "aspect",
-            is_abstract=base[name][0].is_abstract if name in base else False,
+            is_abstract=base[name][0].is_abstract,
             supertypes=graph[name],
             linearization=lin,
             op_sigs=op_sigs,
-            base_sig_names=frozenset(
-                s.name for s in base[name][0].operations) if name in base else frozenset(),
+            base_sig_names=frozenset(s.name for s in base[name][0].operations),
             method_table=table,
             raw_definers={op: tuple(entries) for op, entries in definers.items()},
             ambiguous_ops=ambiguous,
@@ -782,9 +771,8 @@ def emit_report(woven: WovenModel) -> str:
            "base units: " + (", ".join(woven.base_units) or "(none)"),
            f"rich classes: {len(rich)}"]
     for name, wc in rich:
-        base = f"{name}Base" if wc.origin == "base" else f"{woven.root_class}Base"
         traits = [f"{name}Aspect<{u}>" for u in woven.aspect_units[name]]
-        out += ["", f"Rich{name} = {base} with " + " with ".join(traits)]
+        out += ["", f"Rich{name} = {name}Base with " + " with ".join(traits)]
         if not wc.is_abstract:
             out.append(f"  factory: create{name} -> Rich{name}")
         out.append(f"  convert: {name} <-> Rich{name}")

@@ -65,7 +65,7 @@ class EvalFault(Exception):
     """Unrecoverable runtime fault inside DSL execution.
 
     ``kind`` is a stable machine-readable tag (TypeFault, DivisionByZero,
-    UnboundVariable, NoSuchMethod, AbstractInstantiation, UnknownClass,
+    NoSuchMethod, AbstractInstantiation, UnknownClass,
     UpperBoundExceeded, ContainmentCycle, StackOverflow, Fault, ...).
     """
 

@@ -253,34 +253,38 @@ def parse_metamodel(text: str, unit: str = "<mm>") -> Metamodel:
 # ---------------------------------------------------------------------------
 
 
-def supertype_cycle(classes: dict[str, tuple[str, ...]]) -> list[str] | None:
-    """Return one cycle through the supertype relation, if any."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {name: WHITE for name in classes}
-    stack: list[str] = []
+def supertypes_first(classes: dict[str, tuple[str, ...]]) -> tuple[list[str], list[str] | None]:
+    """The classes in an order that puts every class after its supertypes,
+    and one cycle through the supertype relation, or None.
 
-    def visit(name: str) -> list[str] | None:
-        state[name] = GREY
-        stack.append(name)
-        for sup in classes.get(name, ()):
-            if sup not in classes:
-                continue
-            if state[sup] == GREY:
-                return stack[stack.index(sup):] + [sup]
-            if state[sup] == WHITE:
-                found = visit(sup)
-                if found:
-                    return found
-        stack.pop()
-        state[name] = BLACK
-        return None
-
-    for name in classes:
-        if state[name] == WHITE:
-            found = visit(name)
-            if found:
-                return found
-    return None
+    One depth-first walk, without recursion, so a hierarchy of any depth in
+    any declaration order is walked; supertypes ``classes`` does not list
+    are skipped.  When there is a cycle the order stops short.
+    """
+    done: set[str] = set()
+    order: list[str] = []
+    for start in classes:
+        if start in done:
+            continue
+        path = [start]  # the walk from ``start`` to the class being visited
+        on_path = {start}
+        pending = [iter(classes[start])]  # each path class's unvisited supertypes
+        while pending:
+            for sup in pending[-1]:
+                if sup in on_path:
+                    return order, path[path.index(sup):] + [sup]
+                if sup in classes and sup not in done:
+                    path.append(sup)
+                    on_path.add(sup)
+                    pending.append(iter(classes[sup]))
+                    break
+            else:
+                pending.pop()
+                name = path.pop()
+                on_path.discard(name)
+                done.add(name)
+                order.append(name)
+    return order, None
 
 
 def _check_bounds(b: Bounds, where: str, pos: Pos, sink: DiagnosticSink) -> None:
@@ -359,7 +363,7 @@ def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
                     op.pos,
                 )
 
-    cycle = supertype_cycle({c.name: c.supertypes for c in mm.classes})
+    _order, cycle = supertypes_first({c.name: c.supertypes for c in mm.classes})
     if cycle:
         sink.add("CycleError", "supertype cycle: " + " -> ".join(cycle))
     return sink.items

@@ -42,12 +42,14 @@ from .diagnostics import (
     UnitParseError,
 )
 from .exprs import (
-    BinOp, BoolLit, Coll, CollectionOp, EachBlock, FeatureNav, IfExpr, IntLit,
+    BinOp, BoolLit, Coll, CollectionOp, FeatureNav, IfExpr, IntLit,
     New, Not, ObjRef, OpCall, SelfRef, StringLit, StringV, TypeTest, Value,
     VarRef, VoidLit, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
     render_value, type_default,
 )
 from .metamodel import Attribute, Reference, feature_type
+from .semtypes import BOOL, INT, STRING, VOID, SemType, class_type, coll
+from .typecheck import TypeContext, typecheck_expr
 
 POLICY_OFF = "off"
 POLICY_PREPOST = "prepost"
@@ -406,18 +408,16 @@ class _ReturnSignal(Exception):
 
 
 class _Frame:
-    """One activation: ``self``, its variable scopes, and whether it is pure.
-    A pure frame (a contract rule; ``eval_expr`` by default) faults on
-    operation calls, instantiation and model mutation, so a constraint can
-    never change the model it inspects."""
+    """One activation: ``self``, its variable scopes and, in a method body,
+    the class defining the method and the operation's name, which ``super``
+    continues from."""
 
-    __slots__ = ("self_obj", "scopes", "pure", "defining_class", "op_name")
+    __slots__ = ("self_obj", "scopes", "defining_class", "op_name")
 
-    def __init__(self, self_obj: Obj, scopes: list[dict[str, Value]], pure: bool,
+    def __init__(self, self_obj: Obj, scopes: list[dict[str, Value]],
                  defining_class: str | None = None, op_name: str | None = None):
         self.self_obj = self_obj
         self.scopes = scopes
-        self.pure = pure
         self.defining_class = defining_class
         self.op_name = op_name
 
@@ -426,8 +426,16 @@ class Interpreter:
     """One run: the model, its contract policy, the event trace and the frame
     stack, with the tree-walking evaluator for expressions and method bodies.
 
-    Whether code may call operations, instantiate or mutate the model is
-    not the interpreter's state but that of the ``_Frame`` the code runs in.
+    The model's woven model must come from ``build_units``, or from
+    ``compose`` with ``typecheck_units`` reporting nothing: the interpreter
+    runs only type-checked code.  It does not check again what the checker
+    proved (that a receiver is an object or a collection, that a feature,
+    variable or ``super`` target exists, that a rule has no side effect);
+    it checks only what a type cannot rule out: a void value where a Bool,
+    an Int, a String, an object or a collection is due, division by zero, a
+    failed ``asType``, contracts, and the operation a caller of ``invoke``
+    names with its number of arguments; the arguments' types are the
+    caller's to match.
     """
 
     def __init__(self, model: ModelInstance, policy: str = POLICY_PREPOST):
@@ -442,14 +450,7 @@ class Interpreter:
 
     def invoke(self, recv: ObjRef, op: str, args: list[Value]) -> Value:
         obj = self.model.obj(recv.id)
-        wc = self.woven.classes.get(obj.class_name)
-        if wc is None:
-            raise EvalFault("UnknownClass", f"object {obj.id} has unknown class {obj.class_name}")
-        if op in wc.ambiguous_ops:
-            raise EvalFault(
-                "AmbiguousMethod",
-                f"{obj.class_name}.{op} is ambiguous; resolve it with a renaming",
-            )
+        wc = self.woven.classes[obj.class_name]
         entries = wc.method_table.get(op)
         if not entries:
             if op in ROOT_BUILTINS:
@@ -474,7 +475,7 @@ class Interpreter:
         return result
 
     def _execute_method(self, owner: str, mdef: MethodDef, obj: Obj, args) -> Value:
-        self.frames.append(_Frame(obj, [], False, owner, mdef.sig.name))
+        self.frames.append(_Frame(obj, [], owner, mdef.sig.name))
         try:
             self.exec_block(mdef.body, {p.name: a for p, a in zip(mdef.sig.params, args)})
             return VOID_VALUE
@@ -508,10 +509,10 @@ class Interpreter:
 
     # -- contracts ---------------------------------------------------------
 
-    def _eval_in_frame(self, e, obj: Obj, scope: dict[str, Value], pure: bool) -> Value:
+    def _eval_in_frame(self, e, obj: Obj, scope: dict[str, Value]) -> Value:
         """Evaluate ``e`` in a frame of its own, with ``self`` = ``obj`` and
         ``scope`` as its only scope."""
-        self.frames.append(_Frame(obj, [scope], pure))
+        self.frames.append(_Frame(obj, [scope]))
         try:
             return self.eval(e)
         finally:
@@ -552,7 +553,7 @@ class Interpreter:
         return ContractViolation(error, name, obj.id)
 
     def _rule_holds(self, body, obj: Obj, scope: dict[str, Value]) -> bool:
-        value = self._eval_in_frame(body, obj, scope, True)
+        value = self._eval_in_frame(body, obj, scope)
         if not isinstance(value, BoolV):
             raise EvalFault("TypeFault", "contract rule did not yield a Bool")
         return value.b
@@ -577,15 +578,11 @@ class Interpreter:
         value = self.eval(stmt.rhs)
         lv = stmt.lvalue
         if isinstance(lv, VarRef):
-            for scope in reversed(self.frames[-1].scopes):
-                if lv.name in scope:
-                    scope[lv.name] = value
-                    return
-            raise EvalFault("UnboundVariable", f"unbound variable {lv.name}")
+            next(s for s in reversed(self.frames[-1].scopes) if lv.name in s)[lv.name] = value
+            return
         recv = self.eval(lv.receiver)
         if not isinstance(recv, ObjRef):
             raise EvalFault("TypeFault", f"cannot assign feature {lv.feature} on void")
-        self._mutation_guard()
         set_feature(self.model, recv, lv.feature, value)
 
     def _exec_exprstmt(self, stmt: ExprStmt) -> None:
@@ -600,7 +597,6 @@ class Interpreter:
             if not isinstance(recv, ObjRef):
                 raise EvalFault("TypeFault", f"cannot add to feature {e.receiver.feature} on void")
             value = self.eval(e.arg)
-            self._mutation_guard()
             add_to_feature(self.model, recv, e.receiver.feature, value)
             return
         self.eval(e)
@@ -629,12 +625,10 @@ class Interpreter:
         finally:
             scopes.pop()
 
-    def _exec_eachloop(self, stmt: EachLoop | EachBlock) -> None:
+    def _exec_eachloop(self, stmt: EachLoop) -> None:
         recv = self.eval(stmt.receiver)
         if isinstance(recv, VoidV):
             return
-        if not isinstance(recv, Coll):
-            raise EvalFault("TypeFault", "each expects a collection")
         for item in list(recv.items):
             self.exec_block(stmt.body, {stmt.param: item})
 
@@ -643,42 +637,15 @@ class Interpreter:
 
     def _exec_super(self, stmt: SuperCall) -> None:
         frame = self.frames[-1]
-        if frame.op_name is None or frame.defining_class is None:
-            raise EvalFault("NoSuchMethod", "super outside of a method body")
         obj = frame.self_obj
         args = [self.eval(a) for a in stmt.args]
         if stmt.qualifier is not None:
-            source = self.woven.classes.get(stmt.qualifier)
-            chain = source.raw_definers.get(frame.op_name, ()) if source else ()
-            if not chain:
-                raise EvalFault(
-                    "NoSuchMethod",
-                    f"super[{stmt.qualifier}] provides no {frame.op_name}",
-                )
-            owner, mdef = chain[0]
+            owner, mdef = self.woven.classes[stmt.qualifier].raw_definers[frame.op_name][0]
         else:
-            wc = self.woven.classes[obj.class_name]
-            chain = wc.raw_definers.get(frame.op_name, ())
+            chain = self.woven.classes[obj.class_name].raw_definers[frame.op_name]
             owners = [o for o, _m in chain]
-            try:
-                idx = owners.index(frame.defining_class)
-            except ValueError:
-                raise EvalFault(
-                    "NoSuchMethod", f"super lookup lost {frame.defining_class}"
-                ) from None
-            if idx + 1 >= len(chain):
-                raise EvalFault(
-                    "NoSuchMethod", f"{frame.op_name} has no definition above "
-                    f"{frame.defining_class}",
-                )
-            owner, mdef = chain[idx + 1]
-        if len(args) != len(mdef.sig.params):
-            raise EvalFault("TypeFault", f"super {frame.op_name}: wrong argument count")
+            owner, mdef = chain[owners.index(frame.defining_class) + 1]
         self._execute_method(owner, mdef, obj, args)
-
-    def _mutation_guard(self) -> None:
-        if self.frames[-1].pure:
-            raise EvalFault("TypeFault", "model mutation in a side-effect-free context")
 
     # -- expressions -------------------------------------------------------
 
@@ -692,7 +659,6 @@ class Interpreter:
         for scope in reversed(self.frames[-1].scopes):
             if e.name in scope:
                 return scope[e.name]
-        raise EvalFault("UnboundVariable", f"unbound variable {e.name}")
 
     def _eval_int(self, e: IntLit) -> Value:
         return IntV(e.value)
@@ -710,15 +676,7 @@ class Interpreter:
         recv = self.eval(e.receiver)
         if isinstance(recv, VoidV):
             return VOID_VALUE
-        if not isinstance(recv, ObjRef):
-            raise EvalFault("TypeFault", f"cannot navigate {e.feature} on {render_value(recv)}")
-        obj = self.model.obj(recv.id)
-        try:
-            value = obj.slots[e.feature]
-        except KeyError:
-            raise EvalFault(
-                "TypeFault", f"{obj.class_name} has no feature {e.feature}"
-            ) from None
+        value = self.model.obj(recv.id).slots[e.feature]
         if isinstance(value, Coll):
             return Coll(value.kind, list(value.items))
         return value
@@ -727,10 +685,6 @@ class Interpreter:
         recv = self.eval(e.receiver)
         if isinstance(recv, VoidV):
             raise EvalFault("TypeFault", f"operation call {e.op} on void")
-        if not isinstance(recv, ObjRef):
-            raise EvalFault("TypeFault", f"operation call {e.op} on {render_value(recv)}")
-        if self.frames[-1].pure:
-            raise EvalFault("TypeFault", f"operation call {e.op} in a side-effect-free context")
         args = [self.eval(a) for a in e.args]
         return self.invoke(recv, e.op, args)
 
@@ -738,8 +692,6 @@ class Interpreter:
         recv = self.eval(e.receiver)
         if isinstance(recv, VoidV):
             return VOID_VALUE
-        if not isinstance(recv, Coll):
-            raise EvalFault("TypeFault", f"{e.op_kind} on non-collection {render_value(recv)}")
         kind = e.op_kind
         if kind == "isEmpty":
             return TRUE if not recv.items else FALSE
@@ -785,17 +737,10 @@ class Interpreter:
             return FALSE if hit else TRUE  # forAll passed every element, exists none
         return Coll(recv.kind, out)
 
-    def _eval_eachblock(self, e: EachBlock) -> Value:
-        self._mutation_guard()
-        self._exec_eachloop(e)
-        return VOID_VALUE
-
     def _eval_typetest(self, e: TypeTest) -> Value:
         recv = self.eval(e.receiver)
         if isinstance(recv, VoidV):
             return FALSE if e.test_kind == "oclIsKindOf" else VOID_VALUE
-        if not isinstance(recv, ObjRef):
-            raise EvalFault("TypeFault", f"{e.test_kind} on {render_value(recv)}")
         obj = self.model.obj(recv.id)
         conforms = self.woven.conforms(obj.class_name, e.target)
         if e.test_kind == "oclIsKindOf":
@@ -866,8 +811,6 @@ class Interpreter:
         return self.eval(e.then if cond.b else e.orelse)
 
     def _eval_new(self, e: New) -> Value:
-        if self.frames[-1].pure:
-            raise EvalFault("TypeFault", "new in a side-effect-free context")
         return create_instance(self.model, e.class_name)
 
 
@@ -881,7 +824,6 @@ _EVAL = {
     FeatureNav: Interpreter._eval_nav,
     OpCall: Interpreter._eval_opcall,
     CollectionOp: Interpreter._eval_collop,
-    EachBlock: Interpreter._eval_eachblock,
     TypeTest: Interpreter._eval_typetest,
     BinOp: Interpreter._eval_binop,
     Not: Interpreter._eval_not,
@@ -906,8 +848,33 @@ _LAMBDA_HITS = {"select": True, "reject": False, "forAll": False, "exists": True
 
 def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None = None,
               pure: bool = True) -> Value:
-    """Evaluate one expression with self bound; pure by default."""
-    return interp._eval_in_frame(e, interp.model.resolve(self_obj), dict(scope or {}), pure)
+    """Type check one expression, then evaluate it with ``self`` bound.
+
+    ``self`` and each scope variable are typed from their values.  A pure
+    expression (the default) may not call operations or instantiate, as a
+    contract rule may not.  An ill-typed expression raises TypecheckError.
+    """
+    obj = interp.model.resolve(self_obj)
+    scope = dict(scope or {})
+    types = {name: _value_type(interp.model, value) for name, value in scope.items()}
+    sink = DiagnosticSink("<expr>")
+    typecheck_expr(e, TypeContext(interp.woven, obj.class_name, sink, pure, scopes=[types]))
+    if sink:
+        raise TypecheckError(sink.items)
+    return interp._eval_in_frame(e, obj, scope)
+
+
+_PRIM_TYPES = {IntV: INT, BoolV: BOOL, StringV: STRING, VoidV: VOID}
+
+
+def _value_type(model: ModelInstance, value: Value) -> SemType:
+    """The static type of a value; a collection has its first element's
+    type, or Void when it is empty."""
+    if isinstance(value, Coll):
+        return coll(value.kind, _value_type(model, value.items[0]) if value.items else VOID)
+    if isinstance(value, ObjRef):
+        return class_type(model.obj(value.id).class_name)
+    return _PRIM_TYPES[type(value)]
 
 
 def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
@@ -935,11 +902,12 @@ class CheckResult:
 
 def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = "",
                     interp: Interpreter | None = None) -> CheckResult:
-    """Evaluate one invariant on one object; faults become error results.
-    ``interp`` (by default a fresh one without contracts) evaluates it."""
+    """Evaluate one invariant of the woven model on one object; faults become
+    error results.  ``interp`` (by default a fresh one without contracts)
+    evaluates it."""
     obj = model.resolve(obj)
     try:
-        value = eval_expr(inv.body, interp or Interpreter(model, POLICY_OFF), obj)
+        value = (interp or Interpreter(model, POLICY_OFF))._eval_in_frame(inv.body, obj, {})
     except EvalFault as fault:
         return CheckResult("error", inv.name, obj.id, owner, str(fault))
     if isinstance(value, BoolV) and value.b:
@@ -956,10 +924,7 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
     out: list[CheckResult] = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
-        wc = model.woven.classes.get(obj.class_name)
-        if wc is None:
-            continue
-        for owner, inv in wc.flat_invariants:
+        for owner, inv in model.woven.classes[obj.class_name].flat_invariants:
             out.append(check_invariant(inv, obj, model, owner, interp))
     return out
 

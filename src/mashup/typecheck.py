@@ -250,18 +250,16 @@ def _typecheck_collection_op(e: CollectionOp, ctx: TypeContext) -> SemType:
                 "TypeMismatch", f"cannot add {at} to a collection of {elem}", e.pos
             )
         return rt
-    if e.op_kind == "intersection":
-        at = typecheck_expr(e.arg, ctx)
-        if not is_error(at):
-            if at.kind != "coll" or not (
-                assignable(ctx.woven, at.elem, elem) or assignable(ctx.woven, elem, at.elem)
-            ):
-                ctx.sink.add(
-                    "TypeMismatch", f"cannot intersect {rt} with {at}", e.pos
-                )
-        return rt
-    ctx.sink.add("BadCollectionOp", f"{e.op_kind} requires a lambda", e.pos)
-    return ERROR
+    # intersection; the parser gives every other operation its lambda
+    at = typecheck_expr(e.arg, ctx)
+    if not is_error(at):
+        if at.kind != "coll" or not (
+            assignable(ctx.woven, at.elem, elem) or assignable(ctx.woven, elem, at.elem)
+        ):
+            ctx.sink.add(
+                "TypeMismatch", f"cannot intersect {rt} with {at}", e.pos
+            )
+    return rt
 
 
 def _typecheck_binop(e: BinOp, ctx: TypeContext) -> SemType:
@@ -306,11 +304,7 @@ def _typecheck_binop(e: BinOp, ctx: TypeContext) -> SemType:
 def typecheck_contracts(cm: ContractModule, woven: WovenModel) -> list[Diagnostic]:
     sink = DiagnosticSink(cm.source_unit)
     for contrib in cm.contributions:
-        wc = woven.classes.get(contrib.class_name)
-        if wc is None:
-            sink.add("UnknownClass", f"aspect targets unknown class {contrib.class_name}",
-                     contrib.pos)
-            continue
+        wc = woven.classes[contrib.class_name]
         for inv in contrib.invariants:
             ctx = TypeContext(woven, contrib.class_name, sink, pure=True)
             t = typecheck_expr(inv.body, ctx)
@@ -372,11 +366,6 @@ def typecheck_behavior(bm: BehaviorModule, woven: WovenModel) -> list[Diagnostic
     """Check added members and every method body against the woven model."""
     sink = DiagnosticSink(bm.source_unit)
     for aspect in bm.aspects:
-        wc = woven.classes.get(aspect.class_name)
-        if wc is None:
-            sink.add("UnknownClass", f"aspect targets unknown class {aspect.class_name}",
-                     aspect.pos)
-            continue
         for mdef in aspect.methods:
             _check_method(bm, aspect, mdef, woven, sink)
     return sink.items
@@ -500,9 +489,14 @@ def _check_stmt(stmt, ctx: TypeContext) -> None:
 
 
 def _check_super(stmt: SuperCall, ctx: TypeContext) -> None:
+    """``super[Q](...)`` calls Q's first definition of the operation, and a
+    plain ``super(...)`` the next definition after this class in the
+    linearization of the receiver's class; in every class inheriting this
+    method, that next definition must take the same parameters."""
     sink, woven, cls, mdef = ctx.sink, ctx.woven, ctx.self_class, ctx.method
     op = mdef.sig.name
     wc = woven.classes[cls]
+    target = mdef.sig
     if stmt.qualifier is not None:
         if stmt.qualifier not in wc.supertypes:
             sink.add(
@@ -511,22 +505,35 @@ def _check_super(stmt: SuperCall, ctx: TypeContext) -> None:
                 stmt.pos,
             )
             return
-        source = woven.classes[stmt.qualifier]
-        if not source.raw_definers.get(op):
+        definers = woven.classes[stmt.qualifier].raw_definers.get(op)
+        if not definers:
             sink.add(
                 "BadSuper",
                 f"super[{stmt.qualifier}]: {stmt.qualifier} provides no {op}",
                 stmt.pos,
             )
             return
+        target = definers[0][1].sig
+    elif all(owner == cls for owner, _m in wc.raw_definers[op]):
+        sink.add("BadSuper", f"{cls}.{op} has no inherited definition to call", stmt.pos)
+        return
     else:
-        chain = wc.raw_definers.get(op, ())
-        later = [owner for owner, _m in chain if owner != cls]
-        if not later:
-            sink.add("BadSuper", f"{cls}.{op} has no inherited definition to call", stmt.pos)
-            return
+        params = [p.type for p in target.params]
+        for sub in woven.classes.values():
+            if cls not in sub.linearization:
+                continue
+            chain = sub.raw_definers[op]
+            owner, nxt = chain[[o for o, _m in chain].index(cls) + 1]
+            if [p.type for p in nxt.sig.params] != params:
+                sink.add(
+                    "BadSuper",
+                    f"super in {cls}.{op} reaches {owner}.{op} in {sub.name}, "
+                    "whose parameters differ",
+                    stmt.pos,
+                )
+                return
     arg_types = [typecheck_expr(a, ctx) for a in stmt.args]
-    _check_args(ctx, mdef.sig, arg_types, f"super {op}", stmt.pos)
+    _check_args(ctx, target, arg_types, f"super {op}", stmt.pos)
 
 
 def typecheck_units(units, woven: WovenModel) -> list[Diagnostic]:

@@ -131,15 +131,22 @@ def test_case2_totality_regardless_of_members():
             compose(units)
 
 
-def test_aspect_only_class_composes():
-    woven = weave(
-        mm="metamodel m { class A { } }",
+def test_aspect_must_reopen_a_declared_class():
+    """An aspect of a name no metamodel declares is refused, positioned at
+    its name, with the nearest declared class as a hint."""
+    units = parse_units(
+        mm="metamodel m { class Activity { } class Node { } }",
         act='package m;\nrequire "m.mm";\n'
-            "aspect class Helper { operation id(x : Int) : Int is do return x end }",
+            "aspect class Activty { operation id(x : Int) : Int is do return x end }",
+        inv='package m;\nrequire "m.mm";\naspect class Helper { inv i : true; }',
     )
-    helper = woven.classes["Helper"]
-    assert helper.origin == "aspect" and not helper.is_abstract
-    assert helper.linearization == ("Helper", ROOT_CLASS)
+    with pytest.raises(CompositionError) as exc:
+        compose(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u0.inv:3:14: UnknownAspectTarget aspect targets unknown class Helper",
+        "u0.act:3:14: UnknownAspectTarget aspect targets unknown class Activty; "
+        "did you mean Activity?",
+    ]
 
 
 def test_unknown_supertype_is_composition_error():
@@ -410,7 +417,7 @@ DIAMOND_ACT = (
 
 
 def test_unrelated_definitions_are_ambiguous():
-    woven = weave(mm=DIAMOND_MM, act=DIAMOND_ACT, strict=False)
+    woven = compose(parse_units(mm=DIAMOND_MM, act=DIAMOND_ACT))
     d = woven.classes["D"]
     assert "run" in d.ambiguous_ops
     diags = resolve_method_conflicts(d, woven)
@@ -612,7 +619,7 @@ def test_validate_woven_fixture_clean(fuml_woven):
 
 def test_validate_woven_flags_duplicate_linearization(fuml_woven):
     broken = WovenClass(
-        name="X", origin="base", is_abstract=False, supertypes=(),
+        name="X", is_abstract=False, supertypes=(),
         linearization=("X", "X", ROOT_CLASS),
     )
     import copy
@@ -624,7 +631,7 @@ def test_validate_woven_flags_duplicate_linearization(fuml_woven):
 
 def test_validate_woven_flags_unknown_target(fuml_woven):
     broken = WovenClass(
-        name="X", origin="base", is_abstract=False, supertypes=(),
+        name="X", is_abstract=False, supertypes=(),
         linearization=("X", ROOT_CLASS),
         slots={"r": SlotPlan(Reference("r", "Ghost"), "X", {})},
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import MODELS, weave
-from mashup.diagnostics import DiagnosticSink, EvalFault, UnitParseError
+from mashup.diagnostics import DiagnosticSink, EvalFault, TypecheckError, UnitParseError
 from mashup.exprs import (
     VOID_VALUE, BinOp, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
     SelfRef, StringV, TypeTest, VoidV, make_coll, parse_expr, render_value,
@@ -29,6 +29,13 @@ def test_parse_kind_test_navigation():
 
 def test_parse_addition():
     assert parse_expr("1 + 2") == BinOp(IntLit(1), "+", IntLit(2))
+
+
+def test_collection_op_without_a_lambda_is_a_syntax_error():
+    with pytest.raises(UnitParseError) as exc:
+        parse_expr("self.ks.select()")
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<expr>:1:9: SyntaxError select requires a lambda: .select { x | ... }"]
 
 
 def test_parse_select_lambda():
@@ -94,7 +101,7 @@ def test_select_reject_partition_property(session):
     model, env = session
     rng = random.Random(7)
     for _ in range(50):
-        items = [IntV(rng.randint(-5, 5)) for _ in range(rng.randint(0, 12))]
+        items = [IntV(rng.randint(-5, 5)) for _ in range(rng.randint(1, 12))]
         coll = Coll("Sequence", list(items))
         scope = {"coll": coll}
         sel = eval_expr(parse_expr("coll.select { i | i > 0 }"), env, model.obj("o1"), scope=scope)
@@ -107,10 +114,24 @@ def test_collect_preserves_sequence_size(session):
     model, env = session
     rng = random.Random(11)
     for _ in range(30):
-        items = [IntV(rng.randint(0, 9)) for _ in range(rng.randint(0, 10))]
+        items = [IntV(rng.randint(0, 9)) for _ in range(rng.randint(1, 10))]
         out = eval_expr(parse_expr("coll.collect { i | i * i }"), env, model.obj("o1"),
                         scope={"coll": Coll("Sequence", list(items))})
         assert len(out.items) == len(items)
+
+
+def test_empty_collection_elements_are_typed_void(session):
+    """eval_expr types a scope collection by its first element, so the
+    elements of an empty one are Void: only what ignores them checks."""
+    model, env = session
+    scope = {"coll": Coll("Sequence", [])}
+    out = eval_expr(parse_expr("coll.select { i | true }.size()"), env, model.obj("o1"),
+                    scope=scope)
+    assert out == IntV(0)
+    with pytest.raises(TypecheckError) as exc:
+        eval_expr(parse_expr("coll.collect { i | i * i }"), env, model.obj("o1"), scope=scope)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<expr>:1:22: TypeMismatch * expects Int operands, found Void"] * 2
 
 
 def test_kind_of_matches_linearization(session, fuml_woven):
@@ -133,8 +154,8 @@ def test_void_propagation_and_void_call_fault(fuml_woven):
     assert eval_expr(parse_expr("self.classifier.oclIsKindOf(Class)"), env, obj).b is False
     assert isinstance(eval_expr(parse_expr("self.classifier.name"), env, obj), VoidV)
     with pytest.raises(EvalFault) as exc:
-        eval_expr(parse_expr("self.classifier.run()"), env, obj, pure=False)
-    assert exc.value.kind == "TypeFault"
+        eval_expr(parse_expr('self.classifier.trace("x")'), env, obj, pure=False)
+    assert (exc.value.kind, exc.value.message) == ("TypeFault", "operation call trace on void")
 
 
 def test_division_by_zero_and_unbound_variable(session):
@@ -142,9 +163,10 @@ def test_division_by_zero_and_unbound_variable(session):
     with pytest.raises(EvalFault) as exc:
         eval_expr(parse_expr("1 / 0"), env, model.obj("o1"))
     assert exc.value.kind == "DivisionByZero"
-    with pytest.raises(EvalFault) as exc:
+    with pytest.raises(TypecheckError) as exc:
         eval_expr(parse_expr("nope + 1"), env, model.obj("o1"))
-    assert exc.value.kind == "UnboundVariable"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<expr>:1:1: UnknownVariable unbound variable nope"]
 
 
 def test_short_circuit_evaluation(session):

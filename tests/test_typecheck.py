@@ -3,6 +3,7 @@
 Every unit below is woven with the metamodel ``MM`` and type checked; it
 must yield exactly these rendered diagnostics, in this order.  With the
 other suites, the rows reach every diagnostic ``typecheck`` can report.
+An aspect of a class no metamodel declares already fails to compose.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ import pytest
 
 from helpers import parse_units
 from mashup.composer import compose
-from mashup.diagnostics import DiagnosticSink
-from mashup.exprs import CollectionOp, FeatureNav, SelfRef
-from mashup.typecheck import TypeContext, typecheck_expr, typecheck_units
+from mashup.diagnostics import CompositionError
+from mashup.typecheck import typecheck_units
 
 MM = """metamodel t {
   abstract class Shape { attr n: Int; ref ks: K[*]; op area(): Int; }
@@ -62,9 +62,10 @@ CASES = [
     ("new-abstract", "act", run("    var g : Shape init Shape.new()"),
      ["u0.act:6:30: AbstractInstantiation cannot instantiate abstract class Shape"]),
     ("aspect-target-act", "act", act("", cls="Ghost"),
-     ["u0.act:3:14: UnknownClass aspect targets unknown class Ghost"]),
-    ("aspect-target-inv", "inv", inv("  inv i : true;", cls="Ghost"),
-     ["u0.inv:3:14: UnknownClass aspect targets unknown class Ghost"]),
+     ["u0.act:3:14: UnknownAspectTarget aspect targets unknown class Ghost"]),
+    ("aspect-target-inv", "inv", inv("  inv i : true;", cls="Shap"),
+     ["u0.inv:3:14: UnknownAspectTarget aspect targets unknown class Shap; "
+      "did you mean Shape?"]),
     # type mismatches
     ("not-bool", "inv", inv("  inv i : not 1;"),
      ["u0.inv:4:11: TypeMismatch not expects Bool, found Int"]),
@@ -111,23 +112,44 @@ CASES = [
      ["u0.act:5:31: BadSuper K.go has no inherited definition to call"]),
 ]
 
-# rows whose unit is checked against a model it was not woven into
-UNWOVEN = {"aspect-target-act", "aspect-target-inv"}
-
-
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_type_checker_diagnostics_are_pinned(case):
-    name, kind, text, expected = case
+    _name, kind, text, expected = case
     units = parse_units(mm=MM, **{kind: text})
-    woven = compose(units[:1] if name in UNWOVEN else units)
-    assert [d.render() for d in typecheck_units(units[1:], woven)] == expected
+    try:
+        problems = typecheck_units(units[1:], compose(units))
+    except CompositionError as exc:
+        problems = exc.diagnostics
+    assert [d.render() for d in problems] == expected
 
 
-def test_collection_op_without_a_lambda_is_diagnosed():
-    """No unit source parses to a lambda operation without its lambda."""
-    woven = compose(parse_units(mm=MM))
-    sink = DiagnosticSink("u0.inv")
-    e = CollectionOp(FeatureNav(SelfRef(), "ks"), "select")
-    typecheck_expr(e, TypeContext(woven, "K", sink, pure=True))
-    assert [d.render() for d in sink.items] == [
-        "u0.inv:0:0: BadCollectionOp select requires a lambda"]
+SUPER_MM = """metamodel s {
+  class A { } class B { } class C extends A { } class X extends A, B { }
+  class D extends X, C { } class E extends B, C { }
+}
+"""
+
+SUPER_CASES = [
+    # lin(D) = D C X B A: C's super() reaches B's who(x : Int) on a D
+    ("plain", 'aspect class A { operation who() : Void is do end }\n'
+              'aspect class B { operation who(x : Int) : Void is do end }\n'
+              'aspect class C { method who() : Void is do super() end }\n'
+              'aspect class X { rename who from B as bwho; }',
+     ["u0.act:5:44: BadSuper super in C.who reaches B.who in D, whose parameters differ"]),
+    # lin(E) = E C A B: super[B] calls B's who(x : Int), not E's who()
+    ("qualified", 'aspect class A { operation who() : Void is do end }\n'
+                  'aspect class B { operation who(x : Int) : Void is do end }\n'
+                  'aspect class E { rename who from B as bwho;\n'
+                  '  method who() : Void is do super[B]() end }',
+     ["u0.act:6:29: ArityMismatch super who expects 1 argument(s), found 0"]),
+]
+
+
+@pytest.mark.parametrize("case", SUPER_CASES, ids=[c[0] for c in SUPER_CASES])
+def test_super_reaches_a_definition_of_its_signature(case):
+    """``super`` runs the definition after the caller's class in the
+    object's linearization, or the named supertype's first one: the checker
+    holds its arguments to that definition's parameters, in every class."""
+    _name, members, expected = case
+    units = parse_units(mm=SUPER_MM, act='package s;\nrequire "s.mm";\n' + members + "\n")
+    assert [d.render() for d in typecheck_units(units[1:], compose(units))] == expected
