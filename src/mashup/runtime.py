@@ -48,8 +48,8 @@ from .exprs import (
     render_value, type_default,
 )
 from .metamodel import Attribute, Reference, feature_type
-from .semtypes import BOOL, INT, STRING, VOID, SemType, class_type, coll
-from .typecheck import TypeContext, typecheck_expr
+from .semtypes import BOOL, ERROR, INT, STRING, VOID, SemType, class_type, coll, is_error
+from .typecheck import TypeContext, assignable, typecheck_expr
 
 POLICY_OFF = "off"
 POLICY_PREPOST = "prepost"
@@ -427,15 +427,15 @@ class Interpreter:
     stack, with the tree-walking evaluator for expressions and method bodies.
 
     The model's woven model must come from ``build_units``, or from
-    ``compose`` with ``typecheck_units`` reporting nothing: the interpreter
-    runs only type-checked code.  It does not check again what the checker
-    proved (that a receiver is an object or a collection, that a feature,
-    variable or ``super`` target exists, that a rule has no side effect);
-    it checks only what a type cannot rule out: a void value where a Bool,
-    an Int, a String, an object or a collection is due, division by zero, a
-    failed ``asType``, contracts, and the operation a caller of ``invoke``
-    names with its number of arguments; the arguments' types are the
-    caller's to match.
+    ``compose`` with ``validate_woven``, ``resolve_method_conflicts`` and
+    ``typecheck_units`` all reporting nothing: the interpreter runs only
+    type-checked code without ambiguous operations.  It does not check again
+    what the checker proved (that a receiver is an object or a collection,
+    that a feature, variable or ``super`` target exists, that a rule has no
+    side effect); it checks only what a type cannot rule out: a void value
+    where a Bool, an Int, a String, an object or a collection is due,
+    division by zero, a failed ``asType`` and contracts.  A call from
+    outside the program, through :meth:`invoke`, is checked once on entry.
     """
 
     def __init__(self, model: ModelInstance, policy: str = POLICY_PREPOST):
@@ -449,19 +449,33 @@ class Interpreter:
     # -- dispatch ---------------------------------------------------------
 
     def invoke(self, recv: ObjRef, op: str, args: list[Value]) -> Value:
+        """Call ``op`` on ``recv`` from outside the program, checking what no
+        checker saw: the operation and its arguments' number and types."""
         obj = self.model.obj(recv.id)
+        entries = self.woven.classes[obj.class_name].method_table.get(op)
+        if entries:
+            params = entries[0][1].sig.params
+            if len(args) != len(params):
+                raise EvalFault(
+                    "TypeFault", f"{op} expects {len(params)} argument(s), got {len(args)}"
+                )
+            for param, arg in zip(params, args):
+                if not assignable(self.woven, _value_type(self.model, arg), param.type):
+                    raise EvalFault(
+                        "TypeFault",
+                        f"argument {param.name} of {op} expects {param.type}, "
+                        f"got {render_value(arg)}",
+                    )
+        elif op not in ROOT_BUILTINS:
+            raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
+        return self._call(obj, op, args)
+
+    def _call(self, obj: Obj, op: str, args: list[Value]) -> Value:
         wc = self.woven.classes[obj.class_name]
         entries = wc.method_table.get(op)
         if not entries:
-            if op in ROOT_BUILTINS:
-                return self._builtin(obj, op, args)
-            raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
+            return self._builtin(obj, op, args)
         owner, mdef = entries[0]
-        if len(args) != len(mdef.sig.params):
-            raise EvalFault(
-                "TypeFault",
-                f"{op} expects {len(mdef.sig.params)} argument(s), got {len(args)}",
-            )
         self.trace.append(OpEnter(obj.id, op))
         checked = self.policy != POLICY_OFF
         if checked:
@@ -503,9 +517,7 @@ class Interpreter:
             msg = args[0].s if isinstance(args[0], StringV) else render_value(args[0])
             raise EvalFault("Fault", msg)
         # container
-        if obj.container is None:
-            return VOID_VALUE
-        return ObjRef(obj.container[0])
+        return VOID_VALUE if obj.container is None else ObjRef(obj.container[0])
 
     # -- contracts ---------------------------------------------------------
 
@@ -601,11 +613,15 @@ class Interpreter:
             return
         self.eval(e)
 
+    def _test(self, cond, what: str) -> bool:
+        """Evaluate the condition ``cond``, which void makes fail."""
+        value = self.eval(cond)
+        if not isinstance(value, BoolV):
+            raise EvalFault("TypeFault", f"{what} did not yield a Bool")
+        return value.b
+
     def _exec_if(self, stmt: If) -> None:
-        cond = self.eval(stmt.cond)
-        if not isinstance(cond, BoolV):
-            raise EvalFault("TypeFault", "if condition did not yield a Bool")
-        self.exec_block(stmt.then if cond.b else stmt.orelse, {})
+        self.exec_block(stmt.then if self._test(stmt.cond, "if condition") else stmt.orelse, {})
 
     def _exec_loop(self, stmt: Loop) -> None:
         # the loop scope holds a from-clause's variable; each pass of the
@@ -615,12 +631,7 @@ class Interpreter:
         try:
             if stmt.init is not None:
                 _EXEC[type(stmt.init)](self, stmt.init)
-            while True:
-                cond = self.eval(stmt.until)
-                if not isinstance(cond, BoolV):
-                    raise EvalFault("TypeFault", "loop condition did not yield a Bool")
-                if cond.b != stmt.while_style:
-                    return
+            while self._test(stmt.until, "loop condition") == stmt.while_style:
                 self.exec_block(stmt.body, {})
         finally:
             scopes.pop()
@@ -686,7 +697,7 @@ class Interpreter:
         if isinstance(recv, VoidV):
             raise EvalFault("TypeFault", f"operation call {e.op} on void")
         args = [self.eval(a) for a in e.args]
-        return self.invoke(recv, e.op, args)
+        return self._call(self.model.obj(recv.id), e.op, args)
 
     def _eval_collop(self, e: CollectionOp) -> Value:
         recv = self.eval(e.receiver)
@@ -754,17 +765,13 @@ class Interpreter:
     def _eval_binop(self, e: BinOp) -> Value:
         op = e.op
         if op in ("and", "or"):
-            lhs = self.eval(e.lhs)
-            if not isinstance(lhs, BoolV):
+            # unless a Bool left operand decides, the right one does
+            value = self.eval(e.lhs)
+            if isinstance(value, BoolV) and value.b != (op == "or"):
+                value = self.eval(e.rhs)
+            if not isinstance(value, BoolV):
                 raise EvalFault("TypeFault", f"{op} expects Bool operands")
-            if op == "and" and not lhs.b:
-                return FALSE
-            if op == "or" and lhs.b:
-                return TRUE
-            rhs = self.eval(e.rhs)
-            if not isinstance(rhs, BoolV):
-                raise EvalFault("TypeFault", f"{op} expects Bool operands")
-            return rhs
+            return value
         lhs = self.eval(e.lhs)
         rhs = self.eval(e.rhs)
         if op == "==":
@@ -805,10 +812,7 @@ class Interpreter:
         return FALSE if v.b else TRUE
 
     def _eval_ifexpr(self, e: IfExpr) -> Value:
-        cond = self.eval(e.cond)
-        if not isinstance(cond, BoolV):
-            raise EvalFault("TypeFault", "if condition did not yield a Bool")
-        return self.eval(e.then if cond.b else e.orelse)
+        return self.eval(e.then if self._test(e.cond, "if condition") else e.orelse)
 
     def _eval_new(self, e: New) -> Value:
         return create_instance(self.model, e.class_name)
@@ -868,13 +872,35 @@ _PRIM_TYPES = {IntV: INT, BoolV: BOOL, StringV: STRING, VoidV: VOID}
 
 
 def _value_type(model: ModelInstance, value: Value) -> SemType:
-    """The static type of a value; a collection has its first element's
-    type, or Void when it is empty."""
+    """The static type of a value.  A collection's elements have the join of
+    their types; an empty one's have the error type, which the checker lets
+    pass everywhere, soundly, since no element is ever bound."""
     if isinstance(value, Coll):
-        return coll(value.kind, _value_type(model, value.items[0]) if value.items else VOID)
+        elem = ERROR
+        for item in value.items:
+            elem = _join(model.woven, elem, _value_type(model, item))
+        return coll(value.kind, elem)
     if isinstance(value, ObjRef):
         return class_type(model.obj(value.id).class_name)
     return _PRIM_TYPES[type(value)]
+
+
+def _join(woven: WovenModel, a: SemType, b: SemType) -> SemType:
+    """The type of two elements of one collection: classes join at the first
+    of ``a``'s linearization that ``b`` conforms to (at worst ``Root``)."""
+    if a == b or is_error(b) or b == VOID:
+        return a
+    if is_error(a) or a == VOID:
+        return b
+    if a.kind == b.kind == "class":
+        if a.name == woven.root_class:
+            return a
+        return class_type(
+            next(c for c in woven.classes[a.name].linearization if woven.conforms(b.name, c))
+        )
+    if a.kind == b.kind == "coll" and a.name == b.name:
+        return coll(a.name, _join(woven, a.elem, b.elem))
+    raise EvalFault("TypeFault", f"a collection mixes {a} and {b}")
 
 
 def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,

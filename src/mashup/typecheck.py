@@ -173,7 +173,9 @@ def typecheck_expr(e: Expr, ctx: TypeContext) -> SemType:
             ctx.sink.add("TypeMismatch", f"if condition must be Bool, found {ct}", e.pos)
         t1 = typecheck_expr(e.then, ctx)
         t2 = typecheck_expr(e.orelse, ctx)
-        if assignable(ctx.woven, t2, t1):
+        # a collection of error elements (an empty one of eval_expr's scope)
+        # takes the other branch's element type
+        if assignable(ctx.woven, t2, t1) and not _has_error(t1):
             return t1
         if assignable(ctx.woven, t1, t2):
             return t2
@@ -245,6 +247,8 @@ def _typecheck_collection_op(e: CollectionOp, ctx: TypeContext) -> SemType:
         return elem
     if e.op_kind == "add":
         at = typecheck_expr(e.arg, ctx)
+        if is_error(elem):  # no element yet: the added one gives the type
+            return coll(rt.name, at)
         if not assignable(ctx.woven, at, elem):
             ctx.sink.add(
                 "TypeMismatch", f"cannot add {at} to a collection of {elem}", e.pos
@@ -260,6 +264,10 @@ def _typecheck_collection_op(e: CollectionOp, ctx: TypeContext) -> SemType:
                 "TypeMismatch", f"cannot intersect {rt} with {at}", e.pos
             )
     return rt
+
+
+def _has_error(t: SemType) -> bool:
+    return is_error(t) or (t.kind == "coll" and _has_error(t.elem))
 
 
 def _typecheck_binop(e: BinOp, ctx: TypeContext) -> SemType:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import MODELS, weave
+from helpers import MODELS, TABLE_MM, table_act, table_model, weave
 from mashup.diagnostics import DiagnosticSink, EvalFault, TypecheckError, UnitParseError
 from mashup.exprs import (
     VOID_VALUE, BinOp, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
@@ -101,7 +101,7 @@ def test_select_reject_partition_property(session):
     model, env = session
     rng = random.Random(7)
     for _ in range(50):
-        items = [IntV(rng.randint(-5, 5)) for _ in range(rng.randint(1, 12))]
+        items = [IntV(rng.randint(-5, 5)) for _ in range(rng.randint(0, 12))]
         coll = Coll("Sequence", list(items))
         scope = {"coll": coll}
         sel = eval_expr(parse_expr("coll.select { i | i > 0 }"), env, model.obj("o1"), scope=scope)
@@ -114,24 +114,49 @@ def test_collect_preserves_sequence_size(session):
     model, env = session
     rng = random.Random(11)
     for _ in range(30):
-        items = [IntV(rng.randint(0, 9)) for _ in range(rng.randint(1, 10))]
+        items = [IntV(rng.randint(0, 9)) for _ in range(rng.randint(0, 10))]
         out = eval_expr(parse_expr("coll.collect { i | i * i }"), env, model.obj("o1"),
                         scope={"coll": Coll("Sequence", list(items))})
         assert len(out.items) == len(items)
 
 
-def test_empty_collection_elements_are_typed_void(session):
-    """eval_expr types a scope collection by its first element, so the
-    elements of an empty one are Void: only what ignores them checks."""
+def test_empty_collection_elements_check_anything(session):
+    """An empty scope collection binds no element, so its lambdas check
+    whatever they do; an element added to it, or another branch's
+    collection, gives the element type back."""
     model, env = session
-    scope = {"coll": Coll("Sequence", [])}
-    out = eval_expr(parse_expr("coll.select { i | true }.size()"), env, model.obj("o1"),
-                    scope=scope)
-    assert out == IntV(0)
+    scope = {"coll": Coll("Sequence", []), "ns": Coll("Sequence", [IntV(1)])}
+
+    def run(text):
+        return eval_expr(parse_expr(text), env, model.obj("o1"), scope=scope)
+
+    assert run("coll.collect { i | i * i }") == Coll("Sequence", [])
+    assert run("coll.select { i | i.name == 3 }.size()") == IntV(0)
+    for text, col in (("coll.add(3).first().w", 21),
+                      ("(if true then coll else ns end).first().w", 41)):
+        with pytest.raises(TypecheckError) as exc:
+            run(text)
+        assert [d.render() for d in exc.value.diagnostics] == [
+            f"<expr>:1:{col}: BadNavigation cannot navigate feature w on a value of type Int"]
+
+
+def test_scope_collection_elements_have_the_join_of_their_types():
+    model = table_model(weave(mm=TABLE_MM, act=table_act("")))
+    env = Interpreter(model)
+
+    def run(text, *items):
+        return eval_expr(parse_expr(text), env, "o1", {"c": Coll("Sequence", list(items))})
+
+    bs = (ObjRef("o2"), VOID_VALUE, ObjRef("o3"))
+    assert run("c.collect { x | x.w }", *bs) == Coll("Sequence", [IntV(1), VOID_VALUE, IntV(2)])
     with pytest.raises(TypecheckError) as exc:
-        eval_expr(parse_expr("coll.collect { i | i * i }"), env, model.obj("o1"), scope=scope)
+        run("c.collect { x | x.w }", ObjRef("o2"), ObjRef("o1"))
     assert [d.render() for d in exc.value.diagnostics] == [
-        "<expr>:1:22: TypeMismatch * expects Int operands, found Void"] * 2
+        "<expr>:1:19: UnknownFeature Root has no feature w"]
+    with pytest.raises(EvalFault) as fault:
+        run("c.size()", IntV(1), StringV("a"))
+    assert (fault.value.kind, fault.value.message) == (
+        "TypeFault", "a collection mixes Int and String")
 
 
 def test_kind_of_matches_linearization(session, fuml_woven):

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FUML, MODELS, parse_units, run_cli, weave
+from helpers import (
+    FUML, MODELS, TABLE_HEADER, TABLE_MM, parse_units, run_cli, table_model, weave,
+)
 from mashup.composer import SlotPlan, compose
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
 from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr
@@ -407,6 +409,18 @@ def test_invoke_super_chain_and_trace_events(fuml_woven):
     enters = [e for e in env.trace if type(e).__name__ == "OpEnter"]
     exits = [e for e in env.trace if type(e).__name__ == "OpExit"]
     assert len(enters) == len(exits)
+
+
+def test_invoke_checks_argument_types_on_entry():
+    act = TABLE_HEADER + "aspect class A {\n  operation get(b : B) : Int is do return b.w end\n}\n"
+    model = table_model(weave(mm=TABLE_MM, act=act))
+    assert invoke(model, "o1", "get", [ObjRef("o2")])[0] == IntV(1)
+    assert invoke(model, "o1", "get", [VOID_VALUE])[0] == VOID_VALUE
+    for arg, shown in ((IntV(3), "3"), (ObjRef("o1"), "@o1")):
+        with pytest.raises(EvalFault) as exc:
+            invoke(model, "o1", "get", [arg])
+        assert (exc.value.kind, exc.value.message) == (
+            "TypeFault", f"argument b of get expects B, got {shown}")
 
 
 def test_dispatch_is_deterministic(fuml_woven):
