@@ -390,6 +390,8 @@ class WovenModel:
     aspect_units: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # (class, method) -> the behavior unit that declares the body
     method_units: dict[tuple[str, str], str] = field(default_factory=dict)
+    # the compiled behaviour and rules (codegen.compiled), made on first use
+    compiled: object = field(default=None, compare=False, repr=False)
 
     def conforms(self, sub: str, sup: str) -> bool:
         if sup == self.root_class or sub == sup:

@@ -3,9 +3,11 @@
 Level k of the structure is a fork that offers one branch to an action and
 one to level k-1; both branches meet at a join.  Level 0 is a single
 action.  The whole model is initial -> level(depth) -> join chain -> final,
-so a depth-d model holds 3d+3 nodes, 4d+2 edges and one activity: 7d+6
-elements in total, with d+2 traced node executions (d+1 actions plus the
-final node).  Depth 102 gives 720 elements.
+so a depth-d model holds 3d+3 nodes, 4d+2 edges, one activity and one
+``Class``, the classifier of every create action (a second root, so that
+the ``fUML_is_class`` invariant holds): 7d+7 elements in total, with d+2
+traced node executions (d+1 actions plus the final node).  Depth 102 gives
+721 elements.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def recursive_model_stats(depth: int) -> dict[str, int]:
         "depth": depth,
         "nodes": 3 * depth + 3,
         "edges": 4 * depth + 2,
-        "elements": 7 * depth + 6,
+        "elements": 7 * depth + 7,
         "expected_node_executions": depth + 2,
     }
 
@@ -31,10 +33,15 @@ def build_recursive_model(depth: int, package: str = "fuml") -> tuple[str, dict[
     edges: list[dict] = []
     counter = {"n": 0, "e": 0}
 
+    classifier = {"id": "c1", "class": "Class", "slots": {"name": "Object"}}
+
     def node(cls: str, name: str) -> str:
         counter["n"] += 1
         nid = f"n{counter['n']:04d}"
-        nodes.append({"id": nid, "class": cls, "slots": {"name": name}})
+        slots = {"name": name}
+        if cls == "CreateObjectAction":
+            slots["classifier"] = "@c1"
+        nodes.append({"id": nid, "class": cls, "slots": slots})
         return nid
 
     def edge(src: str, tgt: str) -> None:
@@ -84,8 +91,8 @@ def build_recursive_model(depth: int, package: str = "fuml") -> tuple[str, dict[
     }
     doc = {
         "conformsTo": package,
-        "objects": [activity] + nodes + edges,
-        "roots": ["@a1"],
+        "objects": [activity, classifier] + nodes + edges,
+        "roots": ["@a1", "@c1"],
     }
     stats = recursive_model_stats(depth)
     assert stats["nodes"] == len(nodes) and stats["edges"] == len(edges)

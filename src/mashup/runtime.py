@@ -1,6 +1,11 @@
 """Execution engine: object graphs conforming to a woven model, the EMOF
 assignment semantics, dispatch with contract enforcement, and persistence.
 
+Method bodies and contract rules run as Python: ``codegen`` compiles a
+woven model once, on its first ``Interpreter``, and every later run of the
+model reuses that code.  ``Interpreter.call`` dispatches each operation
+call, traces it and checks its contracts.
+
 Assignment keeps both ends of bidirectional associations in sync and keeps
 containment a forest: attaching an object removes it from its previous
 container first, and an attachment that would close a containment cycle is
@@ -23,8 +28,10 @@ walks each object against its class's plans and formats a message only for
 what fails.
 
 A model instance and the interpreter running it belong to one thread at a
-time; the woven model they reference is shared read-only.  Independent
-instances may execute concurrently.
+time; the woven model they reference is shared read-only, but for the
+compiled code its first interpreter caches on it (threads that make first
+interpreters at once may each compile it; any of the equal results
+serves).  Independent instances may execute concurrently.
 """
 
 from __future__ import annotations
@@ -32,9 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .behavior import (
-    Assign, EachLoop, ExprStmt, If, Loop, MethodDef, Return, SuperCall, VarDecl,
-)
+from .codegen import compile_expr, compiled
 from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
@@ -42,9 +47,7 @@ from .diagnostics import (
     UnitParseError,
 )
 from .exprs import (
-    BinOp, BoolLit, Coll, CollectionOp, FeatureNav, IfExpr, IntLit,
-    New, Not, ObjRef, OpCall, SelfRef, StringLit, StringV, TypeTest, Value,
-    VarRef, VoidLit, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
+    Coll, ObjRef, StringV, Value, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
     render_value, type_default,
 )
 from .metamodel import Attribute, Reference, feature_type
@@ -402,49 +405,35 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
 # ---------------------------------------------------------------------------
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Value):
-        self.value = value
-
-
-class _Frame:
-    """One activation: ``self``, its variable scopes and, in a method body,
-    the class defining the method and the operation's name, which ``super``
-    continues from."""
-
-    __slots__ = ("self_obj", "scopes", "defining_class", "op_name")
-
-    def __init__(self, self_obj: Obj, scopes: list[dict[str, Value]],
-                 defining_class: str | None = None, op_name: str | None = None):
-        self.self_obj = self_obj
-        self.scopes = scopes
-        self.defining_class = defining_class
-        self.op_name = op_name
-
-
 class Interpreter:
-    """One run: the model, its contract policy, the event trace and the frame
-    stack, with the tree-walking evaluator for expressions and method bodies.
+    """One run: the model, its contract policy and the event trace.
+
+    Operation calls dispatch through the model's compiled module
+    (``codegen.compiled``), written and compiled when the first interpreter
+    of a woven model is made and kept for every later one.  ``call`` is the
+    one path of a call: it traces it, checks its contracts under the
+    policy and runs the compiled body.
 
     The model's woven model must come from ``build_units``, or from
     ``compose`` with ``validate_woven``, ``resolve_method_conflicts`` and
-    ``typecheck_units`` all reporting nothing: the interpreter runs only
-    type-checked code without ambiguous operations.  It does not check again
-    what the checker proved (that a receiver is an object or a collection,
-    that a feature, variable or ``super`` target exists, that a rule has no
-    side effect); it checks only what a type cannot rule out: a void value
-    where a Bool, an Int, a String, an object or a collection is due,
-    division by zero, a failed ``asType`` and contracts.  A call from
+    ``typecheck_units`` all reporting nothing: only type-checked code
+    without ambiguous operations is compiled.  The compiled code does not
+    check again what the checker proved (that a receiver is an object or a
+    collection, that a feature, variable or ``super`` target exists, that a
+    rule has no side effect); it checks only what a type cannot rule out: a
+    void value where a Bool, an Int, a String, an object or a collection is
+    due, division by zero, a failed ``asType`` and contracts.  A call from
     outside the program, through :meth:`invoke`, is checked once on entry.
     """
 
     def __init__(self, model: ModelInstance, policy: str = POLICY_PREPOST):
         assert policy in (POLICY_OFF, POLICY_PREPOST, POLICY_FULL)
         self.model = model
+        self.objects = model.objects
         self.woven = model.woven
         self.policy = policy
         self.trace: list[TraceEvent] = []
-        self.frames: list[_Frame] = []
+        self.code = compiled(self.woven)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -468,43 +457,38 @@ class Interpreter:
                     )
         elif op not in ROOT_BUILTINS:
             raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
-        return self._call(obj, op, args)
+        return self.call(obj, op, args)
 
-    def _call(self, obj: Obj, op: str, args: list[Value]) -> Value:
-        wc = self.woven.classes[obj.class_name]
-        entries = wc.method_table.get(op)
-        if not entries:
+    def call(self, obj: Obj, op: str, args) -> Value:
+        """Dispatch ``op`` on ``obj``: trace it, and check its contracts
+        around its body under the policy."""
+        entry = self.code.dispatch[obj.class_name].get(op)
+        if entry is None:
             return self._builtin(obj, op, args)
-        owner, mdef = entries[0]
-        self.trace.append(OpEnter(obj.id, op))
-        checked = self.policy != POLICY_OFF
-        if checked:
-            self._check_pre(wc, obj, op, args)
-        result = self._execute_method(owner, mdef, obj, args)
-        if checked:
-            self._check_post(wc, obj, op, args, result)
+        body, pre, post = entry
+        trace = self.trace
+        trace.append(OpEnter(obj.id, op))
+        if self.policy == POLICY_OFF:
+            result = body(self, obj, *args)
+        else:
+            if pre is not None:  # some group must hold all its rules
+                for group in pre[1]:
+                    if all(_holds(rule(self, obj, *args)) for rule in group):
+                        break
+                else:
+                    raise self._violation("PreconditionViolation", "pre", pre[0], obj)
+            result = body(self, obj, *args)
+            for name, rule in post:
+                if not _holds(rule(self, obj, result, *args)):
+                    raise self._violation("PostconditionViolation", "post", name, obj)
             if self.policy == POLICY_FULL:
-                self._check_invariants(wc, obj)
-        self.trace.append(OpExit(obj.id, op, render_value(result)))
+                for name, rule in self.code.invariants[obj.class_name]:
+                    if not _holds(rule(self, obj)):
+                        raise self._violation("InvariantViolation", "inv", name, obj)
+        trace.append(OpExit(obj.id, op, "void" if result is VOID_VALUE else render_value(result)))
         return result
 
-    def _execute_method(self, owner: str, mdef: MethodDef, obj: Obj, args) -> Value:
-        self.frames.append(_Frame(obj, [], owner, mdef.sig.name))
-        try:
-            self.exec_block(mdef.body, {p.name: a for p, a in zip(mdef.sig.params, args)})
-            return VOID_VALUE
-        except _ReturnSignal as ret:
-            return ret.value
-        except RecursionError:
-            # The Python stack, not a DSL depth count, is the limit: how many
-            # frames one DSL call takes depends on the statements it nests.
-            raise EvalFault(
-                "StackOverflow", f"call stack exhausted in {owner}.{mdef.sig.name}"
-            ) from None
-        finally:
-            self.frames.pop()
-
-    def _builtin(self, obj: Obj, op: str, args: list[Value]) -> Value:
+    def _builtin(self, obj: Obj, op: str, args) -> Value:
         sig = ROOT_BUILTINS[op]
         if len(args) != len(sig.params):
             raise EvalFault("TypeFault", f"{op} expects {len(sig.params)} argument(s)")
@@ -519,340 +503,23 @@ class Interpreter:
         # container
         return VOID_VALUE if obj.container is None else ObjRef(obj.container[0])
 
-    # -- contracts ---------------------------------------------------------
-
-    def _eval_in_frame(self, e, obj: Obj, scope: dict[str, Value]) -> Value:
-        """Evaluate ``e`` in a frame of its own, with ``self`` = ``obj`` and
-        ``scope`` as its only scope."""
-        self.frames.append(_Frame(obj, [scope]))
-        try:
-            return self.eval(e)
-        finally:
-            self.frames.pop()
-
-    def _rule_scope(self, owner: str, op: str, args) -> dict[str, Value]:
-        """The arguments under the parameter names of ``owner``'s signature
-        for ``op``, which its rules were type checked against; nothing is
-        bound when ``owner`` has no such signature."""
-        entry = self.woven.classes[owner].op_sigs.get(op)
-        return {p.name: a for p, a in zip(entry[0].params, args)} if entry else {}
-
-    def _check_pre(self, wc, obj: Obj, op: str, args) -> None:
-        groups = wc.flat_pre.get(op)
-        if not groups:
-            return
-        for owner, clauses in groups:
-            scope = self._rule_scope(owner, op, args)
-            if all(self._rule_holds(c.body, obj, scope) for c in clauses):
-                return
-        raise self._violation("PreconditionViolation", "pre", groups[0][1][0].name, obj)
-
-    def _check_post(self, wc, obj: Obj, op: str, args, result: Value) -> None:
-        for owner, clause in wc.flat_post.get(op, ()):
-            scope = self._rule_scope(owner, op, args)
-            scope["result"] = result
-            if not self._rule_holds(clause.body, obj, scope):
-                raise self._violation("PostconditionViolation", "post", clause.name, obj)
-
-    def _check_invariants(self, wc, obj: Obj) -> None:
-        for _owner, inv in wc.flat_invariants:
-            if not self._rule_holds(inv.body, obj, {}):
-                raise self._violation("InvariantViolation", "inv", inv.name, obj)
-
     def _violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
         """Trace a violated contract rule and build the error it raises."""
         self.trace.append(ContractViolationEvent(kind, name, obj.id))
         return ContractViolation(error, name, obj.id)
 
-    def _rule_holds(self, body, obj: Obj, scope: dict[str, Value]) -> bool:
-        value = self._eval_in_frame(body, obj, scope)
-        if not isinstance(value, BoolV):
-            raise EvalFault("TypeFault", "contract rule did not yield a Bool")
-        return value.b
 
-    # -- statements --------------------------------------------------------
-
-    def exec_block(self, stmts, scope: dict[str, Value]) -> None:
-        """Run ``stmts`` with ``scope`` pushed as their innermost scope."""
-        scopes = self.frames[-1].scopes
-        scopes.append(scope)
-        try:
-            for stmt in stmts:
-                _EXEC[type(stmt)](self, stmt)
-        finally:
-            scopes.pop()
-
-    def _exec_vardecl(self, stmt: VarDecl) -> None:
-        value = self.eval(stmt.init) if stmt.init is not None else type_default(stmt.type)
-        self.frames[-1].scopes[-1][stmt.name] = value
-
-    def _exec_assign(self, stmt: Assign) -> None:
-        value = self.eval(stmt.rhs)
-        lv = stmt.lvalue
-        if isinstance(lv, VarRef):
-            next(s for s in reversed(self.frames[-1].scopes) if lv.name in s)[lv.name] = value
-            return
-        recv = self.eval(lv.receiver)
-        if not isinstance(recv, ObjRef):
-            raise EvalFault("TypeFault", f"cannot assign feature {lv.feature} on void")
-        set_feature(self.model, recv, lv.feature, value)
-
-    def _exec_exprstmt(self, stmt: ExprStmt) -> None:
-        e = stmt.expr
-        # statement-position add on a feature is the EMOF element-add
-        if (
-            isinstance(e, CollectionOp)
-            and e.op_kind == "add"
-            and isinstance(e.receiver, FeatureNav)
-        ):
-            recv = self.eval(e.receiver.receiver)
-            if not isinstance(recv, ObjRef):
-                raise EvalFault("TypeFault", f"cannot add to feature {e.receiver.feature} on void")
-            value = self.eval(e.arg)
-            add_to_feature(self.model, recv, e.receiver.feature, value)
-            return
-        self.eval(e)
-
-    def _test(self, cond, what: str) -> bool:
-        """Evaluate the condition ``cond``, which void makes fail."""
-        value = self.eval(cond)
-        if not isinstance(value, BoolV):
-            raise EvalFault("TypeFault", f"{what} did not yield a Bool")
-        return value.b
-
-    def _exec_if(self, stmt: If) -> None:
-        self.exec_block(stmt.then if self._test(stmt.cond, "if condition") else stmt.orelse, {})
-
-    def _exec_loop(self, stmt: Loop) -> None:
-        # the loop scope holds a from-clause's variable; each pass of the
-        # body gets a fresh scope inside it
-        scopes = self.frames[-1].scopes
-        scopes.append({})
-        try:
-            if stmt.init is not None:
-                _EXEC[type(stmt.init)](self, stmt.init)
-            while self._test(stmt.until, "loop condition") == stmt.while_style:
-                self.exec_block(stmt.body, {})
-        finally:
-            scopes.pop()
-
-    def _exec_eachloop(self, stmt: EachLoop) -> None:
-        recv = self.eval(stmt.receiver)
-        if isinstance(recv, VoidV):
-            return
-        for item in list(recv.items):
-            self.exec_block(stmt.body, {stmt.param: item})
-
-    def _exec_return(self, stmt: Return) -> None:
-        raise _ReturnSignal(self.eval(stmt.value) if stmt.value is not None else VOID_VALUE)
-
-    def _exec_super(self, stmt: SuperCall) -> None:
-        frame = self.frames[-1]
-        obj = frame.self_obj
-        args = [self.eval(a) for a in stmt.args]
-        if stmt.qualifier is not None:
-            owner, mdef = self.woven.classes[stmt.qualifier].raw_definers[frame.op_name][0]
-        else:
-            chain = self.woven.classes[obj.class_name].raw_definers[frame.op_name]
-            owners = [o for o, _m in chain]
-            owner, mdef = chain[owners.index(frame.defining_class) + 1]
-        self._execute_method(owner, mdef, obj, args)
-
-    # -- expressions -------------------------------------------------------
-
-    def eval(self, e) -> Value:
-        return _EVAL[type(e)](self, e)
-
-    def _eval_self(self, e: SelfRef) -> Value:
-        return ObjRef(self.frames[-1].self_obj.id)
-
-    def _eval_var(self, e: VarRef) -> Value:
-        for scope in reversed(self.frames[-1].scopes):
-            if e.name in scope:
-                return scope[e.name]
-
-    def _eval_int(self, e: IntLit) -> Value:
-        return IntV(e.value)
-
-    def _eval_bool(self, e: BoolLit) -> Value:
-        return TRUE if e.value else FALSE
-
-    def _eval_string(self, e: StringLit) -> Value:
-        return StringV(e.value)
-
-    def _eval_void(self, e: VoidLit) -> Value:
-        return VOID_VALUE
-
-    def _eval_nav(self, e: FeatureNav) -> Value:
-        recv = self.eval(e.receiver)
-        if isinstance(recv, VoidV):
-            return VOID_VALUE
-        value = self.model.obj(recv.id).slots[e.feature]
-        if isinstance(value, Coll):
-            return Coll(value.kind, list(value.items))
-        return value
-
-    def _eval_opcall(self, e: OpCall) -> Value:
-        recv = self.eval(e.receiver)
-        if isinstance(recv, VoidV):
-            raise EvalFault("TypeFault", f"operation call {e.op} on void")
-        args = [self.eval(a) for a in e.args]
-        return self._call(self.model.obj(recv.id), e.op, args)
-
-    def _eval_collop(self, e: CollectionOp) -> Value:
-        recv = self.eval(e.receiver)
-        if isinstance(recv, VoidV):
-            return VOID_VALUE
-        kind = e.op_kind
-        if kind == "isEmpty":
-            return TRUE if not recv.items else FALSE
-        if kind == "size":
-            return IntV(len(recv.items))
-        if kind == "first":
-            return recv.items[0] if recv.items else VOID_VALUE
-        if kind == "add":
-            return make_coll(recv.kind, recv.items + [self.eval(e.arg)])
-        if kind == "intersection":
-            other = self.eval(e.arg)
-            if not isinstance(other, Coll):
-                raise EvalFault("TypeFault", "intersection expects a collection argument")
-            try:  # test membership by hash, as make_coll de-duplicates
-                members = set(other.items)
-                return Coll(recv.kind, [x for x in recv.items if x in members])
-            except TypeError:  # nested collections cannot be hashed
-                return Coll(recv.kind, [x for x in recv.items if x in other.items])
-        # one binding loop for every lambda: collect gathers the values (each
-        # drops them); select and reject keep, and forAll and exists stop at,
-        # the elements whose test yields the Bool ``hit``
-        hit = _LAMBDA_HITS.get(kind)
-        quantifier = kind in ("forAll", "exists")
-        param, body, scopes = e.lam.param, e.lam.body, self.frames[-1].scopes
-        out = []
-        for item in recv.items:
-            scopes.append({param: item})
-            try:
-                value = self.eval(body)
-            finally:
-                scopes.pop()
-            if hit is None:
-                out.append(value)
-            elif not isinstance(value, BoolV):
-                raise EvalFault("TypeFault", f"{kind} lambda did not yield a Bool")
-            elif value.b == hit:
-                if quantifier:
-                    return value
-                out.append(item)
-        if hit is None:
-            return make_coll(recv.kind, out) if kind == "collect" else VOID_VALUE
-        if quantifier:
-            return FALSE if hit else TRUE  # forAll passed every element, exists none
-        return Coll(recv.kind, out)
-
-    def _eval_typetest(self, e: TypeTest) -> Value:
-        recv = self.eval(e.receiver)
-        if isinstance(recv, VoidV):
-            return FALSE if e.test_kind == "oclIsKindOf" else VOID_VALUE
-        obj = self.model.obj(recv.id)
-        conforms = self.woven.conforms(obj.class_name, e.target)
-        if e.test_kind == "oclIsKindOf":
-            return TRUE if conforms else FALSE
-        if not conforms:
-            raise EvalFault(
-                "TypeFault", f"cannot cast {obj.class_name} object {obj.id} to {e.target}"
-            )
-        return recv
-
-    def _eval_binop(self, e: BinOp) -> Value:
-        op = e.op
-        if op in ("and", "or"):
-            # unless a Bool left operand decides, the right one does
-            value = self.eval(e.lhs)
-            if isinstance(value, BoolV) and value.b != (op == "or"):
-                value = self.eval(e.rhs)
-            if not isinstance(value, BoolV):
-                raise EvalFault("TypeFault", f"{op} expects Bool operands")
-            return value
-        lhs = self.eval(e.lhs)
-        rhs = self.eval(e.rhs)
-        if op == "==":
-            return TRUE if lhs == rhs else FALSE
-        if op == "!=":
-            return TRUE if lhs != rhs else FALSE
-        if op == "+" and isinstance(lhs, StringV) and isinstance(rhs, StringV):
-            return StringV(lhs.s + rhs.s)
-        if not isinstance(lhs, IntV) or not isinstance(rhs, IntV):
-            raise EvalFault(
-                "TypeFault",
-                f"{op} expects Int operands, got {render_value(lhs)} and {render_value(rhs)}",
-            )
-        a, b = lhs.i, rhs.i
-        if op == "+":
-            return IntV(a + b)
-        if op == "-":
-            return IntV(a - b)
-        if op == "*":
-            return IntV(a * b)
-        if op == "/":
-            if b == 0:
-                raise EvalFault("DivisionByZero", "division by zero")
-            q = a // b if (a < 0) == (b < 0) else -((-a) // b)
-            return IntV(q)
-        if op == "<":
-            return TRUE if a < b else FALSE
-        if op == "<=":
-            return TRUE if a <= b else FALSE
-        if op == ">":
-            return TRUE if a > b else FALSE
-        return TRUE if a >= b else FALSE
-
-    def _eval_not(self, e: Not) -> Value:
-        v = self.eval(e.operand)
-        if not isinstance(v, BoolV):
-            raise EvalFault("TypeFault", "not expects a Bool")
-        return FALSE if v.b else TRUE
-
-    def _eval_ifexpr(self, e: IfExpr) -> Value:
-        return self.eval(e.then if self._test(e.cond, "if condition") else e.orelse)
-
-    def _eval_new(self, e: New) -> Value:
-        return create_instance(self.model, e.class_name)
-
-
-_EVAL = {
-    SelfRef: Interpreter._eval_self,
-    VarRef: Interpreter._eval_var,
-    IntLit: Interpreter._eval_int,
-    BoolLit: Interpreter._eval_bool,
-    StringLit: Interpreter._eval_string,
-    VoidLit: Interpreter._eval_void,
-    FeatureNav: Interpreter._eval_nav,
-    OpCall: Interpreter._eval_opcall,
-    CollectionOp: Interpreter._eval_collop,
-    TypeTest: Interpreter._eval_typetest,
-    BinOp: Interpreter._eval_binop,
-    Not: Interpreter._eval_not,
-    IfExpr: Interpreter._eval_ifexpr,
-    New: Interpreter._eval_new,
-}
-
-_EXEC = {
-    VarDecl: Interpreter._exec_vardecl,
-    Assign: Interpreter._exec_assign,
-    ExprStmt: Interpreter._exec_exprstmt,
-    If: Interpreter._exec_if,
-    Loop: Interpreter._exec_loop,
-    EachLoop: Interpreter._exec_eachloop,
-    Return: Interpreter._exec_return,
-    SuperCall: Interpreter._exec_super,
-}
-
-
-_LAMBDA_HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
+def _holds(value: Value) -> bool:
+    """The truth of a contract rule's value, which void makes fail."""
+    if value.__class__ is not BoolV:
+        raise EvalFault("TypeFault", "contract rule did not yield a Bool")
+    return value.b
 
 
 def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None = None,
               pure: bool = True) -> Value:
-    """Type check one expression, then evaluate it with ``self`` bound.
+    """Type check one expression, then compile and evaluate it with ``self``
+    bound.
 
     ``self`` and each scope variable are typed from their values.  A pure
     expression (the default) may not call operations or instantiate, as a
@@ -865,7 +532,7 @@ def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None =
     typecheck_expr(e, TypeContext(interp.woven, obj.class_name, sink, pure, scopes=[types]))
     if sink:
         raise TypecheckError(sink.items)
-    return interp._eval_in_frame(e, obj, scope)
+    return compile_expr(interp.woven, e, list(scope))(interp, obj, *scope.values())
 
 
 _PRIM_TYPES = {IntV: INT, BoolV: BOOL, StringV: STRING, VoidV: VOID}
@@ -932,8 +599,12 @@ def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = 
     error results.  ``interp`` (by default a fresh one without contracts)
     evaluates it."""
     obj = model.resolve(obj)
+    interp = interp or Interpreter(model, POLICY_OFF)
+    decl, rule = interp.code.rules.get(id(inv), (None, None))
+    if decl is not inv:  # not a rule of the woven model
+        rule = compile_expr(model.woven, inv.body, ())
     try:
-        value = (interp or Interpreter(model, POLICY_OFF))._eval_in_frame(inv.body, obj, {})
+        value = rule(interp, obj)
     except EvalFault as fault:
         return CheckResult("error", inv.name, obj.id, owner, str(fault))
     if isinstance(value, BoolV) and value.b:

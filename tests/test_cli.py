@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from helpers import CASE2, FUML, MODELS, run_cli
@@ -124,8 +126,11 @@ def test_deeply_nested_unit_exits_1(tmp_path, rule):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("depth,exit_code", [(100, 0), (400, 5)])
+@pytest.mark.parametrize("depth,exit_code", [(400, 0), (5000, 5)])
 def test_run_deep_dsl_recursion(tmp_path, depth, exit_code):
+    # one DSL call takes two Python frames (the compiled body and the
+    # interpreter's call), under the interpreter's unchanged recursion limit
+    limit = sys.getrecursionlimit()
     (tmp_path / "p.mm").write_text(COUNTER_MM)
     (tmp_path / "p.act").write_text(COUNTER_ACT)
     (tmp_path / "p.mashup").write_text(
@@ -142,6 +147,7 @@ def test_run_deep_dsl_recursion(tmp_path, depth, exit_code):
         assert "Counter.down" in err
     else:
         assert err == "" and out.count("OpEnter\tc.down") == depth + 1
+    assert sys.getrecursionlimit() == limit <= 1000
 
 
 def test_run_trace_format_and_determinism():

@@ -143,7 +143,7 @@ def test_case2_fixture_forbidden():
 
 def test_generator_depth_zero_is_single_action(tmp_path, fuml_woven):
     text, stats = build_recursive_model(0)
-    assert stats == {"depth": 0, "nodes": 3, "edges": 2, "elements": 6,
+    assert stats == {"depth": 0, "nodes": 3, "edges": 2, "elements": 7,
                      "expected_node_executions": 2}
     path = tmp_path / "d0.model"
     path.write_text(text)
@@ -160,14 +160,15 @@ def test_generator_counts_match_document():
         edges = sum(1 for c in classes if c == "ControlFlow")
         assert nodes == stats["nodes"] and edges == stats["edges"]
         assert len(doc["objects"]) == stats["elements"]
-        assert recursive_model_stats(depth)["elements"] == 7 * depth + 6
+        assert recursive_model_stats(depth)["elements"] == 7 * depth + 7
+        assert classes.count("Class") == 1
 
 
-# sha256 of the generated text, fixed when the generator was recursive
+# sha256 of the generated text, fixed when create actions got their Class
 GENERATED_TEXT_SHA256 = {
-    0: "d965b5eb9358ca753758978a1dfb3e59bb6f0fc3dc27d389fd8a58c0fbba0817",
-    4: "d2a3ba9242d59858a368dc3293c9023d379e83da672c1ff68f9573b27dc96b88",
-    102: "382acf0603d440900b4a8b4f9e35b8c7e67f17f83d89ae9bc896f77de6b89970",
+    0: "ccc603df0d09c07770fad4c09f7487473e3e42b12ff48b0e1c594c2935781b9c",
+    4: "227268c30b33c250ceb128c9fb8bc5764e46de5eae79eddcd406d4c366c6ae79",
+    102: "a763860cfbabef10286e3f75a83438fecfa6a25ef4b19135e184d5641ac3fb6f",
 }
 
 
@@ -179,8 +180,8 @@ def test_generator_text_is_stable(depth):
 
 def test_generator_handles_depths_past_the_recursion_limit():
     text, stats = build_recursive_model(1000)
-    assert stats["elements"] == 7006
-    assert len(json.loads(text)["objects"]) == 7006
+    assert stats["elements"] == 7007
+    assert len(json.loads(text)["objects"]) == 7007
 
 
 def test_generator_execution_count_matches_closed_form(tmp_path):
@@ -190,6 +191,17 @@ def test_generator_execution_count_matches_closed_form(tmp_path):
     labels = _run_labels(path)
     assert len(labels) == stats["expected_node_executions"]
     assert labels[-1] == "final"
+
+
+@pytest.mark.parametrize("contracts", ["off", "prepost", "full"])
+def test_generated_model_runs_under_every_contract_policy(tmp_path, contracts):
+    text, stats = build_recursive_model(102)
+    path = tmp_path / "big.model"
+    path.write_text(text)
+    code, out, err = run_cli("run", "--manifest", str(FUML / "fuml.mashup"),
+                             "--model", str(path), "--contracts", contracts)
+    assert code == 0 and err == "", err
+    assert len(trace_labels(out)) == stats["expected_node_executions"]
 
 
 def test_generator_tool_script(tmp_path):
@@ -203,5 +215,5 @@ def test_generator_tool_script(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     stats = json.loads(result.stdout)
-    assert stats["elements"] == 27
+    assert stats["elements"] == 28
     assert json.loads(out_path.read_text())["conformsTo"] == "fuml"
