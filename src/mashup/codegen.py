@@ -12,13 +12,12 @@ The generated code computes what a tree walk over the same ASTs would: it
 keeps the boxed values (``IntV``, ``BoolV``, ``StringV``, ``VoidV``,
 ``ObjRef``, ``Coll``), makes every dynamic check with its exact message
 (a void value where a Bool, an Int, a String, an object or a collection is
-due, division by zero, a failed ``asType``), hands out a copy of a
-collection it reads from a slot, and writes through ``set_feature`` and
-``add_to_feature``.  Dispatch, contracts and the trace stay with
-``runtime.Interpreter``, whose ``call`` every operation call goes through.
-A slot's collection is read without a copy only where nothing can see the
-difference: by ``isEmpty``, ``size`` and ``first``, and by an ``each``
-statement, which walks a copy of its elements.
+due, division by zero, a failed ``asType``), and writes through
+``set_feature`` and ``add_to_feature``.  A collection is a value that no
+write changes (a write stores a new one in its slot), so a slot's
+collection is read, and an ``each`` statement walks it, without a copy.
+Dispatch, contracts and the trace stay with ``runtime.Interpreter``, whose
+``call`` every operation call goes through.
 
 No DSL text reaches ``compile()`` raw: variables and parameters become
 generated locals (``v0``, ``v1``, ...), and strings and class, feature and
@@ -101,11 +100,8 @@ def _cast(obj, target: str) -> EvalFault:
 def _intersection(recv: Coll, other) -> Coll:
     if not isinstance(other, Coll):
         raise EvalFault("TypeFault", "intersection expects a collection argument")
-    try:  # test membership by hash, as make_coll de-duplicates
-        members = set(other.items)
-        return Coll(recv.kind, [x for x in recv.items if x in members])
-    except TypeError:  # nested collections cannot be hashed
-        return Coll(recv.kind, [x for x in recv.items if x in other.items])
+    members = set(other.items)  # membership by hash, as make_coll de-duplicates
+    return Coll(recv.kind, [x for x in recv.items if x in members])
 
 
 def _quotient(a: int, b: int) -> int:
@@ -149,9 +145,6 @@ class _Module:
         self.methods: dict[tuple[str, str], str] = {}  # (owner, op) -> name
         self.rules: dict[tuple[int, bool], str] = {}  # (id(decl), binds result) -> name
         self.pending: list[tuple[str, str, object]] = []
-        # feature names some class gives a many-valued slot (read with a copy)
-        self.many = {sp.name for wc in woven.classes.values()
-                     for sp in wc.slots.values() if sp.many}
 
     def const(self, text: str) -> str:
         """The name of a module constant with the source ``text``."""
@@ -426,10 +419,10 @@ class _Function:
         self.scopes.pop()
 
     def _eachloop(self, stmt: EachLoop) -> None:
-        recv = self.collection(stmt.receiver, copy=False)
+        recv = self.expr(stmt.receiver)
         item = self.fresh("v")
         self.emit(f"if {recv}.__class__ is not VoidV:")
-        self.emit(f"    for {item} in {recv}.items[:]:")
+        self.emit(f"    for {item} in {recv}.items:")
         self.depth += 2
         self.block(stmt.body, {stmt.param: item})
         self.depth -= 2
@@ -484,22 +477,13 @@ class _Function:
     def _voidlit(self, e: VoidLit) -> str:
         return "VOID"
 
-    def _featurenav(self, e: FeatureNav, copy: bool = True) -> str:
+    def _featurenav(self, e: FeatureNav) -> str:
         key = repr(e.feature)
         if isinstance(e.receiver, SelfRef):
-            t = self.assign(f"obj.slots[{key}]")
-        else:
-            r = self.expr(e.receiver)
-            t = self.assign(f"VOID if {r}.__class__ is VoidV else "
-                            f"{self.use('objects')}[{r}.id].slots[{key}]")
-        if copy and e.feature in self.module.many:
-            self.emit(f"if {t}.__class__ is Coll: {t} = Coll({t}.kind, {t}.items[:])")
-        return t
-
-    def collection(self, e, copy: bool) -> str:
-        """A collection operand; read from a slot without a copy unless
-        ``copy``."""
-        return self._featurenav(e, copy) if isinstance(e, FeatureNav) else self.expr(e)
+            return self.assign(f"obj.slots[{key}]")
+        r = self.expr(e.receiver)
+        return self.assign(f"VOID if {r}.__class__ is VoidV else "
+                           f"{self.use('objects')}[{r}.id].slots[{key}]")
 
     def _opcall(self, e: OpCall) -> str:
         recv = self.receiver(e.receiver, f"operation call {e.op} on void")
@@ -509,8 +493,7 @@ class _Function:
 
     def _collectionop(self, e: CollectionOp) -> str:
         kind = e.op_kind
-        # a slot's collection that is only measured needs no copy
-        recv = self.collection(e.receiver, copy=kind not in ("isEmpty", "size", "first"))
+        recv = self.expr(e.receiver)
         void = f"{recv}.__class__ is VoidV"
         if kind == "isEmpty":
             return self.assign(f"VOID if {void} else FALSE if {recv}.items else TRUE")

@@ -47,7 +47,7 @@ from .metamodel import (
     Attribute, MetaClass, Metamodel, OperationSig, Param, Reference, feature_type,
     parse_metamodel, supertypes_first,
 )
-from .semtypes import PRIMITIVES, SemType, STRING, VOID, class_type
+from .semtypes import SemType, STRING, VOID, class_type
 
 ROOT_CLASS = "Root"
 
@@ -322,20 +322,21 @@ def linearize(class_name: str, graph: dict[str, tuple[str, ...]]) -> tuple[str, 
 
 class SlotPlan:
     """What type checking, creating, assigning, checking, loading and saving
-    ask of one slot.  ``owner`` is the class declaring the feature;
-    ``conforming`` maps a class name to the names of the classes conforming
-    to it (None: every class).  Every class that inherits a feature shares
-    its plan."""
+    ask of one slot.  ``owner`` is the class declaring the feature and
+    ``unit`` the unit declaring it; ``conforming`` maps a class name to the
+    names of the classes conforming to it (None: every class).  Every class
+    that inherits a feature shares its plan."""
 
-    __slots__ = ("name", "feat", "owner", "many", "lower", "kind", "default", "prim",
+    __slots__ = ("name", "feat", "owner", "unit", "many", "lower", "kind", "default", "prim",
                  "targets", "opposite", "containment")
 
-    def __init__(self, feat: Attribute | Reference, owner: str,
+    def __init__(self, feat: Attribute | Reference, owner: str, unit: str,
                  conforming: dict[str, frozenset[str] | None]):
         t = feature_type(feat)
         self.name = feat.name
         self.feat = feat
         self.owner = owner
+        self.unit = unit
         self.many = feat.bounds.many
         self.lower = feat.bounds.lower
         # a many-valued slot's collection kind, or a single one's shared default
@@ -390,6 +391,8 @@ class WovenModel:
     aspect_units: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # (class, method) -> the behavior unit that declares the body
     method_units: dict[tuple[str, str], str] = field(default_factory=dict)
+    # (class, operation) of an op_sigs entry -> the unit declaring the signature
+    sig_units: dict[tuple[str, str], str] = field(default_factory=dict)
     # the compiled behaviour and rules (codegen.compiled), made on first use
     compiled: object = field(default=None, compare=False, repr=False)
 
@@ -577,17 +580,21 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     # own (declared-at-this-class) members; one slot plan per declared feature
     own_plans: dict[str, list[SlotPlan]] = {}
     own_methods: dict[str, list[MethodDef]] = {}
-    own_sigs: dict[str, list[OperationSig]] = {}
+    own_sigs: dict[str, list[tuple[OperationSig, str]]] = {}  # (signature, unit)
+    sig_units: dict[tuple[str, str], str] = {}
     for name in base:
-        feats: list[Attribute | Reference] = list(base[name][0].features())
-        sigs: list[OperationSig] = list(base[name][0].operations)
+        mm_unit = base[name][1]
+        feats = [(f, mm_unit) for f in base[name][0].features()]
+        sigs = [(s, mm_unit) for s in base[name][0].operations]
         if name in contribs:
             cc = contribs[name]
-            feats.extend(f for f, _unit in cc.attributes + cc.references)
+            feats.extend(cc.attributes + cc.references)
             own_methods[name] = [m for m, _unit in cc.methods]
-            sigs.extend(m.sig for m in own_methods[name])
-        own_plans[name] = [SlotPlan(f, name, conforming) for f in feats]
+            sigs.extend((m.sig, unit) for m, unit in cc.methods)
+        own_plans[name] = [SlotPlan(f, name, unit, conforming) for f, unit in feats]
         own_sigs[name] = sigs
+        for sig, unit in sigs:
+            sig_units.setdefault((name, sig.name), unit)
 
     woven = WovenModel(
         package, {}, ROOT_CLASS,
@@ -595,6 +602,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         aspect_units={name: contribs[name].units for name in base if name in contribs},
         method_units={(name, m.sig.name): unit
                       for name, cc in contribs.items() for m, unit in cc.methods},
+        sig_units=sig_units,
     )
 
     for name in base:
@@ -614,7 +622,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
 
         op_sigs: dict[str, tuple[OperationSig, str]] = {}
         for cls in lin:
-            for sig in own_sigs.get(cls, ()):
+            for sig, _unit in own_sigs.get(cls, ()):
                 op_sigs.setdefault(sig.name, (sig, cls))
 
         definers: dict[str, list[tuple[str, MethodDef]]] = {}
@@ -633,6 +641,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                 renamed_sig = OperationSig(op, mdef0.sig.params, mdef0.sig.return_type,
                                            mdef0.sig.pos)
                 op_sigs[op] = (renamed_sig, owner0)
+                sig_units[(owner0, op)] = woven.method_units[(owner0, mdef0.sig.name)]
 
         ambiguous = frozenset(
             op for op, entries in table.items() if _is_ambiguous(entries, lin_of)
@@ -729,35 +738,33 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                     "BadLinearization",
                     f"supertype {sup} of {name} must occur exactly once in the linearization",
                 )
+        # attribute types are primitive: parse_feature refuses any other
         for fname, sp in wc.slots.items():
             feat = sp.feat
-            if isinstance(feat, Reference):
-                if feat.target not in known:
-                    sink.add("ClosureError",
-                             f"reference {name}.{fname} targets unknown class {feat.target}")
-                    continue
-                if feat.opposite is not None:
-                    paired = woven.feature(feat.target, feat.opposite)
-                    opp = paired.feat if paired is not None else None
-                    if not isinstance(opp, Reference) or opp.opposite != feat.name:
-                        sink.add(
-                            "OppositeMismatch",
-                            f"opposites are not mutual for {name}.{fname}",
-                        )
-                    elif feat.containment and opp.containment:
-                        sink.add(
-                            "ContainmentOpposite",
-                            f"containment reference {name}.{fname} has a containment opposite",
-                        )
-            elif feat.type not in PRIMITIVES:
-                sink.add("ClosureError", f"attribute {name}.{fname} has unknown type {feat.type}")
-        for op, (sig, _owner) in wc.op_sigs.items():
+            if not isinstance(feat, Reference):
+                continue
+            if feat.target not in known:
+                sink.add("ClosureError",
+                         f"reference {name}.{fname} targets unknown class {feat.target}",
+                         feat.pos, sp.unit)
+                continue
+            if feat.opposite is not None:
+                paired = woven.feature(feat.target, feat.opposite)
+                opp = paired.feat if paired is not None else None
+                if not isinstance(opp, Reference) or opp.opposite != feat.name:
+                    sink.add("OppositeMismatch", f"opposites are not mutual for {name}.{fname}",
+                             feat.pos, sp.unit)
+                elif feat.containment and opp.containment:
+                    sink.add("ContainmentOpposite",
+                             f"containment reference {name}.{fname} has a containment opposite",
+                             feat.pos, sp.unit)
+        for op, (sig, owner) in wc.op_sigs.items():
             for t in list(_named_types(sig.return_type)) + [
                 n for p in sig.params for n in _named_types(p.type)
             ]:
                 if t not in known:
-                    sink.add("ClosureError",
-                             f"operation {name}.{op} mentions unknown class {t}")
+                    sink.add("ClosureError", f"operation {name}.{op} mentions unknown class {t}",
+                             sig.pos, woven.sig_units[(owner, op)])
     return sink.items
 
 

@@ -197,12 +197,13 @@ class ObjRef:
 class Coll:
     """Ordered, materialized collection value.
 
-    Set and OrderedSet reject duplicates (structural equality for
-    primitives, identity for object references); iteration order is always
-    insertion order so execution stays deterministic.  ``make_coll`` drops
-    duplicates through a hash in linear time, keeping each first occurrence;
-    a collection holding collections, which are unhashable, falls back to a
-    quadratic scan with the same result.
+    A collection is a value: nothing changes its ``items`` once it is
+    built, so it may be shared (a slot's write stores a new one), and it
+    hashes by its kind and elements.  Set and OrderedSet reject duplicates
+    (structural equality for primitives, identity for object references);
+    iteration order is always insertion order so execution stays
+    deterministic.  ``make_coll`` drops duplicates through a hash in linear
+    time, keeping each first occurrence.
     """
 
     __slots__ = ("kind", "items")
@@ -214,6 +215,9 @@ class Coll:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Coll) and self.kind == other.kind and self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.kind, tuple(self.items)))
 
     def __repr__(self) -> str:
         return f"Coll({self.kind}, {self.items!r})"
@@ -240,16 +244,9 @@ def type_default(t: SemType) -> Value:
 
 def make_coll(kind: str, items) -> Coll:
     items = list(items)
-    if kind not in ("Set", "OrderedSet") or len(items) < 2:
-        return Coll(kind, items)
-    try:
-        return Coll(kind, list(dict.fromkeys(items)))
-    except TypeError:  # nested collections cannot be hashed
-        out: list = []
-        for item in items:
-            if item not in out:
-                out.append(item)
-        return Coll(kind, out)
+    if kind in ("Set", "OrderedSet") and len(items) > 1:
+        items = list(dict.fromkeys(items))
+    return Coll(kind, items)
 
 
 def render_value(v: Value) -> str:

@@ -9,8 +9,15 @@ call, traces it and checks its contracts.
 Assignment keeps both ends of bidirectional associations in sync and keeps
 containment a forest: attaching an object removes it from its previous
 container first, and an attachment that would close a containment cycle is
-refused before anything is mutated.  Slot reads hand out copies of
-collections, so expression evaluation can never alias live model state.
+refused before anything is mutated.
+
+Collections are values: every write of a many-valued slot stores a new
+``Coll`` in it and no code changes a collection's ``items``, so a slot's
+collection is read, held in a variable and shared by a clone without a
+copy, and ``clone`` copies only the objects.  The guarantees above hold
+for writes through ``create_instance``, ``set_feature``, ``add_to_feature``
+and ``remove_from_feature``; writing ``Obj.slots`` or a collection's
+``items`` in place voids them, a clone's independence included.
 
 Models serialize to JSON with objects ordered by id and slot keys sorted,
 so output is byte-stable.  Slots holding their type default (void single
@@ -182,10 +189,7 @@ class ModelInstance:
         for oid, obj in self.objects.items():
             copy = Obj(oid, obj.class_name)
             copy.container = obj.container
-            copy.slots = {
-                k: Coll(v.kind, list(v.items)) if isinstance(v, Coll) else v
-                for k, v in obj.slots.items()
-            }
+            copy.slots = dict(obj.slots)
             out.objects[oid] = copy
         return out
 
@@ -276,16 +280,29 @@ def _detach(model: ModelInstance, obj: Obj) -> None:
     _remove_link(model, parent, _slot(model, parent, fname), ObjRef(obj.id))
 
 
+def _without(coll: Coll, x: Value) -> Coll:
+    """``coll`` less its first ``x``, found in one scan (``coll`` if none)."""
+    try:
+        i = coll.items.index(x)
+    except ValueError:
+        return coll
+    return Coll(coll.kind, coll.items[:i] + coll.items[i + 1:])
+
+
 def _remove_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef,
                  sync: bool = True) -> None:
     slot = src.slots[sp.name]
     if sp.many:
-        try:
-            slot.items.remove(tgt)
-        except ValueError:  # not linked: nothing to undo
+        src.slots[sp.name] = _without(slot, tgt)
+        if src.slots[sp.name] is slot:  # not linked: nothing to undo
             return
     elif slot == tgt:
         src.slots[sp.name] = VOID_VALUE
+    _unlinked(model, src, sp, tgt, sync)
+
+
+def _unlinked(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef, sync=True) -> None:
+    """Container, roots and (with ``sync``) opposite once ``tgt`` left ``src``."""
     if sp.containment:
         t_obj = model.obj(tgt.id)
         if t_obj.container == (src.id, sp.name):
@@ -298,19 +315,24 @@ def _remove_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef,
 
 def _add_link(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef,
               sync: bool = True) -> None:
-    if sp.containment:
-        t_obj = model.obj(tgt.id)
-        _detach(model, t_obj)
-        t_obj.container = (src.id, sp.name)
-        model._roots_remove(tgt.id)
+    if sp.containment:  # first, so that re-adding a child moves it to the end
+        _detach(model, model.obj(tgt.id))
     slot = src.slots[sp.name]
     if sp.many:
         if tgt not in slot.items:
-            slot.items.append(tgt)
+            src.slots[sp.name] = Coll(slot.kind, slot.items + [tgt])
     else:
         if isinstance(slot, ObjRef) and slot != tgt:
             _remove_link(model, src, sp, slot)
         src.slots[sp.name] = tgt
+    _linked(model, src, sp, tgt, sync)
+
+
+def _linked(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef, sync=True) -> None:
+    """Container, roots and (with ``sync``) opposite once ``tgt`` joined ``src``."""
+    if sp.containment:
+        model.obj(tgt.id).container = (src.id, sp.name)
+        model._roots_remove(tgt.id)
     if sync and sp.opposite:
         t_obj = model.obj(tgt.id)
         _add_link(model, t_obj, _slot(model, t_obj, sp.opposite), ObjRef(src.id), sync=False)
@@ -339,10 +361,14 @@ def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
             _check_target(model, sp, x)
         for x in new.items:
             _check_cycle_for_link(model, obj, sp, x)
-        for x in list(obj.slots[feature].items):
-            _remove_link(model, obj, sp, x)
+        # one slot write; each old and new element gets its own upkeep
+        for x in obj.slots[feature].items:
+            _unlinked(model, obj, sp, x)
+        for x in new.items if sp.containment else ():
+            _detach(model, model.obj(x.id))
+        obj.slots[feature] = new
         for x in new.items:
-            _add_link(model, obj, sp, x)
+            _linked(model, obj, sp, x)
         return
     if isinstance(value, VoidV):
         old = obj.slots[feature]
@@ -368,7 +394,7 @@ def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> Non
         if not sp.many:
             raise EvalFault("TypeFault", f"cannot add to single-valued attribute {feature}")
         _check_prim(sp, value)
-        obj.slots[feature].items.append(value)
+        obj.slots[feature] = Coll(sp.kind, obj.slots[feature].items + [value])
         return
     if sp.many:
         _check_target(model, sp, value)
@@ -389,10 +415,7 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
     if sp.prim is not None:
         if not sp.many:
             raise EvalFault("TypeFault", f"cannot remove from single-valued attribute {feature}")
-        try:
-            obj.slots[feature].items.remove(value)
-        except ValueError:
-            pass
+        obj.slots[feature] = _without(obj.slots[feature], value)
         return
     if not isinstance(value, ObjRef):
         return
@@ -595,16 +618,15 @@ class CheckResult:
 
 def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = "",
                     interp: Interpreter | None = None) -> CheckResult:
-    """Evaluate one invariant of the woven model on one object; faults become
-    error results.  ``interp`` (by default a fresh one without contracts)
-    evaluates it."""
+    """Evaluate one invariant on one object; faults become error results.
+    ``interp`` (by default a fresh one without contracts) evaluates it.  An
+    invariant the woven model does not own is type checked as pure first,
+    as ``eval_expr`` does; an ill-typed one raises TypecheckError."""
     obj = model.resolve(obj)
     interp = interp or Interpreter(model, POLICY_OFF)
     decl, rule = interp.code.rules.get(id(inv), (None, None))
-    if decl is not inv:  # not a rule of the woven model
-        rule = compile_expr(model.woven, inv.body, ())
     try:
-        value = rule(interp, obj)
+        value = rule(interp, obj) if decl is inv else eval_expr(inv.body, interp, obj)
     except EvalFault as fault:
         return CheckResult("error", inv.name, obj.id, owner, str(fault))
     if isinstance(value, BoolV) and value.b:

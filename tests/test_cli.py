@@ -25,6 +25,24 @@ def test_composition_error_exits_2():
     assert code == 2 and "ForbiddenComposition" in err
 
 
+def test_validation_errors_point_at_their_declarations(tmp_path):
+    (tmp_path / "v.mm").write_text(
+        "metamodel v {\n  class A {\n    ref kids: B[*];\n    op make(x: Ghost);\n  }\n"
+        "  class B { }\n}\n")
+    (tmp_path / "v.act").write_text(
+        'package v;\nrequire "v.mm";\n\naspect class B {\n  ref owner: A opposite kids;\n'
+        "  ref r: Nope;\n  operation build(y : Ghost) : Void is do end\n}\n")
+    (tmp_path / "v.mashup").write_text('package v;\nrequire "v.mm";\nrequire "v.act";\n')
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "v.mashup"))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "v.mm:4:8: ClosureError operation A.make mentions unknown class Ghost",
+        "v.act:5:7: OppositeMismatch opposites are not mutual for B.owner",
+        "v.act:6:7: ClosureError reference B.r targets unknown class Nope",
+        "v.act:7:13: ClosureError operation B.build mentions unknown class Ghost",
+    ]
+
+
 def test_type_error_exits_3(tmp_path):
     (tmp_path / "m.mm").write_text("metamodel m { class A { } }")
     (tmp_path / "m.inv").write_text(

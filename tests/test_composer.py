@@ -451,6 +451,14 @@ def test_renamed_operation_is_callable_from_dsl_code():
     assert woven.classes["D"].op_sigs["runC"][1] == "C"
 
 
+def test_renamed_signature_is_validated_where_its_body_is_declared():
+    act = DIAMOND_ACT.replace("run()", "run(g : Ghost)")
+    woven = compose(parse_units(mm=DIAMOND_MM, act=[
+        act, 'package d;\nrequire "d.mm";\naspect class D { rename run from C as runC; }']))
+    assert [d.render() for d in validate_woven(woven) if ".runC " in d.message] == [
+        "u0.act:4:28: ClosureError operation D.runC mentions unknown class Ghost"]
+
+
 def test_override_along_one_chain_is_not_ambiguous():
     woven = weave(
         mm="metamodel m { class B { } class D extends B { } }",
@@ -633,7 +641,7 @@ def test_validate_woven_flags_unknown_target(fuml_woven):
     broken = WovenClass(
         name="X", is_abstract=False, supertypes=(),
         linearization=("X", ROOT_CLASS),
-        slots={"r": SlotPlan(Reference("r", "Ghost"), "X", {})},
+        slots={"r": SlotPlan(Reference("r", "Ghost"), "X", "x.mm", {})},
     )
     import copy
     woven = copy.copy(fuml_woven)

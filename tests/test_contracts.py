@@ -4,11 +4,11 @@ import pytest
 
 from helpers import MODELS, parse_units, weave
 from mashup.contracts import parse_contracts
-from mashup.diagnostics import UnitParseError
+from mashup.diagnostics import TypecheckError, UnitParseError
 from mashup.exprs import TypeTest, parse_expr
 from mashup.runtime import (
-    ModelInstance, check_invariant, check_model, create_instance, load_model,
-    set_feature,
+    POLICY_OFF, Interpreter, ModelInstance, check_invariant, check_model, create_instance,
+    load_model, set_feature,
 )
 from mashup.exprs import IntV
 from mashup.typecheck import typecheck_contracts
@@ -102,6 +102,26 @@ def test_trivially_true_invariant_holds(fuml_woven):
     inv = InvariantDecl("always", parse_expr("true"))
     for oid in model.objects:
         assert check_invariant(inv, model.obj(oid), model).status == "holds"
+
+
+@pytest.mark.parametrize("body, code", [
+    ("self.nope", "UnknownFeature"),
+    ("y", "UnknownVariable"),
+    ('self.trace("x")', "ImpureExpression"),
+])
+def test_foreign_invariant_is_type_checked_before_it_runs(fuml_woven, body, code):
+    """An invariant the woven model does not own runs only once the checker
+    has passed it as pure; an ill-typed one raises the checker's diagnostic
+    and runs nothing."""
+    from mashup.contracts import InvariantDecl
+
+    model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
+    interp = Interpreter(model, POLICY_OFF)
+    with pytest.raises(TypecheckError) as exc:
+        check_invariant(InvariantDecl("bad", parse_expr(body)), model.obj("o1"), model,
+                        interp=interp)
+    assert [d.code for d in exc.value.diagnostics] == [code]
+    assert interp.trace == []
 
 
 def test_evaluation_fault_becomes_error_result():

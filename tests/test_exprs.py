@@ -223,7 +223,7 @@ _SCALARS = st.one_of(
     st.just(VOID_VALUE),
     st.sampled_from(["o1", "o2", "o3"]).map(ObjRef),
 )
-# Nested collections are unhashable, so lists holding one take the scan path.
+# Collections hash by kind and elements, so nested ones de-duplicate by hash too.
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.builds(Coll, st.sampled_from(COLLECTION_KINDS), st.lists(inner, max_size=3)),
