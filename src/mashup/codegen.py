@@ -1,23 +1,39 @@
-"""Compile a woven model's method bodies and contract rules to Python, once.
+"""Compile a woven model's method bodies, contracts and dispatch to Python,
+once.
 
 ``compiled(woven)`` writes one Python module for a woven model, runs
 ``compile()`` on it and caches the result on the model; ``compose`` never
 changes a woven model afterwards, so the cache is never stale.  The module
 holds one function per (defining class, method) body, per invariant and per
-pre and post clause, and one dispatch table per class: operation ->
-(body, precondition groups, postcondition clauses).  Method tables,
-renamings and ``super`` targets are resolved while writing.
+pre and post clause, one entry per distinct (operation, body, contracts),
+and one dispatch table per class: operation -> entry.  Method tables,
+renamings, ``super`` targets and the slot plans of written features are
+resolved while writing.
+
+An entry is what a call costs: it traces the call (``OpEnter``, then
+``OpExit`` with the rendered result) and, under the interpreter's policy
+(``rt.checks``, ``rt.full``), checks the precondition groups, runs the
+body, and checks the postconditions and the receiver's invariants, each
+rule unrolled with the message and fault kind the interpreter gives it.  A
+call site names its entry when every class with the operation runs the
+same one, and otherwise looks it up by the receiver's class in a constant
+table.  The builtins ``container``, ``trace`` and ``fault`` run inline
+where no class defines an operation of their name; a class that does
+dispatches to its own body.
 
 The generated code computes what a tree walk over the same ASTs would: it
 keeps the boxed values (``IntV``, ``BoolV``, ``StringV``, ``VoidV``,
-``ObjRef``, ``Coll``), makes every dynamic check with its exact message
+``ObjRef``, ``Coll``) and makes every dynamic check with its exact message
 (a void value where a Bool, an Int, a String, an object or a collection is
-due, division by zero, a failed ``asType``), and writes through
-``set_feature`` and ``add_to_feature``.  A collection is a value that no
-write changes (a write stores a new one in its slot), so a slot's
-collection is read, and an ``each`` statement walks it, without a copy.
-Dispatch, contracts and the trace stay with ``runtime.Interpreter``, whose
-``call`` every operation call goes through.
+due, division by zero, a failed ``asType``).  A feature that one slot plan
+holds, as every class inheriting it shares its plan, is written through
+that plan: a single-valued attribute is stored inline after
+``set_feature``'s one check, and any other write goes to ``set_slot`` or
+``add_slot``, which keep the one implementation of reference upkeep; a
+name several classes declare is written through ``set_feature`` and
+``add_to_feature``.  A collection is a value that no write changes (a write
+stores a new one in its slot), so a slot's collection is read, and an
+``each`` statement walks it, without a copy.
 
 No DSL text reaches ``compile()`` raw: variables and parameters become
 generated locals (``v0``, ``v1``, ...), and strings and class, feature and
@@ -30,6 +46,7 @@ and each DSL statement starts a line of its own.
 from __future__ import annotations
 
 from .behavior import Assign, EachLoop, ExprStmt, If, Loop, Return, SuperCall, VarDecl
+from .composer import ROOT_BUILTINS
 from .diagnostics import NOPOS, EvalFault, syntax_error
 from .exprs import (
     BinOp, BoolLit, Coll, CollectionOp, FeatureNav, IfExpr, IntLit, New, Not, ObjRef,
@@ -40,23 +57,18 @@ from .exprs import (
 
 class CompiledModel:
     """The compiled module of one woven model: per class, its dispatch table
-    (operation -> (body, pre, post)) and its flattened invariants as
-    (name, rule) pairs; each invariant declaration's rule by identity; and
-    the expressions compiled since, by (expression, names).
+    (operation -> generated entry); each invariant declaration's rule by
+    identity; and the expressions compiled since, by (expression, names).
 
-    ``pre`` is None or (name of the first clause, groups of rules): the
-    precondition holds when every rule of some group does.  ``post`` is a
-    tuple of (name, rule).  A body is called as ``body(interp, obj, *args)``,
-    a pre rule as ``rule(interp, obj, *args)``, a post rule as
-    ``rule(interp, obj, result, *args)`` and an invariant as
-    ``rule(interp, obj)``; rules return the value of their expression.
+    An entry is called as ``entry(interp, obj, *args)`` and an invariant's
+    rule as ``rule(interp, obj)``, which returns the value of its
+    expression.
     """
 
-    __slots__ = ("dispatch", "invariants", "rules", "expressions", "source")
+    __slots__ = ("dispatch", "rules", "expressions", "source")
 
     def __init__(self, namespace: dict, rules: dict, source: str):
         self.dispatch = namespace["DISPATCH"]
-        self.invariants = namespace["INVARIANTS"]
         self.rules = {key: (decl, namespace[name]) for key, (decl, name) in rules.items()}
         self.expressions: dict[tuple, object] = {}
         self.source = source
@@ -76,7 +88,7 @@ def compile_expr(woven, e, names) -> object:
     cache = compiled(woven).expressions
     key = (e, tuple(names))
     if key not in cache:
-        module = _Module(woven)
+        module = _Module(woven, entries=False)
         name = module.rule(e, names)
         cache[key] = module.load("<mashup expression>", "")[name]
     return cache[key]
@@ -109,16 +121,32 @@ def _quotient(a: int, b: int) -> int:
     return a // b if (a < 0) == (b < 0) else -((-a) // b)
 
 
-def _globals() -> dict:
-    from .runtime import add_to_feature, create_instance, set_feature
+def _no_method(op: str):
+    """The entry of an operation a class declares without a body."""
+    def missing(rt, obj, *args):
+        raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
+    return missing
+
+
+def _globals(woven) -> dict:
+    from .runtime import (
+        BUILTINS, NodeExecuted, OpEnter, OpExit, add_slot, add_to_feature, create_instance,
+        set_feature, set_slot,
+    )
 
     return {
         "BoolV": BoolV, "IntV": IntV, "StringV": StringV, "VoidV": VoidV, "ObjRef": ObjRef,
         "Coll": Coll, "TRUE": TRUE, "FALSE": FALSE, "VOID": VOID_VALUE,
-        "EvalFault": EvalFault, "make_coll": make_coll, "set_feature": set_feature,
-        "add_to_feature": add_to_feature, "create_instance": create_instance,
+        "EvalFault": EvalFault, "make_coll": make_coll, "render_value": render_value,
+        "set_feature": set_feature, "add_to_feature": add_to_feature,
+        "set_slot": set_slot, "add_slot": add_slot, "create_instance": create_instance,
         "_operands": _operands, "_cast": _cast, "_intersection": _intersection,
-        "_quotient": _quotient,
+        "_quotient": _quotient, "_no_method": _no_method,
+        "_container": BUILTINS["container"], "_trace": BUILTINS["trace"],
+        "_fault": BUILTINS["fault"],
+        "event": tuple.__new__, "OpEnter": OpEnter, "OpExit": OpExit,
+        "NodeExecuted": NodeExecuted,
+        "PLANS": {name: wc.slots for name, wc in woven.classes.items()},
     }
 
 
@@ -132,25 +160,50 @@ _HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
 _COMPARE = ("<", "<=", ">", ">=")
 
 
+def _unless(test: str, error: str, kind: str, rule_name: str) -> str:
+    """A line raising the contract violation ``error`` unless ``test``,
+    which is a call or a parenthesized expression."""
+    return f"if not {test}: raise rt.violation({error!r}, {kind!r}, {rule_name!r}, obj)"
+
+
 class _Module:
     """Writes the source of one module: functions, then the constants and
-    tables they use."""
+    tables they use.  A model's module (``entries``) has an entry per
+    dispatched operation, and its call sites reach them; an expression's
+    module calls through ``Interpreter.call``."""
 
-    def __init__(self, woven):
+    def __init__(self, woven, entries: bool = True):
         self.woven = woven
         self.functions: dict[str, str] = {}  # name -> source
         # name -> (unit, position, what) of the DSL code a function runs
         self.origins: dict[str, tuple] = {}
         self.constants: dict[str, str] = {}  # source text -> name
         self.methods: dict[tuple[str, str], str] = {}  # (owner, op) -> name
-        self.rules: dict[tuple[int, bool], str] = {}  # (id(decl), binds result) -> name
+        # (id(decl), binds result, tests a Bool) -> name
+        self.rules: dict[tuple[int, bool, bool], str] = {}
+        self.entries: dict[tuple, str] | None = {} if entries else None  # see entry
+        self.sites: dict[str, tuple[str, str]] = {}  # operation -> see site
         self.pending: list[tuple[str, str, object]] = []
+        self.plans: dict[str, list] = {}  # feature name -> the distinct plans of that name
+        for wc in woven.classes.values():
+            for sp in wc.slots.values():
+                same = self.plans.setdefault(sp.name, [])
+                if sp not in same:
+                    same.append(sp)
 
     def const(self, text: str) -> str:
         """The name of a module constant with the source ``text``."""
         if text not in self.constants:
             self.constants[text] = f"c{len(self.constants)}"
         return self.constants[text]
+
+    def plan(self, feature: str):
+        """The one slot plan of every feature named ``feature``, and the
+        constant holding it; None when classes declare several."""
+        plans = self.plans[feature]
+        if len(plans) != 1:
+            return None
+        return plans[0], self.const(f"PLANS[{plans[0].owner!r}][{feature!r}]")
 
     def method(self, owner: str, mdef) -> str:
         """The name of the function of ``owner``'s body of ``mdef``."""
@@ -160,47 +213,45 @@ class _Module:
             self.pending.append((name, owner, mdef))
         return self.methods[key]
 
-    def rule(self, body, names, result: bool = False) -> str:
+    def rule(self, body, names, result: bool = False, test: bool = False) -> str:
         """Write a rule function: ``self`` and ``names`` (then ``result``)
-        bound, returning the value of ``body``."""
+        bound, returning the value of ``body``, or with ``test`` whether
+        that value is true (a value other than a Bool is a fault)."""
         params = [f"v{i}" for i in range(len(names))]
         scope = dict(zip(names, params))
         if result:
             scope["result"] = "result"
             params.insert(0, "result")
         fn = _Function(self, f"r{len(self.functions)}", params, scope)
-        fn.emit(f"return {fn.expr(body)}")
+        value = fn.expr(body)
+        if test:
+            if fn.known.get(value) is not BoolV:
+                fn.emit(f"if {value}.__class__ is not BoolV: "
+                        "raise EvalFault('TypeFault', 'contract rule did not yield a Bool')")
+            value += ".b"
+        fn.emit(f"return {value}")
         self.functions[fn.name] = fn.source()
         return fn.name
 
-    def decl_rule(self, decl, names=(), result: bool = False) -> str:
+    def decl_rule(self, decl, names=(), result: bool = False, test: bool = False) -> str:
         """The rule function of a contract declaration, written once."""
-        key = (id(decl), result)
+        key = (id(decl), result, test)
         if key not in self.rules:
-            self.rules[key] = name = self.rule(decl.body, names, result)
+            self.rules[key] = name = self.rule(decl.body, names, result, test)
             self.origins[name] = (self.woven.package, decl.pos, f"rule {decl.name}")
         return self.rules[key]
 
     def build(self) -> CompiledModel:
         woven = self.woven
-        dispatch, invariants, inv_rules = [], [], {}
+        dispatch, inv_rules = [], {}
         for cname, wc in woven.classes.items():
-            ops = []
-            for op, entries in wc.method_table.items():
-                owner, mdef = entries[0]
-                ops.append(f"{op!r}: ({self.method(owner, mdef)}, "
-                           f"{self._pre(wc, op)}, {self._post(wc, op)})")
-            dispatch.append(f"{cname!r}: {{{', '.join(ops)}}}")
-            pairs = []
+            ops = "".join(f"{op!r}: {self.entry(wc, op)}, " for op in wc.method_table)
+            dispatch.append(f"{cname!r}: {{{ops}}}")
             for _owner, inv in wc.flat_invariants:
                 inv_rules[id(inv)] = (inv, self.decl_rule(inv))
-                pairs.append(f"({inv.name!r}, {inv_rules[id(inv)][1]}), ")
-            invariants.append(f"{cname!r}: ({''.join(pairs)})")
         while self.pending:
             self._method(*self.pending.pop())
-        tables = [f"DISPATCH = {{{', '.join(dispatch)}}}",
-                  f"INVARIANTS = {{{', '.join(invariants)}}}"]
-        namespace = self.load(f"<mashup {woven.package}>", "\n".join(tables))
+        namespace = self.load(f"<mashup {woven.package}>", f"DISPATCH = {{{', '.join(dispatch)}}}")
         return CompiledModel(namespace, inv_rules, self.source)
 
     def load(self, filename: str, tables: str) -> dict:
@@ -212,7 +263,7 @@ class _Module:
             code = compile(self.source, filename, "exec")
         except (SyntaxError, RecursionError):
             raise self._too_deep() from None
-        namespace = _globals()
+        namespace = _globals(self.woven)
         exec(code, namespace)
         return namespace
 
@@ -227,20 +278,78 @@ class _Module:
                 return syntax_error(f"{what} is nested too deeply to compile", unit, pos)
         raise AssertionError("the module compiles function by function")
 
-    def _pre(self, wc, op: str) -> str:
-        groups = wc.flat_pre.get(op)
-        if not groups:
-            return "None"
-        fns = []
-        for owner, clauses in groups:
-            names = self._params(owner, op)
-            fns.append("(" + "".join(f"{self.decl_rule(c, names)}, " for c in clauses) + ")")
-        return f"({groups[0][1][0].name!r}, ({', '.join(fns)},))"
+    def entry(self, wc, op: str) -> str:
+        """The entry of ``op`` on class ``wc``: one function per distinct
+        (operation, body, contracts).  It traces the call and, under the
+        interpreter's policy, checks the precondition groups (some group
+        must hold all its rules), then runs the body, then checks the
+        postconditions and (``full``) the class's invariants."""
+        owner, mdef = wc.method_table[op][0]
+        body = self.method(owner, mdef)
+        pre = wc.flat_pre.get(op, ())
+        groups = tuple(tuple(self.decl_rule(c, self._params(o, op), test=True) for c in clauses)
+                       for o, clauses in pre)
+        post = tuple((c.name, self.decl_rule(c, self._params(o, op), True, True))
+                     for o, c in wc.flat_post.get(op, ()))
+        invs = tuple((inv.name, self.decl_rule(inv, test=True)) for _o, inv in wc.flat_invariants)
+        key = (op, body, pre[0][1][0].name if pre else None, groups, post, invs)
+        if key not in self.entries:
+            self.entries[key] = name = f"e{len(self.entries)}"
+            self._entry(name, len(mdef.sig.params), *key)
+        return self.entries[key]
 
-    def _post(self, wc, op: str) -> str:
-        return "(" + "".join(
-            f"({c.name!r}, {self.decl_rule(c, self._params(owner, op), True)}), "
-            for owner, c in wc.flat_post.get(op, ())) + ")"
+    def _entry(self, name: str, arity: int, op: str, body: str, pre_name, groups, post,
+               invs) -> None:
+        params = "".join(f", v{i}" for i in range(arity))
+        call = f"{body}(rt, obj{params})"
+        checked = []
+        if groups:
+            holds = [" and ".join(f"{r}(rt, obj{params})" for r in group) for group in groups]
+            checked.append(_unless(f"({' or '.join(holds)})", "PreconditionViolation", "pre",
+                                   pre_name))
+        checked.append(f"result = {call}")
+        checked += [_unless(f"{r}(rt, obj, result{params})", "PostconditionViolation", "post",
+                            rule_name) for rule_name, r in post]
+        if invs:
+            checked.append("if rt.full:")
+            checked += ["    " + _unless(f"{r}(rt, obj)", "InvariantViolation", "inv", rule_name)
+                        for rule_name, r in invs]
+        lines = [f"def {name}(rt, obj{params}):",
+                 f"    rt.trace.append(event(OpEnter, (obj.id, {op!r})))"]
+        if len(checked) > 1:
+            lines += ["    if rt.checks:", *("        " + line for line in checked),
+                      "    else:", f"        result = {call}"]
+        else:
+            lines.append(f"    result = {call}")
+        lines += ["    rt.trace.append(event(OpExit, (obj.id, "
+                  f"{op!r}, 'void' if result is VOID else render_value(result))))",
+                  "    return result"]
+        self.functions[name] = "\n".join(lines)
+
+    def site(self, op: str) -> tuple[str, str]:
+        """How a call of ``op`` runs: ``("builtin", op)`` inline, when no
+        class defines a builtin's name; ``("entry", name)``, when every
+        class that has ``op`` runs the same entry; else ``("table", name)``,
+        a constant mapping each such class name to its entry."""
+        if op not in self.sites:
+            classes = self.woven.classes
+            targets = {}
+            for cname, wc in classes.items():
+                if op in wc.method_table:
+                    targets[cname] = self.entry(wc, op)
+                elif op in ROOT_BUILTINS:
+                    targets[cname] = f"_{op}"
+                elif op in wc.op_sigs:  # declared without a body
+                    targets[cname] = self.const(f"_no_method({op!r})")
+            found = set(targets.values())
+            if op in ROOT_BUILTINS and found <= {f"_{op}"}:
+                self.sites[op] = ("builtin", op)
+            elif len(found) == 1:
+                self.sites[op] = ("entry", found.pop())
+            else:
+                table = ", ".join(f"{c!r}: {fn}" for c, fn in targets.items())
+                self.sites[op] = ("table", self.const("{" + table + "}"))
+        return self.sites[op]
 
     def _params(self, owner: str, op: str) -> list[str]:
         """The parameter names of ``owner``'s signature for ``op``, which
@@ -367,18 +476,41 @@ class _Function:
             self.emit(f"{self.local(lv.name)} = {value}")
             return
         recv = self.receiver(lv.receiver, f"cannot assign feature {lv.feature} on void")
-        self.emit(f"set_feature({self.use('model')}, {recv}, {lv.feature!r}, {value})")
+        plan = self.module.plan(lv.feature)
+        if plan is None:
+            self.emit(f"set_feature({self.use('model')}, {recv}, {lv.feature!r}, {value})")
+            return
+        sp, const = plan
+        if sp.prim is None or sp.many:
+            self.emit(f"set_slot({self.use('model')}, {self.target(recv)}, {const}, {value})")
+            return
+        # a single-valued attribute: set_slot's one check, then the store
+        if self.known.get(value) is not sp.prim:
+            message = f"attribute {sp.name} expects {sp.feat.type}, got "
+            self.emit(f"if {value}.__class__ is not {sp.prim.__name__}: "
+                      f"raise EvalFault('TypeFault', {message!r} + render_value({value}))")
+        self.emit(f"{self.target(recv)}.slots[{lv.feature!r}] = {value}")
 
     def _exprstmt(self, stmt: ExprStmt) -> None:
         e = stmt.expr
         # statement-position add on a feature is the EMOF element-add
-        if isinstance(e, CollectionOp) and e.op_kind == "add" and isinstance(e.receiver, FeatureNav):
+        if (isinstance(e, CollectionOp) and e.op_kind == "add"
+                and isinstance(e.receiver, FeatureNav)):
             nav = e.receiver
             recv = self.receiver(nav.receiver, f"cannot add to feature {nav.feature} on void")
             value = self.expr(e.arg)
-            self.emit(f"add_to_feature({self.use('model')}, {recv}, {nav.feature!r}, {value})")
+            plan = self.module.plan(nav.feature)
+            model = self.use("model")
+            if plan is None:
+                self.emit(f"add_to_feature({model}, {recv}, {nav.feature!r}, {value})")
+            else:
+                self.emit(f"add_slot({model}, {self.target(recv)}, {plan[1]}, {value})")
             return
         self.expr(e)
+
+    def target(self, recv: str) -> str:
+        """The object a receiver checked by ``receiver`` refers to."""
+        return recv if recv == "obj" else f"{self.use('objects')}[{recv}.id]"
 
     def receiver(self, e, void_message: str) -> str:
         """An object receiver: ``obj`` for ``self``, else an ObjRef checked
@@ -487,9 +619,29 @@ class _Function:
 
     def _opcall(self, e: OpCall) -> str:
         recv = self.receiver(e.receiver, f"operation call {e.op} on void")
-        target = recv if recv == "obj" else f"{self.use('objects')}[{recv}.id]"
-        args = "".join(f"{self.expr(a)}, " for a in e.args)
-        return self.assign(f"rt.call({target}, {e.op!r}, ({args}))")
+        target = "obj" if recv == "obj" else self.assign(self.target(recv))
+        args = [self.expr(a) for a in e.args]
+        if self.module.entries is None:
+            return self.assign(f"rt.call({target}, {e.op!r}, ({''.join(a + ', ' for a in args)}))")
+        how, fn = self.module.site(e.op)
+        passed = f"rt, {target}{''.join(', ' + a for a in args)}"
+        if how == "entry":
+            return self.assign(f"{fn}({passed})")
+        if how == "table":
+            return self.assign(f"{fn}[{target}.class_name]({passed})")
+        if fn == "container":
+            return self.assign(f"VOID if {target}.container is None else "
+                               f"ObjRef({target}.container[0])")
+        message = args[0]
+        if fn == "fault":
+            self.emit(f"raise EvalFault('Fault', {message}.s if {message}.__class__ is StringV "
+                      f"else render_value({message}))")
+            return "VOID"
+        if self.known.get(message) is not StringV:
+            self.emit(f"if {message}.__class__ is not StringV: "
+                      "raise EvalFault('TypeFault', 'trace expects a String')")
+        self.emit(f"rt.trace.append(event(NodeExecuted, ({message}.s,)))")
+        return "VOID"
 
     def _collectionop(self, e: CollectionOp) -> str:
         kind = e.op_kind

@@ -15,6 +15,8 @@ behavior units alike) into its base metamodel class, producing one
   save (name) order, and the link slots (those with an opposite or a
   containment),
 * a method table in linearization order, rewritten by explicit renamings,
+  with each renamed-away name keeping the signature of the body it still
+  runs,
 * flattened contracts: invariants accumulate down the hierarchy, effective
   preconditions are the disjunction of per-class groups, effective
   postconditions the conjunction of every clause.
@@ -633,8 +635,21 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         table: dict[str, tuple[tuple[str, MethodDef], ...]] = {
             op: tuple(entries) for op, entries in definers.items()
         }
+        renamed: dict[str, set[str]] = {}  # operation -> the classes renamings took it from
         for rename, unit_name in (contribs[name].renamings if name in contribs else ()):
             table = _apply_renaming(name, rename, unit_name, table, lin, lin_of, definers)
+            renamed.setdefault(rename.op_name, set()).update(lin_of[rename.from_class])
+        # a renamed-away name keeps the signature of the body it still runs,
+        # or of a class no renaming took it from, so that calls are checked
+        # against what runs
+        for op, gone in renamed.items():
+            owners = [table[op][0][0]] if op in table else [c for c in lin if c not in gone]
+            sig = next(((s, c) for c in owners for s, _u in own_sigs.get(c, ()) if s.name == op),
+                       None)
+            if sig is not None:
+                op_sigs[op] = sig
+            else:
+                op_sigs.pop(op, None)
         for op, entries in table.items():
             if op not in op_sigs and entries:
                 owner0, mdef0 = entries[0]
@@ -738,10 +753,11 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                     "BadLinearization",
                     f"supertype {sup} of {name} must occur exactly once in the linearization",
                 )
-        # attribute types are primitive: parse_feature refuses any other
+        # each feature and signature is checked once, at its declaring
+        # class; attribute types are primitive: parse_feature refuses any other
         for fname, sp in wc.slots.items():
             feat = sp.feat
-            if not isinstance(feat, Reference):
+            if sp.owner != name or not isinstance(feat, Reference):
                 continue
             if feat.target not in known:
                 sink.add("ClosureError",
@@ -759,6 +775,8 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                              f"containment reference {name}.{fname} has a containment opposite",
                              feat.pos, sp.unit)
         for op, (sig, owner) in wc.op_sigs.items():
+            if owner != name:
+                continue
             for t in list(_named_types(sig.return_type)) + [
                 n for p in sig.params for n in _named_types(p.type)
             ]:

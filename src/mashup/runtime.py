@@ -1,15 +1,20 @@
 """Execution engine: object graphs conforming to a woven model, the EMOF
 assignment semantics, dispatch with contract enforcement, and persistence.
 
-Method bodies and contract rules run as Python: ``codegen`` compiles a
-woven model once, on its first ``Interpreter``, and every later run of the
-model reuses that code.  ``Interpreter.call`` dispatches each operation
-call, traces it and checks its contracts.
+Method bodies, contract rules and dispatch run as Python: ``codegen``
+compiles a woven model once, on its first ``Interpreter``, and every later
+run of the model reuses that code.  A call there goes to the generated
+entry of the receiver's class, which traces it and checks its contracts;
+the interpreter holds the policy and the trace the entries read and
+write, and the builtins (``BUILTINS``) the entries fall back on.
 
 Assignment keeps both ends of bidirectional associations in sync and keeps
 containment a forest: attaching an object removes it from its previous
 container first, and an attachment that would close a containment cycle is
-refused before anything is mutated.
+refused before anything is mutated.  ``set_slot`` and ``add_slot`` are
+``set_feature`` and ``add_to_feature`` on a resolved object and slot plan,
+the writes compiled code makes; a plain reference (no opposite, no
+containment) has no upkeep to run.
 
 Collections are values: every write of a many-valued slot stores a new
 ``Coll`` in it and no code changes a collection's ``items``, so a slot's
@@ -44,6 +49,7 @@ serves).  Independent instances may execute concurrently.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .codegen import compile_expr, compiled
@@ -71,38 +77,46 @@ POLICY_FULL = "full"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpEnter:
-    obj_id: str
-    op: str
+class _Event(tuple):
+    """A trace event: an immutable tuple of its fields, equal only to an
+    event of its own class.  The generated code builds one as
+    ``tuple.__new__(cls, fields)``, which skips the keyword-taking
+    constructor."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class OpEnter(_Event, namedtuple("OpEnter", "obj_id op")):
+    __slots__ = ()
 
     def render(self) -> str:
         return f"OpEnter\t{self.obj_id}.{self.op}"
 
 
-@dataclass(frozen=True)
-class OpExit:
-    obj_id: str
-    op: str
-    result: str
+class OpExit(_Event, namedtuple("OpExit", "obj_id op result")):
+    __slots__ = ()
 
     def render(self) -> str:
         return f"OpExit\t{self.obj_id}.{self.op}\t{self.result}"
 
 
-@dataclass(frozen=True)
-class ContractViolationEvent:
-    kind: str  # 'pre' | 'post' | 'inv'
-    name: str
-    obj_id: str
+class ContractViolationEvent(_Event, namedtuple("ContractViolationEvent", "kind name obj_id")):
+    __slots__ = ()  # kind: 'pre' | 'post' | 'inv'
 
     def render(self) -> str:
         return f"ContractViolation\t{self.kind} {self.name} @ {self.obj_id}"
 
 
-@dataclass(frozen=True)
-class NodeExecuted:
-    label: str
+class NodeExecuted(_Event, namedtuple("NodeExecuted", "label")):
+    __slots__ = ()
 
     def render(self) -> str:
         return f"NodeExecuted\t{self.label}"
@@ -247,6 +261,15 @@ def _check_target(model: ModelInstance, sp: SlotPlan, value: Value) -> None:
         )
 
 
+def _check_targets(model: ModelInstance, sp: SlotPlan, items: list) -> None:
+    """``_check_target`` of every element, in one pass while all pass."""
+    objects, targets = model.objects, sp.targets
+    for x in items:
+        if x.__class__ is not ObjRef or x.id not in objects or (
+                targets is not None and objects[x.id].class_name not in targets):
+            _check_target(model, sp, x)
+
+
 def _check_containment_ok(model: ModelInstance, parent: Obj, child: ObjRef) -> None:
     cur: Obj | None = parent
     while cur is not None:
@@ -341,7 +364,13 @@ def _linked(model: ModelInstance, src: Obj, sp: SlotPlan, tgt: ObjRef, sync=True
 def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
     """Whole-slot assignment with bidirectional and containment upkeep."""
     obj = model.resolve(obj)
-    sp = _slot(model, obj, feature)
+    set_slot(model, obj, _slot(model, obj, feature), value)
+
+
+def set_slot(model: ModelInstance, obj: Obj, sp: SlotPlan, value: Value) -> None:
+    """``set_feature`` on an object and the plan of one of its slots, the
+    write compiled code makes once it resolved the plan."""
+    feature = sp.name
     if sp.prim is not None:
         if sp.many:
             if not isinstance(value, Coll):
@@ -357,8 +386,10 @@ def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
         if not isinstance(value, Coll):
             raise EvalFault("TypeFault", f"reference {feature} expects a collection")
         new = make_coll(sp.kind, value.items)
-        for x in new.items:
-            _check_target(model, sp, x)
+        _check_targets(model, sp, new.items)
+        if sp.opposite is None and not sp.containment:  # a plain reference keeps no upkeep
+            obj.slots[feature] = new
+            return
         for x in new.items:
             _check_cycle_for_link(model, obj, sp, x)
         # one slot write; each old and new element gets its own upkeep
@@ -389,7 +420,12 @@ def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
 def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
     """Element-wise add; duplicates on unique collections are a no-op."""
     obj = model.resolve(obj)
-    sp = _slot(model, obj, feature)
+    add_slot(model, obj, _slot(model, obj, feature), value)
+
+
+def add_slot(model: ModelInstance, obj: Obj, sp: SlotPlan, value: Value) -> None:
+    """``add_to_feature`` on an object and the plan of one of its slots."""
+    feature = sp.name
     if sp.prim is not None:
         if not sp.many:
             raise EvalFault("TypeFault", f"cannot add to single-valued attribute {feature}")
@@ -405,7 +441,7 @@ def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> Non
         raise EvalFault(
             "UpperBoundExceeded", f"feature {feature} of {obj.id} already holds a value"
         )
-    set_feature(model, obj, feature, value)
+    set_slot(model, obj, sp, value)
 
 
 def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
@@ -431,11 +467,16 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
 class Interpreter:
     """One run: the model, its contract policy and the event trace.
 
-    Operation calls dispatch through the model's compiled module
+    Operation calls run in the model's compiled module
     (``codegen.compiled``), written and compiled when the first interpreter
-    of a woven model is made and kept for every later one.  ``call`` is the
-    one path of a call: it traces it, checks its contracts under the
-    policy and runs the compiled body.
+    of a woven model is made and kept for every later one.  Dispatch,
+    contracts and the builtins live there: a call site reaches the
+    generated entry of its receiver's class (or runs ``container``,
+    ``trace`` and ``fault`` inline), and the entry traces the call and
+    checks its contracts around the body.  The entries read the policy from
+    ``checks`` (pre- and postconditions) and ``full`` (invariants too).
+    :meth:`invoke` is the way in from outside the program, and ``call``
+    the thin dispatch it and evaluated expressions go through.
 
     The model's woven model must come from ``build_units``, or from
     ``compose`` with ``validate_woven``, ``resolve_method_conflicts`` and
@@ -443,10 +484,11 @@ class Interpreter:
     without ambiguous operations is compiled.  The compiled code does not
     check again what the checker proved (that a receiver is an object or a
     collection, that a feature, variable or ``super`` target exists, that a
-    rule has no side effect); it checks only what a type cannot rule out: a
-    void value where a Bool, an Int, a String, an object or a collection is
-    due, division by zero, a failed ``asType`` and contracts.  A call from
-    outside the program, through :meth:`invoke`, is checked once on entry.
+    call's arguments fit its signature, that a rule has no side effect); it
+    checks only what a type cannot rule out: a void value where a Bool, an
+    Int, a String, an object or a collection is due, division by zero, a
+    failed ``asType`` and contracts.  A call from outside the program,
+    through :meth:`invoke`, is checked once on entry.
     """
 
     def __init__(self, model: ModelInstance, policy: str = POLICY_PREPOST):
@@ -455,6 +497,8 @@ class Interpreter:
         self.objects = model.objects
         self.woven = model.woven
         self.policy = policy
+        self.checks = policy != POLICY_OFF
+        self.full = policy == POLICY_FULL
         self.trace: list[TraceEvent] = []
         self.code = compiled(self.woven)
 
@@ -478,65 +522,47 @@ class Interpreter:
                         f"argument {param.name} of {op} expects {param.type}, "
                         f"got {render_value(arg)}",
                     )
-        elif op not in ROOT_BUILTINS:
-            raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
+        elif op in ROOT_BUILTINS:
+            sig = ROOT_BUILTINS[op]
+            if len(args) != len(sig.params):
+                raise EvalFault("TypeFault", f"{op} expects {len(sig.params)} argument(s)")
         return self.call(obj, op, args)
 
     def call(self, obj: Obj, op: str, args) -> Value:
-        """Dispatch ``op`` on ``obj``: trace it, and check its contracts
-        around its body under the policy."""
-        entry = self.code.dispatch[obj.class_name].get(op)
+        """Run ``op`` on ``obj``: its class's generated entry, else the
+        builtin of that name."""
+        entry = self.code.dispatch[obj.class_name].get(op) or BUILTINS.get(op)
         if entry is None:
-            return self._builtin(obj, op, args)
-        body, pre, post = entry
-        trace = self.trace
-        trace.append(OpEnter(obj.id, op))
-        if self.policy == POLICY_OFF:
-            result = body(self, obj, *args)
-        else:
-            if pre is not None:  # some group must hold all its rules
-                for group in pre[1]:
-                    if all(_holds(rule(self, obj, *args)) for rule in group):
-                        break
-                else:
-                    raise self._violation("PreconditionViolation", "pre", pre[0], obj)
-            result = body(self, obj, *args)
-            for name, rule in post:
-                if not _holds(rule(self, obj, result, *args)):
-                    raise self._violation("PostconditionViolation", "post", name, obj)
-            if self.policy == POLICY_FULL:
-                for name, rule in self.code.invariants[obj.class_name]:
-                    if not _holds(rule(self, obj)):
-                        raise self._violation("InvariantViolation", "inv", name, obj)
-        trace.append(OpExit(obj.id, op, "void" if result is VOID_VALUE else render_value(result)))
-        return result
+            raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
+        return entry(self, obj, *args)
 
-    def _builtin(self, obj: Obj, op: str, args) -> Value:
-        sig = ROOT_BUILTINS[op]
-        if len(args) != len(sig.params):
-            raise EvalFault("TypeFault", f"{op} expects {len(sig.params)} argument(s)")
-        if op == "trace":
-            if not isinstance(args[0], StringV):
-                raise EvalFault("TypeFault", "trace expects a String")
-            self.trace.append(NodeExecuted(args[0].s))
-            return VOID_VALUE
-        if op == "fault":
-            msg = args[0].s if isinstance(args[0], StringV) else render_value(args[0])
-            raise EvalFault("Fault", msg)
-        # container
-        return VOID_VALUE if obj.container is None else ObjRef(obj.container[0])
-
-    def _violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
+    def violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
         """Trace a violated contract rule and build the error it raises."""
         self.trace.append(ContractViolationEvent(kind, name, obj.id))
         return ContractViolation(error, name, obj.id)
 
 
-def _holds(value: Value) -> bool:
-    """The truth of a contract rule's value, which void makes fail."""
-    if value.__class__ is not BoolV:
-        raise EvalFault("TypeFault", "contract rule did not yield a Bool")
-    return value.b
+# The builtins every class inherits from the root, called as an entry is:
+# ``builtin(interp, obj, *args)``.  Compiled code runs them inline where no
+# class defines an operation of their name.
+
+
+def _container(rt: Interpreter, obj: Obj) -> Value:
+    return VOID_VALUE if obj.container is None else ObjRef(obj.container[0])
+
+
+def _trace(rt: Interpreter, obj: Obj, message: Value) -> Value:
+    if message.__class__ is not StringV:
+        raise EvalFault("TypeFault", "trace expects a String")
+    rt.trace.append(NodeExecuted(message.s))
+    return VOID_VALUE
+
+
+def _fault(rt: Interpreter, obj: Obj, message: Value) -> Value:
+    raise EvalFault("Fault", message.s if message.__class__ is StringV else render_value(message))
+
+
+BUILTINS = {"container": _container, "trace": _trace, "fault": _fault}
 
 
 def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None = None,

@@ -146,8 +146,8 @@ def test_deeply_nested_unit_exits_1(tmp_path, rule):
 
 @pytest.mark.parametrize("depth,exit_code", [(400, 0), (5000, 5)])
 def test_run_deep_dsl_recursion(tmp_path, depth, exit_code):
-    # one DSL call takes two Python frames (the compiled body and the
-    # interpreter's call), under the interpreter's unchanged recursion limit
+    # one DSL call takes two Python frames (its generated entry and its
+    # compiled body), under the interpreter's unchanged recursion limit
     limit = sys.getrecursionlimit()
     (tmp_path / "p.mm").write_text(COUNTER_MM)
     (tmp_path / "p.act").write_text(COUNTER_ACT)

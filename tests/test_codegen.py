@@ -15,14 +15,20 @@ import ast
 import hashlib
 import importlib.util
 import re
+import shutil
 
 import pytest
 
-from helpers import FUML, MODELS, REPO, parse_units, run_cli
+from helpers import (
+    FUML, MODELS, REPO, TABLE_MM, parse_units, run_cli, table_act, table_model, weave,
+)
 from mashup.diagnostics import EvalFault, TypecheckError
-from mashup.exprs import IntV, ObjRef, parse_expr
+from mashup.exprs import TRUE, VOID_VALUE, IntV, ObjRef, parse_expr
 from mashup.modelgen import build_recursive_model
-from mashup.runtime import Interpreter, ModelInstance, eval_expr, load_model, save_model
+from mashup.runtime import (
+    Interpreter, ModelInstance, add_to_feature, create_instance, eval_expr, invoke, load_model,
+    save_model, set_feature,
+)
 from mashup.typecheck import build, build_units
 
 POLICIES = ("off", "prepost", "full")
@@ -154,12 +160,16 @@ NAMES_TRACE = [
     "OpExit\to1.import\tvoid",
 ]
 # the only identifiers generated code has: its parameters and locals, the
-# runtime names it is run with, and the attributes of values and objects
-GENERATED = re.compile(r"[vtcmr]\d+|rt|obj|me|objects|model|result|DISPATCH|INVARIANTS|"
+# runtime names it is run with, and the attributes of values, objects and
+# the interpreter
+GENERATED = re.compile(r"[vtcmre]\d+|rt|obj|me|objects|model|result|DISPATCH|PLANS|"
                        r"BoolV|IntV|StringV|VoidV|ObjRef|Coll|TRUE|FALSE|VOID|EvalFault|"
-                       r"make_coll|set_feature|add_to_feature|create_instance|_operands|"
-                       r"_cast|_intersection|_quotient|frozenset|len|RecursionError|"
-                       r"slots|items|kind|id|class_name|call|append|__class__|[bis]")
+                       r"make_coll|set_feature|add_to_feature|set_slot|add_slot|"
+                       r"create_instance|render_value|_operands|_cast|_intersection|"
+                       r"_quotient|_no_method|_container|_trace|_fault|event|OpEnter|"
+                       r"OpExit|NodeExecuted|frozenset|len|RecursionError|"
+                       r"slots|items|kind|id|class_name|container|trace|checks|full|"
+                       r"violation|call|append|__class__|[bis]")
 
 
 @pytest.mark.parametrize("contracts", POLICIES)
@@ -214,3 +224,201 @@ def test_nesting_too_deep_to_compile_is_a_positioned_parse_error(tmp_path):
                              "--model", str(tmp_path / "m.model"))
     assert (code, out) == (1, "")
     assert err == "deep.act:4:13: SyntaxError def.go is nested too deeply to compile\n"
+
+
+# -- dispatch, contracts and builtins in the generated module --------------
+
+OVERRIDES_MM = """metamodel p {
+  class N { attr n : Int; ref kids : N[*] containment; }
+  class A extends N { }
+  class B extends N { }
+}
+"""
+OVERRIDES_ACT = """package p;
+require "u0.mm";
+aspect class A {
+  method container() : Root is do
+    self.trace("mine")
+    return void
+  end
+}
+aspect class B {
+  method trace(message : String) : Void is do
+    self.n := self.n + 1
+  end
+}
+aspect class N {
+  operation go() : Void is do
+    self.kids.each { k |
+      k.trace("hello")
+      var c : Root init k.container()
+      if c == self then self.trace("contained") end
+    }
+  end
+}
+"""
+
+
+def test_a_class_overriding_a_builtin_runs_its_own_body():
+    woven = weave(mm=OVERRIDES_MM, act=OVERRIDES_ACT)
+    model = load_model('{"conformsTo": "p", "objects": [{"id": "n0", "class": "N", "slots": '
+                       '{"kids": ["@a", "@b", "@n1"]}}, {"id": "a", "class": "A", "slots": {}}, '
+                       '{"id": "b", "class": "B", "slots": {}}, '
+                       '{"id": "n1", "class": "N", "slots": {}}], "roots": ["@n0"]}', woven)
+    _result, interp = invoke(model, "n0", "go")
+    # a's container and b's trace run their methods; the others, the builtins
+    assert [e.render() for e in interp.trace] == [
+        "OpEnter\tn0.go",
+        "NodeExecuted\thello",
+        "OpEnter\ta.container", "NodeExecuted\tmine", "OpExit\ta.container\tvoid",
+        "OpEnter\tb.trace", "OpExit\tb.trace\tvoid",
+        "NodeExecuted\tcontained",
+        "NodeExecuted\thello",
+        "NodeExecuted\tcontained",
+        "OpExit\tn0.go\tvoid",
+    ]
+    assert model.obj("b").slots["n"] == IntV(1)
+    result, interp = invoke(model, "a", "container")
+    assert result == VOID_VALUE
+    assert [e.render() for e in interp.trace] == [
+        "OpEnter\ta.container", "NodeExecuted\tmine", "OpExit\ta.container\tvoid"]
+    result, interp = invoke(model, "n1", "container")
+    assert (result, interp.trace) == (ObjRef("n0"), [])
+
+
+def test_builtins_run_inline_where_no_class_defines_them():
+    woven = build(str(REPO / "perfbench" / "fuml-lite" / "fuml.mashup"))[2]
+    source = Interpreter(ModelInstance(woven)).code.source
+    assert "rt.call" not in source
+    assert "_container" not in source and "_trace" not in source
+    source = Interpreter(ModelInstance(weave(mm=OVERRIDES_MM, act=OVERRIDES_ACT))).code.source
+    assert "'N': _container" in source and "'N': _trace" in source
+
+
+# perfbench's fuml-lite (it has pre- and postconditions) with a unit adding
+# one more rule: a precondition the fork node fails, or a postcondition the
+# final node fails
+VIOLATING = {
+    "pre": "aspect class Activity { pre single_out on fire : n.outgoing.size() < 2; }\n",
+    "post": 'aspect class FinalNode { post never on run : self.name == ""; }\n',
+}
+VIOLATIONS = {
+    ("base", "worksession_badclassifier.model", "full"): "InvariantViolation fUML_is_class @ o7",
+    ("pre", "worksession.model", "prepost"): "PreconditionViolation single_out @ o1",
+    ("pre", "worksession.model", "full"): "PreconditionViolation single_out @ o1",
+    ("pre", "worksession_badclassifier.model", "prepost"): "PreconditionViolation single_out @ o1",
+    ("pre", "worksession_badclassifier.model", "full"): "PreconditionViolation single_out @ o1",
+    ("post", "worksession.model", "prepost"): "PostconditionViolation never @ o8",
+    ("post", "worksession.model", "full"): "PostconditionViolation never @ o8",
+    ("post", "worksession_badclassifier.model", "prepost"): "PostconditionViolation never @ o8",
+    ("post", "worksession_badclassifier.model", "full"): "InvariantViolation fUML_is_class @ o7",
+}
+# sha256 over every run's exit code, trace and error, in the loops' order,
+# as the tree-walking and the first compiled interpreter printed them
+RUN_OUTPUT_SHA256 = "fe3bcff7c27591e101c2918539487524cf8f4b924a4f5a4765e407319323ac4e"
+
+
+def test_worksession_traces_and_violations_are_pinned(tmp_path):
+    h = hashlib.sha256()
+    for variant in ("base", "pre", "post"):
+        lang = tmp_path / variant
+        shutil.copytree(REPO / "perfbench" / "fuml-lite", lang)
+        if variant != "base":
+            (lang / "extra.inv").write_text(
+                'package fuml;\nrequire "fuml.mm";\nrequire "fuml.act";\n' + VIOLATING[variant])
+            manifest = (lang / "fuml.mashup").read_text()
+            (lang / "fuml.mashup").write_text(manifest.replace(
+                'require "fuml.act";', 'require "fuml.act";\nrequire "extra.inv";'))
+        for model in ("worksession.model", "worksession_badclassifier.model"):
+            for policy in POLICIES:
+                for op in SCHEDULES:
+                    code, out, err = run_cli("run", "--manifest", str(lang / "fuml.mashup"),
+                                             "--model", str(MODELS / model), "--contracts", policy,
+                                             "--entry", "Activity." + op)
+                    violation = VIOLATIONS.get((variant, model, policy))
+                    expected = f"{MODELS / model}:0:0: {violation}\n" if violation else ""
+                    assert (code, err) == (4 if violation else 0, expected)
+                    h.update(f"{code}\n{out}{err.replace(str(MODELS) + '/', '')}".encode())
+    assert h.hexdigest() == RUN_OUTPUT_SHA256
+
+
+TWO_PLANS_MM = """metamodel t {
+  class A { attr n : Int; ref one : B[0..1]; ref kids : B[*]; }
+  class B { attr n : Int; attr w : Int; }
+}
+"""
+
+
+@pytest.mark.parametrize("mm", [TABLE_MM, TWO_PLANS_MM], ids=["one-plan", "two-plans"])
+def test_a_write_keeps_its_exact_type_fault(mm):
+    # a compiled store of void, through the feature's one plan or by name
+    woven = weave(mm=mm, act=table_act("    self.n := self.one.w"))
+    with pytest.raises(EvalFault) as exc:
+        invoke(table_model(woven), "o1", "run")
+    assert (exc.value.kind, exc.value.message) == (
+        "TypeFault", "attribute n expects Int, got void")
+    woven = weave(mm=mm, act=table_act("    self.kids.add(self.one)"))
+    with pytest.raises(EvalFault) as exc:
+        invoke(table_model(woven), "o1", "run")
+    assert (exc.value.kind, exc.value.message) == (
+        "TypeFault", "reference kids expects an object, got void")
+    # and through the model API, which also meets a wrong primitive
+    model = table_model(woven)
+    for feature, value, message in (("n", TRUE, "attribute n expects Int, got true"),
+                                    ("n", VOID_VALUE, "attribute n expects Int, got void"),
+                                    ("one", IntV(1), "reference one expects an object, got 1")):
+        with pytest.raises(EvalFault) as exc:
+            set_feature(model, "o1", feature, value)
+        assert (exc.value.kind, exc.value.message) == ("TypeFault", message)
+    with pytest.raises(EvalFault) as exc:
+        add_to_feature(model, "o1", "kids", VOID_VALUE)
+    assert exc.value.message == "reference kids expects an object, got void"
+
+
+GROUPS_MM = "metamodel m { class Super { } class Sub extends Super { } }"
+GROUPS_ACT = ('package m;\nrequire "u0.mm";\n'
+              "aspect class Super { operation m(v : Int) : Int is do return v end }")
+GROUPS_INV = ('package m;\nrequire "u0.mm";\n'
+              "aspect class Super { pre b1 on m : v >= 1; pre b2 on m : v <= 3; }\n"
+              "aspect class Sub { pre a1 on m : v >= 10; pre a2 on m : v <= 20; }")
+
+
+@pytest.mark.parametrize("cls,v,outcome", [
+    ("Sub", 15, "15"),  # Sub's group holds
+    ("Sub", 2, "2"),  # Sub's fails at its first rule, Super's holds
+    ("Sub", 25, "pre a1 @ o1"),  # both fail at their second rule
+    ("Sub", 0, "pre a1 @ o1"),
+    ("Super", 2, "2"),
+    ("Super", 5, "pre b1 @ o1"),  # the one group fails at its second rule
+])
+def test_precondition_groups_disjoin_and_their_rules_conjoin(cls, v, outcome):
+    woven = weave(mm=GROUPS_MM, act=GROUPS_ACT, inv=GROUPS_INV)
+    model = ModelInstance(woven)
+    obj = create_instance(model, cls)
+    interp = Interpreter(model)
+    try:
+        result = interp.invoke(obj, "m", [IntV(v)]).i
+    except EvalFault as fault:
+        assert fault.kind == "PreconditionViolation"
+        result = None
+    trace = [e.render() for e in interp.trace]
+    if result is None:
+        assert trace == ["OpEnter\to1.m", f"ContractViolation\t{outcome}"]
+    else:
+        assert (str(result), trace) == (outcome, ["OpEnter\to1.m", f"OpExit\to1.m\t{outcome}"])
+
+
+def test_an_operation_declared_without_a_body_is_no_such_method():
+    woven = weave(mm="metamodel t { class A { op foo() : Int; } class B extends A { } }",
+                  act='package t;\nrequire "u0.mm";\n'
+                      "aspect class A { operation go() : Int is do return self.foo() end }")
+    model = ModelInstance(woven)
+    for cls in ("A", "B"):
+        obj = create_instance(model, cls)
+        for run in (lambda: invoke(model, obj, "go"), lambda: invoke(model, obj, "foo"),
+                    lambda: eval_expr(parse_expr("self.foo()"), Interpreter(model), obj,
+                                      pure=False)):
+            with pytest.raises(EvalFault) as exc:
+                run()
+            assert (exc.value.kind, exc.value.message) == (
+                "NoSuchMethod", f"{cls} has no operation foo")

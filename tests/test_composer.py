@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import DIAMOND, FUML, GOLDEN, parse_units, weave
+from helpers import DIAMOND, FUML, GOLDEN, parse_units, run_cli, weave
 from mashup.behavior import AspectClass, BehaviorModule, parse_behavior
 from mashup.composer import (
     CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose,
@@ -452,11 +452,48 @@ def test_renamed_operation_is_callable_from_dsl_code():
 
 
 def test_renamed_signature_is_validated_where_its_body_is_declared():
+    # once each, at the class declaring it: D's run and runC are B's and C's
     act = DIAMOND_ACT.replace("run()", "run(g : Ghost)")
     woven = compose(parse_units(mm=DIAMOND_MM, act=[
         act, 'package d;\nrequire "d.mm";\naspect class D { rename run from C as runC; }']))
-    assert [d.render() for d in validate_woven(woven) if ".runC " in d.message] == [
-        "u0.act:4:28: ClosureError operation D.runC mentions unknown class Ghost"]
+    assert [d.render() for d in validate_woven(woven)] == [
+        "u0.act:3:28: ClosureError operation B.run mentions unknown class Ghost",
+        "u0.act:4:28: ClosureError operation C.run mentions unknown class Ghost"]
+
+
+def test_compose_reports_each_bad_declaration_once(tmp_path):
+    for name in os.listdir(DIAMOND):
+        text = (DIAMOND / name).read_text()
+        (tmp_path / name).write_text(text.replace("run()", "run(g : Ghost)"))
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "diamond_renamed.mashup"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "diamond.act:6:13: ClosureError operation B.run mentions unknown class Ghost",
+        "diamond.act:12:13: ClosureError operation C.run mentions unknown class Ghost"]
+
+
+def test_a_renamed_away_operation_keeps_the_signature_of_the_body_it_runs(tmp_path):
+    # D's run runs B's body, so a call is checked against B's signature, not
+    # against C's, which the renaming took away as runC
+    for name in os.listdir(DIAMOND):
+        (tmp_path / name).write_text((DIAMOND / name).read_text())
+    act = tmp_path / "diamond.act"
+    act.write_text(act.read_text().replace(
+        "aspect class B {\n  operation run() :", "aspect class B {\n  operation run(x : Int) :"))
+    rename = tmp_path / "diamond_rename.act"
+    rename.write_text(rename.read_text().replace(
+        "rename run from C as runC;",
+        "rename run from C as runC;\n  operation go() : Void is do\n    self.run()\n  end"))
+    (tmp_path / "d.model").write_text('{"conformsTo": "diamond", "objects": '
+                                      '[{"id": "d", "class": "D", "slots": {}}], "roots": ["@d"]}')
+    code, out, err = run_cli("run", "--manifest", str(tmp_path / "diamond_renamed.mashup"),
+                             "--model", str(tmp_path / "d.model"), "--entry", "D.go")
+    assert (code, out) == (3, "")
+    assert err == "diamond_rename.act:9:10: ArityMismatch run expects 1 argument(s), found 0\n"
+    woven = compose(resolve_requires(load_manifest(str(tmp_path / "diamond_renamed.mashup"))))
+    d = woven.classes["D"]
+    assert d.op_sigs["run"][1] == "B" and [p.name for p in d.op_sigs["run"][0].params] == ["x"]
+    assert d.op_sigs["runC"][1] == "C" and d.op_sigs["runC"][0].params == ()
 
 
 def test_override_along_one_chain_is_not_ambiguous():
