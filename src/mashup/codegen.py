@@ -17,9 +17,10 @@ body, and checks the postconditions and the receiver's invariants, each
 rule unrolled with the message and fault kind the interpreter gives it.  A
 call site names its entry when every class with the operation runs the
 same one, and otherwise looks it up by the receiver's class in a constant
-table.  The builtins ``container``, ``trace`` and ``fault`` run inline
-where no class defines an operation of their name; a class that does
-dispatches to its own body.
+table.  The builtins ``container`` and ``trace`` run inline where no
+class defines an operation of their name (a message other than a String
+falls back to ``trace``'s runtime builtin, which faults); a class that
+does dispatches to its own body.  ``fault`` calls its runtime builtin.
 
 The generated code computes what a tree walk over the same ASTs would: it
 keeps the boxed values (``IntV``, ``BoolV``, ``StringV``, ``VoidV``,
@@ -27,13 +28,14 @@ keeps the boxed values (``IntV``, ``BoolV``, ``StringV``, ``VoidV``,
 (a void value where a Bool, an Int, a String, an object or a collection is
 due, division by zero, a failed ``asType``).  A feature that one slot plan
 holds, as every class inheriting it shares its plan, is written through
-that plan: a single-valued attribute is stored inline after
-``set_feature``'s one check, and any other write goes to ``set_slot`` or
-``add_slot``, which keep the one implementation of reference upkeep; a
-name several classes declare is written through ``set_feature`` and
-``add_to_feature``.  A collection is a value that no write changes (a write
-stores a new one in its slot), so a slot's collection is read, and an
-``each`` statement walks it, without a copy.
+that plan: a single-valued attribute value of the plan's class is
+stored inline (any other value goes to ``set_slot``, which faults), and
+any other write goes to ``set_slot`` or ``add_slot``, which keep the one
+implementation of reference upkeep; a name several classes declare is
+written through ``set_feature`` and ``add_to_feature``.  A collection is a
+value that no write changes (a write stores a new one in its slot), so a
+slot's collection is read, and an ``each`` statement walks it, without a
+copy.
 
 No DSL text reaches ``compile()`` raw: variables and parameters become
 generated locals (``v0``, ``v1``, ...), and strings and class, feature and
@@ -158,6 +160,8 @@ def _globals(woven) -> dict:
 # stop the walk (forAll, exists)
 _HITS = {"select": True, "reject": False, "forAll": False, "exists": True}
 _COMPARE = ("<", "<=", ">", ">=")
+# the builtins a call site runs inline where no class defines them
+_INLINE = ("container", "trace")
 
 
 def _unless(test: str, error: str, kind: str, rule_name: str) -> str:
@@ -327,10 +331,11 @@ class _Module:
         self.functions[name] = "\n".join(lines)
 
     def site(self, op: str) -> tuple[str, str]:
-        """How a call of ``op`` runs: ``("builtin", op)`` inline, when no
-        class defines a builtin's name; ``("entry", name)``, when every
-        class that has ``op`` runs the same entry; else ``("table", name)``,
-        a constant mapping each such class name to its entry."""
+        """How a call of ``op`` runs: ``("builtin", op)`` inline, for
+        ``container`` or ``trace`` when no class defines it; ``("entry",
+        name)``, when every class that has ``op`` runs the same entry; else
+        ``("table", name)``, a constant mapping each such class name to its
+        entry."""
         if op not in self.sites:
             classes = self.woven.classes
             targets = {}
@@ -342,7 +347,7 @@ class _Module:
                 elif op in wc.op_sigs:  # declared without a body
                     targets[cname] = self.const(f"_no_method({op!r})")
             found = set(targets.values())
-            if op in ROOT_BUILTINS and found <= {f"_{op}"}:
+            if op in _INLINE and found <= {f"_{op}"}:
                 self.sites[op] = ("builtin", op)
             elif len(found) == 1:
                 self.sites[op] = ("entry", found.pop())
@@ -484,12 +489,14 @@ class _Function:
         if sp.prim is None or sp.many:
             self.emit(f"set_slot({self.use('model')}, {self.target(recv)}, {const}, {value})")
             return
-        # a single-valued attribute: set_slot's one check, then the store
-        if self.known.get(value) is not sp.prim:
-            message = f"attribute {sp.name} expects {sp.feat.type}, got "
-            self.emit(f"if {value}.__class__ is not {sp.prim.__name__}: "
-                      f"raise EvalFault('TypeFault', {message!r} + render_value({value}))")
-        self.emit(f"{self.target(recv)}.slots[{lv.feature!r}] = {value}")
+        # a single-valued attribute: stored inline when its class is the
+        # plan's, else set_slot's check faults
+        store = f"{self.target(recv)}.slots[{lv.feature!r}] = {value}"
+        if self.known.get(value) is sp.prim:
+            self.emit(store)
+            return
+        self.emit(f"if {value}.__class__ is {sp.prim.__name__}: {store}")
+        self.emit(f"else: set_slot({self.use('model')}, {self.target(recv)}, {const}, {value})")
 
     def _exprstmt(self, stmt: ExprStmt) -> None:
         e = stmt.expr
@@ -633,14 +640,12 @@ class _Function:
             return self.assign(f"VOID if {target}.container is None else "
                                f"ObjRef({target}.container[0])")
         message = args[0]
-        if fn == "fault":
-            self.emit(f"raise EvalFault('Fault', {message}.s if {message}.__class__ is StringV "
-                      f"else render_value({message}))")
-            return "VOID"
-        if self.known.get(message) is not StringV:
-            self.emit(f"if {message}.__class__ is not StringV: "
-                      "raise EvalFault('TypeFault', 'trace expects a String')")
-        self.emit(f"rt.trace.append(event(NodeExecuted, ({message}.s,)))")
+        append = f"rt.trace.append(event(NodeExecuted, ({message}.s,)))"
+        if self.known.get(message) is StringV:
+            self.emit(append)
+        else:
+            self.emit(f"if {message}.__class__ is StringV: {append}")
+            self.emit(f"else: _trace({passed})")
         return "VOID"
 
     def _collectionop(self, e: CollectionOp) -> str:

@@ -261,15 +261,6 @@ def _check_target(model: ModelInstance, sp: SlotPlan, value: Value) -> None:
         )
 
 
-def _check_targets(model: ModelInstance, sp: SlotPlan, items: list) -> None:
-    """``_check_target`` of every element, in one pass while all pass."""
-    objects, targets = model.objects, sp.targets
-    for x in items:
-        if x.__class__ is not ObjRef or x.id not in objects or (
-                targets is not None and objects[x.id].class_name not in targets):
-            _check_target(model, sp, x)
-
-
 def _check_containment_ok(model: ModelInstance, parent: Obj, child: ObjRef) -> None:
     cur: Obj | None = parent
     while cur is not None:
@@ -386,7 +377,8 @@ def set_slot(model: ModelInstance, obj: Obj, sp: SlotPlan, value: Value) -> None
         if not isinstance(value, Coll):
             raise EvalFault("TypeFault", f"reference {feature} expects a collection")
         new = make_coll(sp.kind, value.items)
-        _check_targets(model, sp, new.items)
+        for x in new.items:
+            _check_target(model, sp, x)
         if sp.opposite is None and not sp.containment:  # a plain reference keeps no upkeep
             obj.slots[feature] = new
             return
@@ -471,10 +463,11 @@ class Interpreter:
     (``codegen.compiled``), written and compiled when the first interpreter
     of a woven model is made and kept for every later one.  Dispatch,
     contracts and the builtins live there: a call site reaches the
-    generated entry of its receiver's class (or runs ``container``,
-    ``trace`` and ``fault`` inline), and the entry traces the call and
-    checks its contracts around the body.  The entries read the policy from
-    ``checks`` (pre- and postconditions) and ``full`` (invariants too).
+    generated entry of its receiver's class (or runs ``container`` and
+    ``trace`` inline), and the entry traces the call and checks its
+    contracts around the body.  The entries read the policy from
+    ``checks`` (pre- and postconditions) and ``full`` (invariants too);
+    ``policy`` is derived from the two.
     :meth:`invoke` is the way in from outside the program, and ``call``
     the thin dispatch it and evaluated expressions go through.
 
@@ -496,11 +489,17 @@ class Interpreter:
         self.model = model
         self.objects = model.objects
         self.woven = model.woven
-        self.policy = policy
         self.checks = policy != POLICY_OFF
         self.full = policy == POLICY_FULL
         self.trace: list[TraceEvent] = []
         self.code = compiled(self.woven)
+
+    @property
+    def policy(self) -> str:
+        """The contract policy ``checks`` and ``full`` hold."""
+        if not self.checks:
+            return POLICY_OFF
+        return POLICY_FULL if self.full else POLICY_PREPOST
 
     # -- dispatch ---------------------------------------------------------
 
@@ -543,8 +542,8 @@ class Interpreter:
 
 
 # The builtins every class inherits from the root, called as an entry is:
-# ``builtin(interp, obj, *args)``.  Compiled code runs them inline where no
-# class defines an operation of their name.
+# ``builtin(interp, obj, *args)``.  Compiled code runs ``container`` and
+# ``trace`` inline where no class defines an operation of their name.
 
 
 def _container(rt: Interpreter, obj: Obj) -> Value:

@@ -290,7 +290,12 @@ def test_builtins_run_inline_where_no_class_defines_them():
     woven = build(str(REPO / "perfbench" / "fuml-lite" / "fuml.mashup"))[2]
     source = Interpreter(ModelInstance(woven)).code.source
     assert "rt.call" not in source
-    assert "_container" not in source and "_trace" not in source
+    assert "_container" not in source
+    # trace appends inline; only a message other than a String falls back
+    # to the runtime builtin, which faults
+    traces = [line.strip() for line in source.splitlines() if "_trace" in line]
+    assert traces and all(line.startswith("else: _trace(rt, ") for line in traces)
+    assert "rt.trace.append(event(NodeExecuted" in source
     source = Interpreter(ModelInstance(weave(mm=OVERRIDES_MM, act=OVERRIDES_ACT))).code.source
     assert "'N': _container" in source and "'N': _trace" in source
 
@@ -373,6 +378,18 @@ def test_a_write_keeps_its_exact_type_fault(mm):
     with pytest.raises(EvalFault) as exc:
         add_to_feature(model, "o1", "kids", VOID_VALUE)
     assert exc.value.message == "reference kids expects an object, got void"
+
+
+def test_builtin_faults_keep_the_runtime_text():
+    # a void message falls back from the inline trace to the runtime
+    # builtin; fault is always the runtime builtin
+    for body, fault in (("    self.trace(self.one.s)", ("TypeFault", "trace expects a String")),
+                        ("    self.fault(self.one.s)", ("Fault", "void")),
+                        ('    self.fault("boom")', ("Fault", "boom"))):
+        woven = weave(mm=TABLE_MM, act=table_act(body))
+        with pytest.raises(EvalFault) as exc:
+            invoke(table_model(woven), "o1", "run")
+        assert (exc.value.kind, exc.value.message) == fault
 
 
 GROUPS_MM = "metamodel m { class Super { } class Sub extends Super { } }"
