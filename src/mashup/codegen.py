@@ -6,21 +6,23 @@ once.
 changes a woven model afterwards, so the cache is never stale.  The module
 holds one function per (defining class, method) body, per invariant and per
 pre and post clause, one entry per distinct (operation, body, contracts),
-and one dispatch table per class: operation -> entry.  Method tables,
-renamings, ``super`` targets and the slot plans of written features are
-resolved while writing.
+and ``DISPATCH``, the one table of what each class runs for each operation
+it answers: its entry, else the root builtin (``_container``, ``_trace``,
+``_fault``), else, for an operation declared without a body, a function
+raising ``NoSuchMethod``.  Call sites, ``invoke`` and evaluated expressions
+all read it.  Method tables, renamings, ``super`` targets and the slot
+plans of written features are resolved while writing.
 
 An entry is what a call costs: it traces the call (``OpEnter``, then
 ``OpExit`` with the rendered result) and, under the interpreter's policy
 (``rt.checks``, ``rt.full``), checks the precondition groups, runs the
 body, and checks the postconditions and the receiver's invariants, each
 rule unrolled with the message and fault kind the interpreter gives it.  A
-call site names its entry when every class with the operation runs the
-same one, and otherwise looks it up by the receiver's class in a constant
-table.  The builtins ``container`` and ``trace`` run inline where no
-class defines an operation of their name (a message other than a String
-falls back to ``trace``'s runtime builtin, which faults); a class that
-does dispatches to its own body.  ``fault`` calls its runtime builtin.
+call site names the function its operation's row gives when every class
+has the same one, else a constant table of them by the receiver's class.
+``container`` and ``trace`` run inline where every class runs the builtin
+(a ``trace`` message other than a String falls back to ``_trace``, which
+faults).
 
 The generated code computes what a tree walk over the same ASTs would: it
 keeps the boxed values (``IntV``, ``BoolV``, ``StringV``, ``VoidV``,
@@ -32,10 +34,10 @@ that plan: a single-valued attribute value of the plan's class is
 stored inline (any other value goes to ``set_slot``, which faults), and
 any other write goes to ``set_slot`` or ``add_slot``, which keep the one
 implementation of reference upkeep; a name several classes declare is
-written through ``set_feature`` and ``add_to_feature``.  A collection is a
-value that no write changes (a write stores a new one in its slot), so a
-slot's collection is read, and an ``each`` statement walks it, without a
-copy.
+written through the plan of the target's class (``PLANS``).  A
+collection is a value that no write changes (a write stores a new one in
+its slot), so a slot's collection is read, and an ``each`` statement walks
+it, without a copy.
 
 No DSL text reaches ``compile()`` raw: variables and parameters become
 generated locals (``v0``, ``v1``, ...), and strings and class, feature and
@@ -58,9 +60,10 @@ from .exprs import (
 
 
 class CompiledModel:
-    """The compiled module of one woven model: per class, its dispatch table
-    (operation -> generated entry); each invariant declaration's rule by
-    identity; and the expressions compiled since, by (expression, names).
+    """The compiled module of one woven model: its ``DISPATCH`` table (class
+    name -> operation -> the function it runs); each invariant
+    declaration's rule by identity; and the expressions compiled since, by
+    (expression, names).
 
     An entry is called as ``entry(interp, obj, *args)`` and an invariant's
     rule as ``rule(interp, obj)``, which returns the value of its
@@ -87,10 +90,11 @@ def compile_expr(woven, e, names) -> object:
     """A function ``f(interp, obj, *values)`` evaluating the checked
     expression ``e`` with ``self`` = ``obj`` and each of ``names`` bound to
     the value in its position; compiled once per woven model."""
-    cache = compiled(woven).expressions
+    code = compiled(woven)
+    cache = code.expressions
     key = (e, tuple(names))
     if key not in cache:
-        module = _Module(woven, entries=False)
+        module = _Module(woven, code.dispatch)
         name = module.rule(e, names)
         cache[key] = module.load("<mashup expression>", "")[name]
     return cache[key]
@@ -132,20 +136,18 @@ def _no_method(op: str):
 
 def _globals(woven) -> dict:
     from .runtime import (
-        BUILTINS, NodeExecuted, OpEnter, OpExit, add_slot, add_to_feature, create_instance,
-        set_feature, set_slot,
+        NodeExecuted, OpEnter, OpExit, _container, _fault, _trace, add_slot, create_instance,
+        set_slot,
     )
 
     return {
         "BoolV": BoolV, "IntV": IntV, "StringV": StringV, "VoidV": VoidV, "ObjRef": ObjRef,
         "Coll": Coll, "TRUE": TRUE, "FALSE": FALSE, "VOID": VOID_VALUE,
         "EvalFault": EvalFault, "make_coll": make_coll, "render_value": render_value,
-        "set_feature": set_feature, "add_to_feature": add_to_feature,
         "set_slot": set_slot, "add_slot": add_slot, "create_instance": create_instance,
         "_operands": _operands, "_cast": _cast, "_intersection": _intersection,
         "_quotient": _quotient, "_no_method": _no_method,
-        "_container": BUILTINS["container"], "_trace": BUILTINS["trace"],
-        "_fault": BUILTINS["fault"],
+        "_container": _container, "_trace": _trace, "_fault": _fault,
         "event": tuple.__new__, "OpEnter": OpEnter, "OpExit": OpExit,
         "NodeExecuted": NodeExecuted,
         "PLANS": {name: wc.slots for name, wc in woven.classes.items()},
@@ -164,20 +166,27 @@ _COMPARE = ("<", "<=", ">", ">=")
 _INLINE = ("container", "trace")
 
 
+def _table(names: dict[str, str]) -> str:
+    """The source of a dict from each key, as a literal, to its source."""
+    return "{" + ", ".join(f"{key!r}: {value}" for key, value in names.items()) + "}"
+
+
 def _unless(test: str, error: str, kind: str, rule_name: str) -> str:
     """A line raising the contract violation ``error`` unless ``test``,
-    which is a call or a parenthesized expression."""
-    return f"if not {test}: raise rt.violation({error!r}, {kind!r}, {rule_name!r}, obj)"
+    which is a call or a parenthesized expression; ``rule_name`` is the
+    source of the violated rule's name."""
+    return f"if not {test}: raise rt.violation({error!r}, {kind!r}, {rule_name}, obj)"
 
 
 class _Module:
     """Writes the source of one module: functions, then the constants and
-    tables they use.  A model's module (``entries``) has an entry per
-    dispatched operation, and its call sites reach them; an expression's
-    module calls through ``Interpreter.call``."""
+    tables they use.  A model's module has an entry per dispatched
+    operation, and its call sites reach them; an expression's module is
+    given its model's ``dispatch`` and calls through that table."""
 
-    def __init__(self, woven, entries: bool = True):
+    def __init__(self, woven, dispatch: dict | None = None):
         self.woven = woven
+        self.dispatch = dispatch
         self.functions: dict[str, str] = {}  # name -> source
         # name -> (unit, position, what) of the DSL code a function runs
         self.origins: dict[str, tuple] = {}
@@ -185,29 +194,16 @@ class _Module:
         self.methods: dict[tuple[str, str], str] = {}  # (owner, op) -> name
         # (id(decl), binds result, tests a Bool) -> name
         self.rules: dict[tuple[int, bool, bool], str] = {}
-        self.entries: dict[tuple, str] | None = {} if entries else None  # see entry
-        self.sites: dict[str, tuple[str, str]] = {}  # operation -> see site
+        self.entries: dict[tuple, str] = {}  # see entry
+        # class name -> operation -> the function it runs (see build)
+        self.rows: dict[str, dict[str, str]] = {}
         self.pending: list[tuple[str, str, object]] = []
-        self.plans: dict[str, list] = {}  # feature name -> the distinct plans of that name
-        for wc in woven.classes.values():
-            for sp in wc.slots.values():
-                same = self.plans.setdefault(sp.name, [])
-                if sp not in same:
-                    same.append(sp)
 
     def const(self, text: str) -> str:
         """The name of a module constant with the source ``text``."""
         if text not in self.constants:
             self.constants[text] = f"c{len(self.constants)}"
         return self.constants[text]
-
-    def plan(self, feature: str):
-        """The one slot plan of every feature named ``feature``, and the
-        constant holding it; None when classes declare several."""
-        plans = self.plans[feature]
-        if len(plans) != 1:
-            return None
-        return plans[0], self.const(f"PLANS[{plans[0].owner!r}][{feature!r}]")
 
     def method(self, owner: str, mdef) -> str:
         """The name of the function of ``owner``'s body of ``mdef``."""
@@ -246,16 +242,21 @@ class _Module:
         return self.rules[key]
 
     def build(self) -> CompiledModel:
-        woven = self.woven
-        dispatch, inv_rules = [], {}
+        woven, inv_rules = self.woven, {}
         for cname, wc in woven.classes.items():
-            ops = "".join(f"{op!r}: {self.entry(wc, op)}, " for op in wc.method_table)
-            dispatch.append(f"{cname!r}: {{{ops}}}")
+            # an entry wins over a root builtin, a builtin over a body-less operation
+            self.rows[cname] = row = {op: self.entry(wc, op) for op in wc.method_table}
+            for op in ROOT_BUILTINS:
+                row.setdefault(op, f"_{op}")
+            for op in wc.op_sigs:
+                if op not in row:
+                    row[op] = self.const(f"_no_method({op!r})")
             for _owner, inv in wc.flat_invariants:
                 inv_rules[id(inv)] = (inv, self.decl_rule(inv))
         while self.pending:
             self._method(*self.pending.pop())
-        namespace = self.load(f"<mashup {woven.package}>", f"DISPATCH = {{{', '.join(dispatch)}}}")
+        dispatch = _table({cname: _table(row) for cname, row in self.rows.items()})
+        namespace = self.load(f"<mashup {woven.package}>", f"DISPATCH = {dispatch}")
         return CompiledModel(namespace, inv_rules, self.source)
 
     def load(self, filename: str, tables: str) -> dict:
@@ -267,7 +268,7 @@ class _Module:
             code = compile(self.source, filename, "exec")
         except (SyntaxError, RecursionError):
             raise self._too_deep() from None
-        namespace = _globals(self.woven)
+        namespace = {**_globals(self.woven), "DISPATCH": self.dispatch}
         exec(code, namespace)
         return namespace
 
@@ -290,34 +291,37 @@ class _Module:
         postconditions and (``full``) the class's invariants."""
         owner, mdef = wc.method_table[op][0]
         body = self.method(owner, mdef)
-        pre = wc.flat_pre.get(op, ())
-        groups = tuple(tuple(self.decl_rule(c, self._params(o, op), test=True) for c in clauses)
-                       for o, clauses in pre)
+        groups = tuple(tuple((c.name, self.decl_rule(c, self._params(o, op), test=True))
+                             for c in clauses) for o, clauses in wc.flat_pre.get(op, ()))
         post = tuple((c.name, self.decl_rule(c, self._params(o, op), True, True))
                      for o, c in wc.flat_post.get(op, ()))
         invs = tuple((inv.name, self.decl_rule(inv, test=True)) for _o, inv in wc.flat_invariants)
-        key = (op, body, pre[0][1][0].name if pre else None, groups, post, invs)
+        key = (op, body, groups, post, invs)
         if key not in self.entries:
             self.entries[key] = name = f"e{len(self.entries)}"
             self._entry(name, len(mdef.sig.params), *key)
         return self.entries[key]
 
-    def _entry(self, name: str, arity: int, op: str, body: str, pre_name, groups, post,
-               invs) -> None:
+    def _entry(self, name: str, arity: int, op: str, body: str, groups, post, invs) -> None:
         params = "".join(f", v{i}" for i in range(arity))
         call = f"{body}(rt, obj{params})"
         checked = []
         if groups:
-            holds = [" and ".join(f"{r}(rt, obj{params})" for r in group) for group in groups]
+            holds = [" and ".join(f"{r}(rt, obj{params})" for _n, r in group) for group in groups]
+            # a violation names the first group's first failing rule: that
+            # group stopped there, and rules are pure, so the names' tests
+            # repeat only evaluations already made
+            *held, (last, _r) = groups[0]
+            failed = "".join(f"{n!r} if not {r}(rt, obj{params}) else " for n, r in held)
             checked.append(_unless(f"({' or '.join(holds)})", "PreconditionViolation", "pre",
-                                   pre_name))
+                                   failed + repr(last)))
         checked.append(f"result = {call}")
         checked += [_unless(f"{r}(rt, obj, result{params})", "PostconditionViolation", "post",
-                            rule_name) for rule_name, r in post]
+                            repr(rule_name)) for rule_name, r in post]
         if invs:
             checked.append("if rt.full:")
-            checked += ["    " + _unless(f"{r}(rt, obj)", "InvariantViolation", "inv", rule_name)
-                        for rule_name, r in invs]
+            checked += ["    " + _unless(f"{r}(rt, obj)", "InvariantViolation", "inv",
+                                         repr(rule_name)) for rule_name, r in invs]
         lines = [f"def {name}(rt, obj{params}):",
                  f"    rt.trace.append(event(OpEnter, (obj.id, {op!r})))"]
         if len(checked) > 1:
@@ -330,31 +334,22 @@ class _Module:
                   "    return result"]
         self.functions[name] = "\n".join(lines)
 
-    def site(self, op: str) -> tuple[str, str]:
-        """How a call of ``op`` runs: ``("builtin", op)`` inline, for
-        ``container`` or ``trace`` when no class defines it; ``("entry",
-        name)``, when every class that has ``op`` runs the same entry; else
-        ``("table", name)``, a constant mapping each such class name to its
-        entry."""
-        if op not in self.sites:
-            classes = self.woven.classes
-            targets = {}
-            for cname, wc in classes.items():
-                if op in wc.method_table:
-                    targets[cname] = self.entry(wc, op)
-                elif op in ROOT_BUILTINS:
-                    targets[cname] = f"_{op}"
-                elif op in wc.op_sigs:  # declared without a body
-                    targets[cname] = self.const(f"_no_method({op!r})")
-            found = set(targets.values())
-            if op in _INLINE and found <= {f"_{op}"}:
-                self.sites[op] = ("builtin", op)
-            elif len(found) == 1:
-                self.sites[op] = ("entry", found.pop())
-            else:
-                table = ", ".join(f"{c!r}: {fn}" for c, fn in targets.items())
-                self.sites[op] = ("table", self.const("{" + table + "}"))
-        return self.sites[op]
+    def site(self, op: str, recv: str) -> str | None:
+        """The function a call of ``op`` on ``recv`` runs, read from the
+        rows (see ``callee``); None for ``container`` or ``trace`` where
+        every class runs the builtin, which the call site then inlines."""
+        targets = {cname: row[op] for cname, row in self.rows.items() if op in row}
+        if op in _INLINE and set(targets.values()) <= {f"_{op}"}:
+            return None
+        return self.callee(targets, recv)
+
+    def callee(self, targets: dict[str, str], recv: str) -> str:
+        """Given the function each class runs, the one a call on ``recv``
+        runs: its name when every class runs the same one, else a constant
+        table of them indexed by ``recv``'s class."""
+        if len(set(targets.values())) == 1:
+            return next(iter(targets.values()))
+        return f"{self.const(_table(targets))}[{recv}.class_name]"
 
     def _params(self, owner: str, op: str) -> list[str]:
         """The parameter names of ``owner``'s signature for ``op``, which
@@ -379,8 +374,8 @@ class _Module:
         self.origins[name] = (unit, mdef.pos, f"{owner}.{mdef.sig.name}")
 
     def super_target(self, owner: str, op: str, qualifier: str | None) -> str:
-        """The function a ``super`` in ``owner``'s ``op`` calls: a name, or
-        a table by the receiver's class."""
+        """The function a ``super`` in ``owner``'s ``op`` calls (see
+        ``callee``)."""
         classes = self.woven.classes
         if qualifier is not None:
             return self.method(*classes[qualifier].raw_definers[op][0])
@@ -390,10 +385,7 @@ class _Module:
             owners = [o for o, _m in chain]
             if owner in owners:
                 targets[cname] = self.method(*chain[owners.index(owner) + 1])
-        if len(set(targets.values())) == 1:
-            return next(iter(targets.values()))
-        table = ", ".join(f"{c!r}: {fn}" for c, fn in targets.items())
-        return f"{self.const('{' + table + '}')}[obj.class_name]"
+        return self.callee(targets, "obj")
 
     def conforming(self, target: str) -> str:
         """A constant: the names of the classes conforming to ``target``."""
@@ -481,22 +473,18 @@ class _Function:
             self.emit(f"{self.local(lv.name)} = {value}")
             return
         recv = self.receiver(lv.receiver, f"cannot assign feature {lv.feature} on void")
-        plan = self.module.plan(lv.feature)
-        if plan is None:
-            self.emit(f"set_feature({self.use('model')}, {recv}, {lv.feature!r}, {value})")
-            return
-        sp, const = plan
-        if sp.prim is None or sp.many:
-            self.emit(f"set_slot({self.use('model')}, {self.target(recv)}, {const}, {value})")
-            return
-        # a single-valued attribute: stored inline when its class is the
-        # plan's, else set_slot's check faults
-        store = f"{self.target(recv)}.slots[{lv.feature!r}] = {value}"
-        if self.known.get(value) is sp.prim:
-            self.emit(store)
-            return
-        self.emit(f"if {value}.__class__ is {sp.prim.__name__}: {store}")
-        self.emit(f"else: set_slot({self.use('model')}, {self.target(recv)}, {const}, {value})")
+        target, sp, plan = self.written(recv, lv.feature)
+        fallback = ""
+        if sp is not None and sp.prim is not None and not sp.many:
+            # a single-valued attribute: stored inline when its class is the
+            # plan's, else set_slot's check faults
+            store = f"{target}.slots[{lv.feature!r}] = {value}"
+            if self.known.get(value) is sp.prim:
+                self.emit(store)
+                return
+            self.emit(f"if {value}.__class__ is {sp.prim.__name__}: {store}")
+            fallback = "else: "
+        self.emit(f"{fallback}set_slot({self.use('model')}, {target}, {plan}, {value})")
 
     def _exprstmt(self, stmt: ExprStmt) -> None:
         e = stmt.expr
@@ -506,18 +494,27 @@ class _Function:
             nav = e.receiver
             recv = self.receiver(nav.receiver, f"cannot add to feature {nav.feature} on void")
             value = self.expr(e.arg)
-            plan = self.module.plan(nav.feature)
-            model = self.use("model")
-            if plan is None:
-                self.emit(f"add_to_feature({model}, {recv}, {nav.feature!r}, {value})")
-            else:
-                self.emit(f"add_slot({model}, {self.target(recv)}, {plan[1]}, {value})")
+            target, _sp, plan = self.written(recv, nav.feature)
+            self.emit(f"add_slot({self.use('model')}, {target}, {plan}, {value})")
             return
         self.expr(e)
 
     def target(self, recv: str) -> str:
         """The object a receiver checked by ``receiver`` refers to."""
         return recv if recv == "obj" else f"{self.use('objects')}[{recv}.id]"
+
+    def written(self, recv: str, feature: str):
+        """The object a write of ``feature`` through ``recv`` changes, the
+        one slot plan of every feature of that name (None when classes
+        declare several), and the plan the write goes through: that plan's
+        constant, else the plan of the object's class."""
+        plans = {wc.slots[feature] for wc in self.module.woven.classes.values()
+                 if feature in wc.slots}
+        if len(plans) == 1:
+            sp = plans.pop()
+            return self.target(recv), sp, self.module.const(f"PLANS[{sp.owner!r}][{feature!r}]")
+        target = recv if recv == "obj" else self.assign(self.target(recv))
+        return target, None, f"PLANS[{target}.class_name][{feature!r}]"
 
     def receiver(self, e, void_message: str) -> str:
         """An object receiver: ``obj`` for ``self``, else an ObjRef checked
@@ -628,15 +625,13 @@ class _Function:
         recv = self.receiver(e.receiver, f"operation call {e.op} on void")
         target = "obj" if recv == "obj" else self.assign(self.target(recv))
         args = [self.expr(a) for a in e.args]
-        if self.module.entries is None:
-            return self.assign(f"rt.call({target}, {e.op!r}, ({''.join(a + ', ' for a in args)}))")
-        how, fn = self.module.site(e.op)
         passed = f"rt, {target}{''.join(', ' + a for a in args)}"
-        if how == "entry":
+        if self.module.dispatch is not None:  # an expression: its model's table
+            return self.assign(f"DISPATCH[{target}.class_name][{e.op!r}]({passed})")
+        fn = self.module.site(e.op, target)
+        if fn is not None:
             return self.assign(f"{fn}({passed})")
-        if how == "table":
-            return self.assign(f"{fn}[{target}.class_name]({passed})")
-        if fn == "container":
+        if e.op == "container":
             return self.assign(f"VOID if {target}.container is None else "
                                f"ObjRef({target}.container[0])")
         message = args[0]

@@ -11,6 +11,7 @@ parser is handed a statement-block callback for that single case.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -189,9 +190,11 @@ TRUE = BoolV(True)
 FALSE = BoolV(False)
 
 
-@dataclass(frozen=True, slots=True)
-class ObjRef:
-    id: str
+class ObjRef(namedtuple("ObjRef", "id")):
+    """A reference to the object ``id``: a one-element tuple, so equality
+    and hashing run in C."""
+
+    __slots__ = ()
 
 
 class Coll:

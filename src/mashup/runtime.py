@@ -3,17 +3,17 @@ assignment semantics, dispatch with contract enforcement, and persistence.
 
 Method bodies, contract rules and dispatch run as Python: ``codegen``
 compiles a woven model once, on its first ``Interpreter``, and every later
-run of the model reuses that code.  A call there goes to the generated
-entry of the receiver's class, which traces it and checks its contracts;
-the interpreter holds the policy and the trace the entries read and
-write, and the builtins (``BUILTINS``) the entries fall back on.
+run of the model reuses that code.  Every call runs what its ``DISPATCH``
+table names: a generated entry, which traces the call and checks its
+contracts, or a root builtin defined here.  The interpreter holds the
+policy and the trace the entries read and write.
 
 Assignment keeps both ends of bidirectional associations in sync and keeps
 containment a forest: attaching an object removes it from its previous
 container first, and an attachment that would close a containment cycle is
 refused before anything is mutated.  ``set_slot`` and ``add_slot`` are
 ``set_feature`` and ``add_to_feature`` on a resolved object and slot plan,
-the writes compiled code makes; a plain reference (no opposite, no
+the only writes compiled code makes; a plain reference (no opposite, no
 containment) has no upkeep to run.
 
 Collections are values: every write of a many-valued slot stores a new
@@ -52,7 +52,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .codegen import compile_expr, compiled
+from .codegen import _no_method, compile_expr, compiled
 from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
@@ -461,15 +461,15 @@ class Interpreter:
 
     Operation calls run in the model's compiled module
     (``codegen.compiled``), written and compiled when the first interpreter
-    of a woven model is made and kept for every later one.  Dispatch,
-    contracts and the builtins live there: a call site reaches the
-    generated entry of its receiver's class (or runs ``container`` and
-    ``trace`` inline), and the entry traces the call and checks its
-    contracts around the body.  The entries read the policy from
-    ``checks`` (pre- and postconditions) and ``full`` (invariants too);
-    ``policy`` is derived from the two.
-    :meth:`invoke` is the way in from outside the program, and ``call``
-    the thin dispatch it and evaluated expressions go through.
+    of a woven model is made and kept for every later one.  Dispatch and
+    contracts live there: its ``DISPATCH`` table gives, per class, the
+    function each operation runs (a generated entry, a root builtin, or a
+    ``NoSuchMethod`` for an operation declared without a body), and an
+    entry traces the call and checks its contracts around the body.  The
+    entries read the policy from ``checks`` (pre- and postconditions) and
+    ``full`` (invariants too); ``policy`` is derived from the two.
+    :meth:`invoke`, the way in from outside the program, reads the same
+    table as call sites and evaluated expressions.
 
     The model's woven model must come from ``build_units``, or from
     ``compose`` with ``validate_woven``, ``resolve_method_conflicts`` and
@@ -525,15 +525,7 @@ class Interpreter:
             sig = ROOT_BUILTINS[op]
             if len(args) != len(sig.params):
                 raise EvalFault("TypeFault", f"{op} expects {len(sig.params)} argument(s)")
-        return self.call(obj, op, args)
-
-    def call(self, obj: Obj, op: str, args) -> Value:
-        """Run ``op`` on ``obj``: its class's generated entry, else the
-        builtin of that name."""
-        entry = self.code.dispatch[obj.class_name].get(op) or BUILTINS.get(op)
-        if entry is None:
-            raise EvalFault("NoSuchMethod", f"{obj.class_name} has no operation {op}")
-        return entry(self, obj, *args)
+        return (self.code.dispatch[obj.class_name].get(op) or _no_method(op))(self, obj, *args)
 
     def violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
         """Trace a violated contract rule and build the error it raises."""
@@ -541,9 +533,9 @@ class Interpreter:
         return ContractViolation(error, name, obj.id)
 
 
-# The builtins every class inherits from the root, called as an entry is:
-# ``builtin(interp, obj, *args)``.  Compiled code runs ``container`` and
-# ``trace`` inline where no class defines an operation of their name.
+# The builtins every class inherits from the root, named in ``DISPATCH``
+# and called as an entry is: ``builtin(interp, obj, *args)``.  Compiled code
+# runs ``container`` and ``trace`` inline where no class defines them.
 
 
 def _container(rt: Interpreter, obj: Obj) -> Value:
@@ -559,9 +551,6 @@ def _trace(rt: Interpreter, obj: Obj, message: Value) -> Value:
 
 def _fault(rt: Interpreter, obj: Obj, message: Value) -> Value:
     raise EvalFault("Fault", message.s if message.__class__ is StringV else render_value(message))
-
-
-BUILTINS = {"container": _container, "trace": _trace, "fault": _fault}
 
 
 def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None = None,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+import shutil
 import sys
 
 import pytest
@@ -360,3 +363,55 @@ def test_only_execution_commands_take_execution_options():
     code, _out, err = run_cli("run", "--manifest", str(FUML / "fuml.mashup"),
                               "--model", model, "--contracts", "full")
     assert (code, err) == (0, "")
+
+
+def _mutants(data: bytes, rng: random.Random, count: int) -> list[tuple[str, bytes]]:
+    """``count`` mutants of ``data``, each a byte flip, a truncation, or the
+    duplication or deletion of one token (a word, a run of blanks or one
+    other byte), named for the failure message."""
+    tokens = re.findall(rb"\w+|\s+|.", data, re.S)
+    out = []
+    for i in range(count):
+        kind = ("flip", "truncate", "duplicate", "delete")[i % 4]
+        if kind == "flip":
+            at = rng.randrange(len(data))
+            mutant = data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+        elif kind == "truncate":
+            at = rng.randrange(len(data))
+            mutant = data[:at]
+        else:
+            at = rng.randrange(len(tokens))
+            kept = tokens[at:at + 1] * (2 if kind == "duplicate" else 0)
+            mutant = b"".join(tokens[:at] + kept + tokens[at + 1:])
+        out.append((f"{kind}@{at}", mutant))
+    return out
+
+
+# a diagnostic's first line: unit:line:col: Code
+_DIAGNOSTIC = re.compile(r"^\S.*:\d+:\d+: [A-Z]\w* ", re.M)
+
+
+@pytest.mark.parametrize("name", ["fuml.mm", "fuml.inv", "fuml.act", "fuml.mashup",
+                                  "worksession.model"])
+def test_mutated_inputs_end_in_an_exit_code_and_a_diagnostic(tmp_path, name):
+    # compose on mutated units and manifests, check on mutated models; run
+    # is left out, as a mutated loop need not terminate
+    shutil.copytree(FUML, tmp_path, dirs_exist_ok=True)
+    shutil.copy(MODELS / "worksession.model", tmp_path)
+    manifest, path = str(tmp_path / "fuml.mashup"), tmp_path / name
+    command = ("check", "--manifest", manifest, "--model", str(path)) \
+        if name.endswith(".model") else ("compose", "--manifest", manifest)
+    rng = random.Random(name)
+    bad = []
+    for what, mutant in _mutants(path.read_bytes(), rng, 20):
+        path.write_bytes(mutant)
+        try:
+            code, _out, err = run_cli(*command)
+        except Exception as exc:  # noqa: BLE001 - every escape is reported
+            bad.append(f"{what}: {type(exc).__name__}: {exc}")
+            continue
+        if not 0 <= code <= 5 or "Traceback" in err:
+            bad.append(f"{what}: exit {code}: {err!r}")
+        elif 1 <= code <= 3 and not _DIAGNOSTIC.search(err):
+            bad.append(f"{what}: exit {code} without a diagnostic: {err!r}")
+    assert bad == []

@@ -23,11 +23,11 @@ from helpers import (
     FUML, MODELS, REPO, TABLE_MM, parse_units, run_cli, table_act, table_model, weave,
 )
 from mashup.diagnostics import EvalFault, TypecheckError
-from mashup.exprs import TRUE, VOID_VALUE, IntV, ObjRef, parse_expr
+from mashup.exprs import TRUE, VOID_VALUE, IntV, ObjRef, StringV, parse_expr
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
-    Interpreter, ModelInstance, add_to_feature, create_instance, eval_expr, invoke, load_model,
-    save_model, set_feature,
+    Interpreter, ModelInstance, add_to_feature, conformance_check, create_instance, eval_expr,
+    invoke, load_model, save_model, set_feature,
 )
 from mashup.typecheck import build, build_units
 
@@ -164,12 +164,12 @@ NAMES_TRACE = [
 # the interpreter
 GENERATED = re.compile(r"[vtcmre]\d+|rt|obj|me|objects|model|result|DISPATCH|PLANS|"
                        r"BoolV|IntV|StringV|VoidV|ObjRef|Coll|TRUE|FALSE|VOID|EvalFault|"
-                       r"make_coll|set_feature|add_to_feature|set_slot|add_slot|"
+                       r"make_coll|set_slot|add_slot|"
                        r"create_instance|render_value|_operands|_cast|_intersection|"
                        r"_quotient|_no_method|_container|_trace|_fault|event|OpEnter|"
                        r"OpExit|NodeExecuted|frozenset|len|RecursionError|"
                        r"slots|items|kind|id|class_name|container|trace|checks|full|"
-                       r"violation|call|append|__class__|[bis]")
+                       r"violation|append|__class__|[bis]")
 
 
 @pytest.mark.parametrize("contracts", POLICIES)
@@ -255,6 +255,8 @@ aspect class N {
       if c == self then self.trace("contained") end
     }
   end
+  operation viaContainer() : Root is do return self.container() end
+  operation viaTrace() : Void is do self.trace("x") end
 }
 """
 
@@ -284,12 +286,22 @@ def test_a_class_overriding_a_builtin_runs_its_own_body():
         "OpEnter\ta.container", "NodeExecuted\tmine", "OpExit\ta.container\tvoid"]
     result, interp = invoke(model, "n1", "container")
     assert (result, interp.trace) == (ObjRef("n0"), [])
+    # invoke, a compiled call site and an evaluated expression run the same
+    for oid in ("a", "b", "n1"):
+        for op, args, text in (("container", [], "self.container()"),
+                               ("trace", [StringV("x")], 'self.trace("x")')):
+            result, interp = invoke(model, oid, op, args)
+            via, site = invoke(model, oid, "via" + op.capitalize())
+            evaluated = Interpreter(model)
+            value = eval_expr(parse_expr(text), evaluated, oid, pure=False)
+            assert (via, value) == (result, result)
+            assert site.trace[1:-1] == evaluated.trace == interp.trace
 
 
 def test_builtins_run_inline_where_no_class_defines_them():
     woven = build(str(REPO / "perfbench" / "fuml-lite" / "fuml.mashup"))[2]
-    source = Interpreter(ModelInstance(woven)).code.source
-    assert "rt.call" not in source
+    # the functions, before DISPATCH, whose rows name every builtin
+    source = Interpreter(ModelInstance(woven)).code.source.split("DISPATCH =")[0]
     assert "_container" not in source
     # trace appends inline; only a message other than a String falls back
     # to the runtime builtin, which faults
@@ -354,9 +366,31 @@ TWO_PLANS_MM = """metamodel t {
 """
 
 
-@pytest.mark.parametrize("mm", [TABLE_MM, TWO_PLANS_MM], ids=["one-plan", "two-plans"])
+# n, w and kids each have two plans, kids one with an opposite
+OPPOSITE_MM = """metamodel t {
+  class A { attr n : Int; ref one : B[0..1]; ref kids : B[*] opposite up; }
+  class B { attr n : Int; attr w : Int; ref up : A[0..1] opposite kids; }
+  class C { attr w : Int; ref kids : B[*]; }
+}
+"""
+
+
+@pytest.mark.parametrize("mm", [TABLE_MM, TWO_PLANS_MM, OPPOSITE_MM],
+                         ids=["one-plan", "two-plans", "opposite"])
 def test_a_write_keeps_its_exact_type_fault(mm):
-    # a compiled store of void, through the feature's one plan or by name
+    # compiled writes that succeed, through the feature's one plan or the
+    # plan of the target's class
+    woven = weave(mm=mm, act=table_act(
+        "    var b : B init B.new()\n    b.w := 3\n    self.n := b.w + 4\n    self.kids.add(b)"))
+    model = table_model(woven)
+    invoke(model, "o1", "run")
+    assert model.obj("o4").slots["w"] == IntV(3)
+    assert model.obj("o1").slots["n"] == IntV(7)
+    assert model.obj("o1").slots["kids"].items == [ObjRef("o2"), ObjRef("o3"), ObjRef("o4")]
+    if mm is OPPOSITE_MM:  # and the opposite end follows
+        assert model.obj("o4").slots["up"] == ObjRef("o1")
+    assert conformance_check(model) == []
+    # a compiled store of void, through the feature's one plan or by class
     woven = weave(mm=mm, act=table_act("    self.n := self.one.w"))
     with pytest.raises(EvalFault) as exc:
         invoke(table_model(woven), "o1", "run")
@@ -403,10 +437,11 @@ GROUPS_INV = ('package m;\nrequire "u0.mm";\n'
 @pytest.mark.parametrize("cls,v,outcome", [
     ("Sub", 15, "15"),  # Sub's group holds
     ("Sub", 2, "2"),  # Sub's fails at its first rule, Super's holds
-    ("Sub", 25, "pre a1 @ o1"),  # both fail at their second rule
+    # a violation names the first group's first failing rule
+    ("Sub", 25, "pre a2 @ o1"),  # both fail at their second rule
     ("Sub", 0, "pre a1 @ o1"),
     ("Super", 2, "2"),
-    ("Super", 5, "pre b1 @ o1"),  # the one group fails at its second rule
+    ("Super", 5, "pre b2 @ o1"),  # the one group fails at its second rule
 ])
 def test_precondition_groups_disjoin_and_their_rules_conjoin(cls, v, outcome):
     woven = weave(mm=GROUPS_MM, act=GROUPS_ACT, inv=GROUPS_INV)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -239,8 +240,21 @@ def _scan_unique(items):
     return out
 
 
+@given(st.text("ab1", max_size=2), st.text("ab1", max_size=2))
+def test_a_reference_equals_exactly_the_references_with_its_id(x, y):
+    assert (ObjRef(x) == ObjRef(y)) is (x == y)
+    assert (ObjRef(x) != ObjRef(y)) is (x != y)
+    assert hash(ObjRef(x)) == hash(ObjRef(x))
+    assert ObjRef(x).id == x and repr(ObjRef(x)) == f"ObjRef(id={x!r})"
+    assert copy.copy(ObjRef(x)) == ObjRef(x)
+    # never a scalar of the same text
+    assert ObjRef(x) != StringV(x) and StringV(x) != ObjRef(x)
+    assert ObjRef("1") != IntV(1) and IntV(1) != ObjRef("1")
+
+
 @given(st.lists(_VALUES, max_size=12))
 @example([IntV(1), BoolV(True), IntV(1), BoolV(True), IntV(0), BoolV(False)])
+@example([ObjRef("a"), StringV("a"), ObjRef("1"), IntV(1), ObjRef("a"), StringV("a")])
 @example([IntV(1), BoolV(True), Coll("Set", [IntV(1)]), Coll("Set", [IntV(1)]), BoolV(True)])
 def test_make_coll_matches_list_scan(items):
     for kind in COLLECTION_KINDS:
