@@ -374,10 +374,12 @@ class WovenClass:
         default_factory=dict
     )
     flat_post: dict[str, tuple[tuple[str, ConditionDecl], ...]] = field(default_factory=dict)
-    # slot plans in declaration order, in save (name) order, and the link slots
+    # slot plans in declaration order, in save (name) order, the link slots
+    # and the slots with a lower bound
     slots: dict[str, SlotPlan] = field(default_factory=dict)
     save_order: tuple[SlotPlan, ...] = ()
     links: tuple[SlotPlan, ...] = ()
+    required: tuple[SlotPlan, ...] = ()
 
     def fresh_slots(self) -> dict[str, Value]:
         """Every slot at its type default."""
@@ -675,6 +677,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             slots=slots,
             save_order=tuple(slots[fname] for fname in sorted(slots)),
             links=tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment),
+            required=tuple(sp for sp in slots.values() if sp.lower >= 1),
         )
         wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, contribs)
         woven.classes[name] = wc

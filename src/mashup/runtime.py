@@ -22,7 +22,8 @@ collection is read, held in a variable and shared by a clone without a
 copy, and ``clone`` copies only the objects.  The guarantees above hold
 for writes through ``create_instance``, ``set_feature``, ``add_to_feature``
 and ``remove_from_feature``; writing ``Obj.slots`` or a collection's
-``items`` in place voids them, a clone's independence included.
+``items`` in place voids them, a clone's independence included, and such
+a write to a clean model (below) is saved unchecked.
 
 Models serialize to JSON with objects ordered by id and slot keys sorted,
 so output is byte-stable.  Slots holding their type default (void single
@@ -35,9 +36,13 @@ json's C string encoder and the indented layout is assembled here, because
 Creating, assigning, checking, loading and saving read one table: the slot
 plans that ``compose`` settles for every woven class (bounds, collection
 kind, default, value class or conforming target classes, opposite,
-containment).  Loading and saving both run the conformance check, which
-walks each object against its class's plans and formats a message only for
-what fails.
+containment).  A document is checked once, as it is loaded: each slot is
+checked against its plan as it is decoded, and the link and forest checks
+of ``conformance_check`` run once after; only if any of that fails does
+``conformance_check`` run in full, to report.  A loaded model is
+``clean`` until something writes it, and ``save_model`` checks only a
+model that is not clean.  The conformance check walks each object against
+its class's plans and formats a message only for what fails.
 
 A model instance and the interpreter running it belong to one thread at a
 time; the woven model they reference is shared read-only, but for the
@@ -148,21 +153,21 @@ def default_value(feat: Attribute | Reference) -> Value:
     return type_default(feature_type(feat))
 
 
-def is_default(sp: SlotPlan, value: Value) -> bool:
-    """``value == default_value(sp.feat)`` without allocating a default."""
-    if sp.many:
-        return isinstance(value, Coll) and not value.items and value.kind == sp.kind
-    return value == sp.default
-
-
 class ModelInstance:
-    """An object graph conforming to one woven model."""
+    """An object graph conforming to one woven model.
+
+    ``clean`` records that the model passed the conformance check and that
+    nothing wrote it since: a load and a checked save set it, and every
+    write through the model API, an operation run from outside and an
+    impure evaluated expression clear it.
+    """
 
     def __init__(self, woven: WovenModel):
         self.woven = woven
         self.objects: dict[str, Obj] = {}
         self.roots: list[str] = []
         self._next_id = 1
+        self.clean = False
 
     def obj(self, oid: str) -> Obj:
         try:
@@ -185,6 +190,7 @@ class ModelInstance:
         return oid
 
     def _register(self, obj: Obj) -> None:
+        self.clean = False
         self.objects[obj.id] = obj
         self.roots.append(obj.id)
 
@@ -199,6 +205,7 @@ class ModelInstance:
     def clone(self) -> "ModelInstance":
         out = ModelInstance(self.woven)
         out._next_id = self._next_id
+        out.clean = self.clean
         out.roots = list(self.roots)
         for oid, obj in self.objects.items():
             copy = Obj(oid, obj.class_name)
@@ -361,6 +368,7 @@ def set_feature(model: ModelInstance, obj, feature: str, value: Value) -> None:
 def set_slot(model: ModelInstance, obj: Obj, sp: SlotPlan, value: Value) -> None:
     """``set_feature`` on an object and the plan of one of its slots, the
     write compiled code makes once it resolved the plan."""
+    model.clean = False
     feature = sp.name
     if sp.prim is not None:
         if sp.many:
@@ -417,6 +425,7 @@ def add_to_feature(model: ModelInstance, obj, feature: str, value: Value) -> Non
 
 def add_slot(model: ModelInstance, obj: Obj, sp: SlotPlan, value: Value) -> None:
     """``add_to_feature`` on an object and the plan of one of its slots."""
+    model.clean = False
     feature = sp.name
     if sp.prim is not None:
         if not sp.many:
@@ -440,6 +449,7 @@ def remove_from_feature(model: ModelInstance, obj, feature: str, value: Value) -
     """Element-wise removal; absent elements are a no-op."""
     obj = model.resolve(obj)
     sp = _slot(model, obj, feature)
+    model.clean = False
     if sp.prim is not None:
         if not sp.many:
             raise EvalFault("TypeFault", f"cannot remove from single-valued attribute {feature}")
@@ -508,23 +518,24 @@ class Interpreter:
         checker saw: the operation and its arguments' number and types."""
         obj = self.model.obj(recv.id)
         entries = self.woven.classes[obj.class_name].method_table.get(op)
+        params = ()
         if entries:
             params = entries[0][1].sig.params
             if len(args) != len(params):
                 raise EvalFault(
                     "TypeFault", f"{op} expects {len(params)} argument(s), got {len(args)}"
                 )
-            for param, arg in zip(params, args):
-                if not assignable(self.woven, _value_type(self.model, arg), param.type):
-                    raise EvalFault(
-                        "TypeFault",
-                        f"argument {param.name} of {op} expects {param.type}, "
-                        f"got {render_value(arg)}",
-                    )
         elif op in ROOT_BUILTINS:
-            sig = ROOT_BUILTINS[op]
-            if len(args) != len(sig.params):
-                raise EvalFault("TypeFault", f"{op} expects {len(sig.params)} argument(s)")
+            params = ROOT_BUILTINS[op].params
+            if len(args) != len(params):
+                raise EvalFault("TypeFault", f"{op} expects {len(params)} argument(s)")
+        for param, arg in zip(params, args):
+            if not assignable(self.woven, _value_type(self.model, arg), param.type):
+                raise EvalFault(
+                    "TypeFault",
+                    f"argument {param.name} of {op} expects {param.type}, got {render_value(arg)}",
+                )
+        self.model.clean = False
         return (self.code.dispatch[obj.class_name].get(op) or _no_method(op))(self, obj, *args)
 
     def violation(self, error: str, kind: str, name: str, obj: Obj) -> ContractViolation:
@@ -569,6 +580,8 @@ def eval_expr(e, interp: Interpreter, self_obj, scope: dict[str, Value] | None =
     typecheck_expr(e, TypeContext(interp.woven, obj.class_name, sink, pure, scopes=[types]))
     if sink:
         raise TypecheckError(sink.items)
+    if not pure:
+        interp.model.clean = False
     return compile_expr(interp.woven, e, list(scope))(interp, obj, *scope.values())
 
 
@@ -670,16 +683,14 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
 def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Diagnostic]:
     """Structural validity: types, bounds, opposite listing, containment forest.
 
-    One walk checks every slot against its class's slot plans and gathers the
-    opposite and containment links; a message is formatted only for what
-    fails.  Diagnostics keep a fixed order: each object's slot findings,
-    then opposite mismatches, then containment and roots.  ``source``
-    labels them.
+    One walk checks every slot against its class's slot plans, a second the
+    opposite and containment links (``_check_links``); a message is
+    formatted only for what fails.  Diagnostics keep a fixed order: each
+    object's slot findings, then opposite mismatches, then containment and
+    roots.  ``source`` labels them.
     """
     sink, opposites, containment = (DiagnosticSink(source) for _ in range(3))
     objects, classes = model.objects, model.woven.classes
-    container_of: dict[str, tuple[str, str]] = {}
-    listed: dict[int, set[str]] = {}  # the ids of long opposite collections (_lists)
     for oid, obj in objects.items():
         wc = classes.get(obj.class_name)
         if wc is None:
@@ -724,6 +735,23 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
             for fname in features:
                 if fname not in slots:
                     sink.add("MissingSlot", f"object {oid} lacks slot {fname}")
+    _check_forest(model, _check_links(model, opposites, containment), containment)
+    return sink.items + opposites.items + containment.items
+
+
+def _check_links(model: ModelInstance, opposites: DiagnosticSink,
+                 containment: DiagnosticSink) -> dict[str, tuple[str, str]]:
+    """Each link slot's targets against their opposite slots, and each
+    contained object against a second container; returns the first
+    (container id, feature) the slots give each contained object."""
+    objects, classes = model.objects, model.woven.classes
+    container_of: dict[str, tuple[str, str]] = {}
+    listed: dict[int, set[str]] = {}  # the ids of long opposite collections (_lists)
+    for oid, obj in objects.items():
+        wc = classes.get(obj.class_name)
+        if wc is None:
+            continue
+        slots = obj.slots
         for sp in wc.links:
             value = slots.get(sp.name)
             for tgt in value.items if isinstance(value, Coll) else (value,):
@@ -750,8 +778,7 @@ def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Dia
                         )
                     else:
                         container_of[tid] = (oid, sp.name)
-    _check_forest(model, container_of, containment)
-    return sink.items + opposites.items + containment.items
+    return container_of
 
 
 def _element_problem(objects: dict[str, Obj], where: str, sp: SlotPlan, value) -> str:
@@ -865,7 +892,13 @@ def _shape_problems(doc) -> list[str]:
 def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelInstance:
     """Parse, resolve and conformance-check a JSON model document.
 
-    ``source`` labels every diagnostic, normally with the document's path.
+    The decode checks each slot against its plan as it reads it (scalar
+    class, target id and class, lower bound, abstract class), and
+    ``_check_links`` and ``_check_forest`` then check the links once.  They
+    only tell whether the model conforms: if anything fails,
+    ``conformance_check`` runs and its diagnostics are raised, so each
+    keeps its one wording and order.  ``source`` labels every diagnostic,
+    normally with the document's path.
     """
     try:
         doc = json.loads(text)
@@ -885,6 +918,7 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
         )
     model = ModelInstance(woven)
     objects, classes = model.objects, woven.classes
+    by_text: dict[str, tuple[ObjRef, str]] = {}  # "@id" -> (reference, class name)
     entries = doc["objects"]
     for entry in entries:
         oid = entry["id"]
@@ -898,33 +932,63 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
             continue
         obj = objects[oid] = Obj(oid, cls)
         obj.slots = wc.fresh_slots()
+        by_text["@" + oid] = (ObjRef(oid), cls)
     if sink:
         raise TypecheckError(sink.items)
 
+    conforms = True
     for entry in entries:
         obj = objects[entry["id"]]
-        features = classes[obj.class_name].slots
+        wc = classes[obj.class_name]
+        features, slots = wc.slots, obj.slots
+        if wc.is_abstract:
+            conforms = False
         for fname, raw in entry.get("slots", {}).items():
             sp = features.get(fname)
             if sp is None:
                 sink.add("UnknownFeature", f"object {obj.id} has unknown slot {fname}")
                 continue
+            # inline: a list of "@id"s, an "@id" and a String
+            if sp.prim is None:
+                targets = sp.targets
+                if sp.many:
+                    if raw.__class__ is list:
+                        refs = []
+                        for x in raw:
+                            hit = by_text.get(x) if x.__class__ is str else None
+                            if hit is None:
+                                break
+                            if targets is not None and hit[1] not in targets:
+                                conforms = False
+                            refs.append(hit[0])
+                        else:
+                            slots[fname] = make_coll(sp.kind, refs)
+                            continue
+                elif raw.__class__ is str:
+                    hit = by_text.get(raw)
+                    if hit is not None:
+                        if targets is not None and hit[1] not in targets:
+                            conforms = False
+                        slots[fname] = hit[0]
+                        continue
+            elif sp.prim is StringV and raw.__class__ is str and not sp.many:
+                slots[fname] = StringV(raw)
+                continue
+            # every other shape; a reference decoded here is void or reported
             value = _decode_slot(objects, obj.id, sp, raw, sink)
             if value is not None:
-                obj.slots[fname] = value
+                slots[fname] = value
+        for sp in wc.required:
+            value = slots[sp.name]
+            if len(value.items) < sp.lower if sp.many else value.__class__ is VoidV:
+                conforms = False
     if sink:
         raise TypecheckError(sink.items)
 
-    # derive containers from containment slots
-    for obj in objects.values():
-        for sp in classes[obj.class_name].links:
-            if not sp.containment:
-                continue
-            value = obj.slots[sp.name]
-            for tgt in value.items if sp.many else (value,) if isinstance(value, ObjRef) else ():
-                child = objects[tgt.id]
-                if child.container is None:
-                    child.container = (obj.id, sp.name)
+    links = DiagnosticSink(source)
+    container_of = _check_links(model, links, links)
+    for oid, container in container_of.items():
+        objects[oid].container = container
     for r in doc.get("roots", []):
         if not isinstance(r, str) or not r.startswith("@"):
             sink.add("ConformanceError", f"roots entries must be @id strings, found {r!r}")
@@ -932,9 +996,12 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
             model.roots.append(r[1:])
     if sink:
         raise TypecheckError(sink.items)
-    problems = conformance_check(model, source)
-    if problems:
-        raise TypecheckError(problems)
+    _check_forest(model, container_of, links)
+    if not conforms or links:
+        problems = conformance_check(model, source)
+        if problems:
+            raise TypecheckError(problems)
+    model.clean = True
     return model
 
 
@@ -952,15 +1019,7 @@ def _decode_slot(objects: dict[str, Obj], oid: str, sp: SlotPlan, raw,
         return VOID_VALUE
     else:
         elements = (raw,)
-    if sp.prim is None:
-        # the direct route for well-formed "@id" references
-        items = [
-            ObjRef(x[1:]) if isinstance(x, str) and x[:1] == "@" and x[1:] in objects
-            else _decode_element(objects, oid, sp, x, sink)
-            for x in elements
-        ]
-    else:
-        items = [_decode_element(objects, oid, sp, x, sink) for x in elements]
+    items = [_decode_element(objects, oid, sp, x, sink) for x in elements]
     if not sp.many:
         return items[0]
     return make_coll(sp.kind, [v for v in items if v is not None])
@@ -998,8 +1057,6 @@ _quote = json.encoder.encode_basestring_ascii
 _JSON_SCALARS = {
     IntV: lambda v: int.__repr__(v.i),
     BoolV: lambda v: "true" if v.b else "false",
-    StringV: lambda v: _quote(v.s),
-    ObjRef: lambda v: _quote("@" + v.id),
 }
 
 
@@ -1012,32 +1069,50 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _json_slot(value: Value) -> str:
-    if isinstance(value, Coll):
-        return _json_block("[]", [_JSON_SCALARS[type(x)](x) for x in value.items], " " * 8)
-    return _JSON_SCALARS[type(value)](value)
-
-
 def save_model(model: ModelInstance) -> str:
     """The canonical text of a model; refuses nonconformant models.
 
-    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the
-    document {conformsTo, objects ordered by id, roots}, written straight
-    from the objects without building ``doc``.
+    A model that is ``clean`` is not checked again.  The text is
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the document
+    {conformsTo, objects ordered by id, roots}, written straight from the
+    objects without building ``doc``.
     """
-    problems = conformance_check(model)
-    if problems:
-        raise TypecheckError(problems)
+    if not model.clean:
+        problems = conformance_check(model)
+        if problems:
+            raise TypecheckError(problems)
+        model.clean = True
     classes = model.woven.classes
     objects = []
     for oid in sorted(model.objects):
         obj = model.objects[oid]
-        # conformance leaves exactly the class's features in the slots
-        slots = [
-            f"{_quote(sp.name)}: {_json_slot(value)}"
-            for sp in classes[obj.class_name].save_order
-            if not is_default(sp, value := obj.slots[sp.name])
-        ]
+        # conformance leaves exactly the class's features in the slots, each
+        # element of the class its plan gives; slots at their default are left out
+        slots = []
+        for sp in classes[obj.class_name].save_order:
+            value = obj.slots[sp.name]
+            prim = sp.prim
+            if sp.many:
+                items = value.items
+                if not items:
+                    if value.kind == sp.kind:
+                        continue
+                    text = "[]"
+                else:
+                    text = "[\n          " + ",\n          ".join(
+                        [_quote("@" + x.id) for x in items] if prim is None
+                        else [_quote(x.s) for x in items] if prim is StringV
+                        else [_JSON_SCALARS[prim](x) for x in items]
+                    ) + "\n        ]"
+            elif prim is None:
+                if value.__class__ is VoidV:
+                    continue
+                text = _quote("@" + value.id)
+            elif value == sp.default:
+                continue
+            else:
+                text = _quote(value.s) if prim is StringV else _JSON_SCALARS[prim](value)
+            slots.append(_quote(sp.name) + ": " + text)
         objects.append(_json_block("{}", [
             f'"class": {_quote(obj.class_name)}',
             f'"id": {_quote(oid)}',

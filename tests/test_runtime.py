@@ -14,7 +14,7 @@ from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, 
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
     _SCAN_LIMIT, Interpreter, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
-    conformance_check, create_instance, default_value, eval_expr, invoke, is_default,
+    conformance_check, create_instance, default_value, eval_expr, invoke,
     load_model, remove_from_feature, save_model, set_feature,
 )
 
@@ -172,7 +172,9 @@ def test_remove_absent_element_is_noop(lib):
     assert lib.fingerprint() == before
 
 
-def test_is_default_agrees_with_default_value():
+def test_save_omits_exactly_the_default_slots():
+    """Each slot is written unless it holds its type default; an empty
+    collection of another kind than the slot's is written as []."""
     woven = weave(mm="""
 metamodel d {
   class K {
@@ -184,11 +186,21 @@ metamodel d {
     values = [IntV(0), IntV(1), BoolV(False), BoolV(True), StringV(""), StringV("x"),
               VoidV(), ObjRef("o1"), Coll("OrderedSet"), Coll("OrderedSet", [ObjRef("o1")]),
               Coll("Sequence"), Coll("Set")]
+    written = []
     for sp in woven.classes["K"].slots.values():
         default = default_value(sp.feat)
-        assert is_default(sp, default)
         for value in values:
-            assert is_default(sp, value) == (value == default)
+            model = ModelInstance(woven)
+            create_instance(model, "K")
+            model.obj("o1").slots[sp.name] = value  # behind the API: any kind of collection
+            try:
+                saved = json.loads(save_model(model))["objects"][0]["slots"]
+            except TypecheckError:  # a value the slot cannot hold
+                continue
+            assert (sp.name in saved) == (value != default), (sp.name, value)
+            written.append((sp.name, value == default))
+    assert {omitted for _name, omitted in written} == {True, False}
+    assert ("tags", False) in written and ("many", False) in written
 
 
 def test_load_compares_references_linearly(fuml_woven, monkeypatch):
@@ -448,11 +460,14 @@ def test_invoke_checks_argument_types_on_entry():
     model = table_model(weave(mm=TABLE_MM, act=act))
     assert invoke(model, "o1", "get", [ObjRef("o2")])[0] == IntV(1)
     assert invoke(model, "o1", "get", [VOID_VALUE])[0] == VOID_VALUE
-    for arg, shown in ((IntV(3), "3"), (ObjRef("o1"), "@o1")):
+    # a method and a root builtin alike
+    for op, arg, expected in (("get", IntV(3), "b of get expects B, got 3"),
+                              ("get", ObjRef("o1"), "b of get expects B, got @o1"),
+                              ("fault", IntV(1), "message of fault expects String, got 1"),
+                              ("trace", ObjRef("o2"), "message of trace expects String, got @o2")):
         with pytest.raises(EvalFault) as exc:
-            invoke(model, "o1", "get", [arg])
-        assert (exc.value.kind, exc.value.message) == (
-            "TypeFault", f"argument b of get expects B, got {shown}")
+            invoke(model, "o1", op, [arg])
+        assert (exc.value.kind, exc.value.message) == ("TypeFault", f"argument {expected}")
 
 
 def test_dispatch_is_deterministic(fuml_woven):
@@ -884,10 +899,15 @@ def _second_container(m):
     m.obj(extra.id).slots["node"].items.append(ObjRef("o2"))
 
 
+# fuml-lite with an activity of at least eight nodes
+_EIGHT_NODES_WOVEN = weave(
+    mm=(FUML / "fuml.mm").read_text().replace("ref node: ActivityNode[*]",
+                                              "ref node: ActivityNode[8..*]"),
+    inv=(FUML / "fuml.inv").read_text(), act=(FUML / "fuml.act").read_text())
+
+
 def _demand_eight_nodes(m):
-    mm = (FUML / "fuml.mm").read_text()
-    m.woven = weave(mm=mm.replace("ref node: ActivityNode[*]", "ref node: ActivityNode[8..*]"),
-                    inv=(FUML / "fuml.inv").read_text(), act=(FUML / "fuml.act").read_text())
+    m.woven = _EIGHT_NODES_WOVEN
 
 
 _C, _X = "ConformanceError", "ContainmentError"
@@ -968,6 +988,211 @@ def test_conformance_diagnostics_are_pinned(fuml_woven, case):
     assert {d.render()[:len("<model>:0:0: ")] for d in found} == {"<model>:0:0: "}
 
 
+def _entry(doc: dict, oid: str) -> dict:
+    return next(entry for entry in doc["objects"] if entry["id"] == oid)
+
+
+_DROP = object()
+
+
+def _doc_slot(oid, fname, raw):
+    """Write a slot of one document entry: ``raw``, or ``raw`` of the old
+    value if it is a function, or no slot at all if it is ``_DROP``."""
+    def mutate(doc):
+        slots = _entry(doc, oid)["slots"]
+        if raw is _DROP:
+            slots.pop(fname)
+        else:
+            slots[fname] = raw(slots.get(fname)) if callable(raw) else raw
+    return mutate
+
+
+def _doc_class(oid, class_name):
+    return lambda doc: _entry(doc, oid).__setitem__("class", class_name)
+
+
+def _doc_roots(*edits):
+    """Append each "@id" of ``edits`` to the roots, or remove it if it
+    starts with "-"."""
+    def mutate(doc):
+        for edit in edits:
+            if edit.startswith("-"):
+                doc["roots"].remove(edit[1:])
+            else:
+                doc["roots"].append(edit)
+    return mutate
+
+
+def _doc_second_container(doc):
+    doc["objects"].append({"id": "o9", "class": "Activity", "slots": {"node": ["@o2"]}})
+    doc["roots"].append("@o9")
+
+
+# What load_model raises, (code, message) in order, for one corruption of
+# the worksession document each, loaded into fuml-lite or, where a woven
+# model is given, into that.
+LOAD_CASES = {
+    "single target of the wrong class": (
+        _doc_slot("o4", "classifier", "@o5"), None,
+        [(_C, "o4.classifier expects Classifier, found CreateObjectAction")]),
+    "listed target of the wrong class": (
+        _doc_slot("o6", "incoming", lambda v: v + ["@c1"]), None,
+        [(_C, "o6.incoming expects ActivityEdge, found Class"),
+         ("OppositeMismatch", "o6.incoming lists c1 but c1.target does not list o6")]),
+    "listed target of the wrong class without an opposite": (
+        _doc_slot("o1", "agenda", ["@e1", "@c1"]), None,
+        [(_C, "o1.agenda expects ActivityEdge, found Class")]),
+    "undeclared target": (
+        _doc_slot("o4", "classifier", "@ghost"), None,
+        [(_C, "o4.classifier points at undeclared id ghost")]),
+    "abstract class": (
+        _doc_class("o8", "ControlNode"), None,
+        [("AbstractInstance", "object o8 instantiates abstract ControlNode")]),
+    "unknown class": (
+        _doc_class("o8", "Ghost"), None, [("UnknownClass", "object o8 has unknown class Ghost")]),
+    "unset required reference": (
+        _doc_slot("e1", "source", _DROP), None,
+        [(_C, "required reference e1.source is unset"),
+         ("OppositeMismatch", "o2.outgoing lists e1 but e1.source does not list o2")]),
+    "null required reference": (
+        _doc_slot("e1", "source", None), None,
+        [(_C, "required reference e1.source is unset"),
+         ("OppositeMismatch", "o2.outgoing lists e1 but e1.source does not list o2")]),
+    "lower bound": (
+        lambda doc: None, _EIGHT_NODES_WOVEN,
+        [(_C, "o1.node holds 7 element(s), lower bound is 8")]),
+    "lower bound after duplicates": (
+        _doc_slot("o1", "node", lambda v: v[:6] + ["@o2"]), _EIGHT_NODES_WOVEN,
+        [(_C, "o1.node holds 6 element(s), lower bound is 8"),
+         (_C, "uncontained object o8 is missing from roots")]),
+    "lower bound of a defaulted slot": (
+        _doc_slot("o1", "node", _DROP), _EIGHT_NODES_WOVEN,
+        [(_C, "o1.node holds 0 element(s), lower bound is 8")]
+        + [(_C, f"uncontained object o{i} is missing from roots") for i in range(2, 9)]),
+    "bad scalar": (
+        _doc_slot("o2", "name", 3), None, [(_C, "o2.name expects a String scalar, found 3")]),
+    "null attribute": (
+        _doc_slot("o2", "name", None), None, [(_C, "attribute o2.name cannot be null")]),
+    "unknown slot": (
+        _doc_slot("o2", "colour", "red"), None,
+        [("UnknownFeature", "object o2 has unknown slot colour")]),
+    "one-sided opposite": (
+        _doc_slot("o3", "outgoing", ["@e2"]), None,
+        [("OppositeMismatch", "e3.source lists o3 but o3.outgoing does not list e3")]),
+    "two containers": (
+        _doc_second_container, None, [(_X, "object o2 is contained both by o1 and o9")]),
+    "containment cycle": (
+        _doc_slot("o1", "node", lambda v: v + ["@o1"]), None,
+        [(_C, "o1.node expects ActivityNode, found Activity")]
+        # every object under o1, o1 included, climbs into the cycle
+        + [(_X, "containment cycle through o1")] * 15
+        + [(_C, "root o1 has a container")]),
+    "repeated root": (_doc_roots("@c1"), None, [(_C, "roots list repeats an object")]),
+    "root with a container": (_doc_roots("@o2"), None, [(_C, "root o2 has a container")]),
+    "uncontained object missing from roots": (
+        _doc_roots("-@c1"), None, [(_C, "uncontained object c1 is missing from roots")]),
+    "duplicate id": (
+        lambda doc: doc["objects"].append({"id": "c1", "class": "Class"}), None,
+        [(_C, "duplicate object id c1")]),
+    "one finding of each pass": (
+        _each(_doc_slot("o4", "classifier", "@o5"), _doc_slot("o3", "outgoing", ["@e2"]),
+              _doc_second_container, _doc_roots("@c1")), None,
+        [(_C, "o4.classifier expects Classifier, found CreateObjectAction"),
+         ("OppositeMismatch", "e3.source lists o3 but o3.outgoing does not list e3"),
+         (_X, "object o2 is contained both by o1 and o9"),
+         (_C, "roots list repeats an object")]),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_load_diagnostics_are_pinned(fuml_woven, case):
+    mutate, woven, expected = LOAD_CASES[case]
+    doc = json.loads((MODELS / "worksession.model").read_text())
+    mutate(doc)
+    with pytest.raises(TypecheckError) as exc:
+        load_model(json.dumps(doc), woven or fuml_woven, "ws.model")
+    found = exc.value.diagnostics
+    assert [(d.code, d.message) for d in found] == expected
+    assert {d.render()[:len("ws.model:0:0: ")] for d in found} == {"ws.model:0:0: "}
+
+
+_ABSTRACT = ("NamedElement", "Classifier", "Behavior", "ActivityNode", "ActivityEdge",
+             "ControlNode", "ExecutableNode", "Action")
+_CONCRETE = ("Class", "Activity", "ControlFlow", "InitialNode", "FinalNode", "ForkNode",
+             "JoinNode", "CreateObjectAction")
+
+
+def _ref_sites(doc: dict) -> list[tuple[dict, str, int | None]]:
+    """Every "@id" a document's slots hold: (slots, name, index or None)."""
+    sites = []
+    for entry in doc["objects"]:
+        slots = entry["slots"]
+        for fname, raw in sorted(slots.items()):
+            if isinstance(raw, list):
+                sites += [(slots, fname, i) for i in range(len(raw))]
+            elif isinstance(raw, str) and raw.startswith("@"):
+                sites.append((slots, fname, None))
+    return sites
+
+
+def _mutate_doc(doc: dict, kind: str, a: int, b: int) -> None:
+    """One corruption of a document, at the places ``a`` and ``b`` pick."""
+    objects = doc["objects"]
+    ids = [entry["id"] for entry in objects]
+    sites = _ref_sites(doc)
+    slots, fname, i = sites[a % len(sites)] if sites else ({}, "", None)
+    if kind == "retarget":
+        raw = "@" + ids[b % len(ids)]
+        if i is None:
+            slots[fname] = raw
+        else:
+            slots[fname][i] = raw
+    elif kind == "drop":  # one side of an opposite, a containment or a reference
+        if i is not None:
+            del slots[fname][i]
+        elif fname in slots:
+            del slots[fname]
+    elif kind == "repeat":
+        if i is not None:
+            slots[fname].append(slots[fname][b % len(slots[fname])])
+    elif kind == "null":
+        slots[fname] = None
+    elif kind == "container":
+        objects.append({"id": f"x{len(objects)}", "class": "Activity",
+                        "slots": {"node": ["@" + ids[b % len(ids)]]}})
+        doc["roots"].append(f"@x{len(objects) - 1}")
+    elif kind in ("abstract", "class"):
+        names = _ABSTRACT if kind == "abstract" else _CONCRETE
+        objects[a % len(objects)]["class"] = names[b % len(names)]
+    elif kind == "root":
+        doc["roots"].append("@" + ids[b % len(ids)])
+    elif doc["roots"]:  # "unroot"
+        doc["roots"].pop(b % len(doc["roots"]))
+
+
+_RECURSIVE_DOCS = [build_recursive_model(depth)[0] for depth in range(4)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, len(_RECURSIVE_DOCS) - 1),
+       st.lists(st.tuples(st.sampled_from(["retarget", "drop", "repeat", "null", "container",
+                                           "abstract", "class", "root", "unroot"]),
+                          st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
+def test_load_never_accepts_what_conformance_rejects(fuml_woven, depth, mutations):
+    """Load's decode-time checks decide alone whether conformance_check
+    runs: a document they pass must be one it passes, and one that saves
+    and loads back unchanged."""
+    doc = json.loads(_RECURSIVE_DOCS[depth])
+    for kind, a, b in mutations:
+        _mutate_doc(doc, kind, a, b)
+    try:
+        model = load_model(json.dumps(doc), fuml_woven)
+    except TypecheckError:
+        return
+    assert conformance_check(model) == []
+    assert load_model(save_model(model), fuml_woven).fingerprint() == model.fingerprint()
+
+
 _CHAIN_WOVEN = weave(mm="metamodel t { class N { ref kids: N[*] containment; } }")
 
 
@@ -1008,6 +1233,26 @@ def test_cycle_diagnostics_match_a_climb_from_every_object(picks):
     found = [d.message for d in conformance_check(_chain_model(parents))
              if "cycle" in d.message]
     assert found == _climbed_cycles(parents)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-1, 9), min_size=1, max_size=10))
+def test_load_refuses_every_containment_cycle(picks):
+    """A document whose containment slots close cycles, and that is right
+    in every other way, is refused with the cycles a climb from every
+    object finds."""
+    parents = [p if 0 <= p < len(picks) else None for p in picks]
+    doc = {"conformsTo": "t", "roots": [f"@n{i}" for i, p in enumerate(parents) if p is None],
+           "objects": [{"id": f"n{i}", "class": "N", "slots": {
+               "kids": [f"@n{k}" for k, p in enumerate(parents) if p == i]}}
+               for i in range(len(parents))]}
+    cycles = _climbed_cycles(parents)
+    if not cycles:
+        assert conformance_check(load_model(json.dumps(doc), _CHAIN_WOVEN)) == []
+        return
+    with pytest.raises(TypecheckError) as exc:
+        load_model(json.dumps(doc), _CHAIN_WOVEN)
+    assert [d.message for d in exc.value.diagnostics if "cycle" in d.message] == cycles
 
 
 def test_cycle_detection_climbs_each_object_once():
@@ -1238,6 +1483,47 @@ def test_save_refuses_containment_cycle(fuml_woven):
     obj.slots["node"].items.append(ObjRef(a.id))
     with pytest.raises(TypecheckError):
         save_model(model)
+
+
+def test_a_model_is_checked_once_until_it_is_written(fuml_woven, monkeypatch):
+    """A loaded model is saved without a second conformance check, and so
+    is its clone; any write clears that, until a checked save."""
+    import mashup.runtime as runtime
+
+    calls = []
+    check = runtime.conformance_check
+    monkeypatch.setattr(runtime, "conformance_check", lambda *a: calls.append(1) or check(*a))
+
+    def checks(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
+    assert calls == []
+    text = save_model(model)
+    assert checks(lambda: check_model(model)) == 0
+    assert checks(lambda: eval_expr(parse_expr("self.name"), Interpreter(model), "o2")) == 0
+    assert checks(lambda: save_model(model)) == 0
+    assert checks(lambda: save_model(model.clone())) == 0
+    # bump writes an attribute only, which generated code stores inline
+    woven = weave(mm=TABLE_MM, act=TABLE_HEADER + "aspect class A {\n"
+                  "  operation bump() : Void is do self.n := self.n + 1 end\n}\n")
+    text = save_model(table_model(woven))
+    writes = {
+        "create_instance": lambda m: create_instance(m, "B"),
+        "set_feature": lambda m: set_feature(m, "o1", "n", IntV(5)),
+        "add_to_feature": lambda m: add_to_feature(m, "o2", "kids", ObjRef("o3")),
+        "remove_from_feature": lambda m: remove_from_feature(m, "o2", "kids", ObjRef("o3")),
+        "invoke": lambda m: invoke(m, "o1", "bump"),
+        "eval_expr": lambda m: eval_expr(parse_expr("self.bump()"), Interpreter(m), "o1",
+                                         pure=False),
+    }
+    for name, write in writes.items():
+        edited = load_model(text, woven)
+        write(edited)
+        assert checks(lambda: save_model(edited)) == 1, name
+        assert checks(lambda: save_model(edited)) == 0, name
 
 
 def test_check_model_results(fuml_woven):
