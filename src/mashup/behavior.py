@@ -1,7 +1,7 @@
 """Behavioral-semantics concern: the imperative action language.
 
 A behavior unit (``.act``) reopens classes to add supertypes, structural
-features and method bodies:
+features and method bodies, each block an :class:`AspectClass`:
 
     package fuml;
     require "fuml.mm";
@@ -25,7 +25,7 @@ starts the lookup at supertype Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .diagnostics import NOPOS, Pos
 from .exprs import EachBlock, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
@@ -34,6 +34,9 @@ from .metamodel import (
     Attribute, OperationSig, Reference, parse_feature, parse_operation_sig, parse_supertypes,
 )
 from .semtypes import SemType
+
+if TYPE_CHECKING:
+    from .contracts import ConditionDecl, InvariantDecl
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -125,12 +128,19 @@ class Renaming:
 
 @dataclass(frozen=True)
 class AspectClass:
+    """One ``aspect class`` block, of a behavior or a constraint unit: what
+    it adds to the class it reopens.  A behavior unit fills the supertypes,
+    features, methods and renamings, a constraint unit the rules."""
+
     class_name: str
     added_supertypes: tuple[str, ...] = ()
     added_attributes: tuple[Attribute, ...] = ()
     added_references: tuple[Reference, ...] = ()
     methods: tuple[MethodDef, ...] = ()
     renamings: tuple[Renaming, ...] = ()
+    invariants: tuple[InvariantDecl, ...] = ()
+    pre_conditions: tuple[ConditionDecl, ...] = ()
+    post_conditions: tuple[ConditionDecl, ...] = ()
     pos: Pos = field(default=NOPOS, compare=False)
 
 
@@ -194,7 +204,7 @@ class _BehaviorParser:
         lx.expect("}")
         return AspectClass(
             name_tok.value, supers, tuple(attrs), tuple(refs),
-            tuple(methods), tuple(renames), name_tok.pos,
+            tuple(methods), tuple(renames), pos=name_tok.pos,
         )
 
     def method_def(self) -> MethodDef:

@@ -20,7 +20,7 @@ import time
 
 from .composer import MashupManifest, WovenModel, emit_report, read_source
 from .diagnostics import Diagnostic, EvalFault, WorkbenchError, print_diagnostics
-from .runtime import Interpreter, ModelInstance, ObjRef, check_model, load_model
+from .runtime import Interpreter, ModelInstance, check_model, load_model
 from .typecheck import build
 
 
@@ -87,7 +87,7 @@ def _entry(args) -> tuple[ModelInstance, str, list[str]]:
 
 def _run_entry(interp: Interpreter, op: str, roots: list[str]) -> None:
     for oid in roots:
-        interp.invoke(ObjRef(oid), op, [])
+        interp.invoke(oid, op, [])
 
 
 def cmd_run(args) -> int:

@@ -260,28 +260,23 @@ class _Module:
         return CompiledModel(namespace, inv_rules, self.source)
 
     def load(self, filename: str, tables: str) -> dict:
-        """Compile and run the module; returns its namespace."""
-        self.source = "\n\n".join(
-            [*self.functions.values()]
-            + [f"{name} = {text}" for text, name in self.constants.items()] + [tables]) + "\n"
-        try:
-            code = compile(self.source, filename, "exec")
-        except (SyntaxError, RecursionError):
-            raise self._too_deep() from None
+        """Compile and run the module, one function at a time, then its
+        constants and tables; returns its namespace.  A function nested
+        deeper than Python's compiler takes (100 indentation levels, 20
+        nested loops) is a syntax error at the DSL code it runs."""
+        tail = "\n\n".join([f"{name} = {text}" for text, name in self.constants.items()]
+                           + [tables])
+        self.source = "\n\n".join([*self.functions.values(), tail]) + "\n"
         namespace = {**_globals(self.woven), "DISPATCH": self.dispatch}
-        exec(code, namespace)
-        return namespace
-
-    def _too_deep(self):
-        """The error for the first function nested deeper than Python's
-        compiler takes (100 indentation levels, 20 nested loops)."""
         for name, source in self.functions.items():
             try:
-                compile(source, name, "exec")
+                code = compile(source, filename, "exec")
             except (SyntaxError, RecursionError):
                 unit, pos, what = self.origins.get(name, ("<expr>", NOPOS, "expression"))
-                return syntax_error(f"{what} is nested too deeply to compile", unit, pos)
-        raise AssertionError("the module compiles function by function")
+                raise syntax_error(f"{what} is nested too deeply to compile", unit, pos) from None
+            exec(code, namespace)
+        exec(compile(tail, filename, "exec"), namespace)
+        return namespace
 
     def entry(self, wc, op: str) -> str:
         """The entry of ``op`` on class ``wc``: one function per distinct

@@ -1,9 +1,11 @@
 """The mashup engine: unit resolution, open-class weaving, linearization,
 conflict handling and contract flattening.
 
-Composition folds every ``aspect class`` contribution (from constraint and
-behavior units alike) into its base metamodel class, producing one
-:class:`WovenClass` per class with:
+Composition weaves every ``aspect class`` (an :class:`AspectClass` of a
+constraint or a behavior unit alike) straight into its base metamodel
+class, keeping each class's aspects in unit order; two aspects of one class
+contributing the same member clash.  It produces one :class:`WovenClass`
+per class with:
 
 * a Scala-style linearization (last occurrence of a repeated superclass
   wins, the implicit reflection root ``Root`` is always final),
@@ -37,9 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .behavior import AspectClass, BehaviorModule, MethodDef, Renaming, parse_behavior
-from .contracts import (
-    ConditionDecl, ContractContribution, ContractModule, InvariantDecl, parse_contracts,
-)
+from .contracts import ConditionDecl, ContractModule, InvariantDecl, parse_contracts
 from .diagnostics import (
     CompositionError, Diagnostic, DiagnosticSink, UnitParseError, nested_too_deeply,
 )
@@ -182,97 +182,37 @@ def classify_pair(a, b) -> CompositionCase:
 
 
 # ---------------------------------------------------------------------------
-# Aspect contribution merging (composition case 1)
+# Aspect clashes (composition case 1)
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ClassContribution:
-    """Everything the aspect units add to one class, with unit attribution."""
-
-    class_name: str
-    units: tuple[str, ...] = ()
-    added_supertypes: tuple[str, ...] = ()
-    attributes: tuple[tuple[Attribute, str], ...] = ()
-    references: tuple[tuple[Reference, str], ...] = ()
-    methods: tuple[tuple[MethodDef, str], ...] = ()
-    renamings: tuple[tuple[Renaming, str], ...] = ()
-    invariants: tuple[tuple[InvariantDecl, str], ...] = ()
-    pre_conditions: tuple[tuple[ConditionDecl, str], ...] = ()
-    post_conditions: tuple[tuple[ConditionDecl, str], ...] = ()
+# What two aspects of one class may not both contribute, by kind, in the
+# order the kinds are checked: each member's key and position.  A
+# condition's key is ``<name> on <operation>``, as its message names it.
+_MEMBERS = (
+    ("feature", lambda a: [(f.name, f.pos) for f in a.added_attributes + a.added_references]),
+    ("method", lambda a: [(m.sig.name, m.pos) for m in a.methods]),
+    ("invariant", lambda a: [(i.name, i.pos) for i in a.invariants]),
+    ("condition", lambda a: [(f"{c.name} on {c.op_name}", c.pos)
+                             for c in a.pre_conditions + a.post_conditions]),
+)
 
 
-def contribution_of(aspect, unit: str) -> ClassContribution:
-    """Lift one parsed aspect (behavior or contract) into a contribution."""
-    if isinstance(aspect, AspectClass):
-        return ClassContribution(
-            class_name=aspect.class_name,
-            units=(unit,),
-            added_supertypes=aspect.added_supertypes,
-            attributes=tuple((a, unit) for a in aspect.added_attributes),
-            references=tuple((r, unit) for r in aspect.added_references),
-            methods=tuple((m, unit) for m in aspect.methods),
-            renamings=tuple((r, unit) for r in aspect.renamings),
-        )
-    assert isinstance(aspect, ContractContribution)
-    return ClassContribution(
-        class_name=aspect.class_name,
-        units=(unit,),
-        invariants=tuple((i, unit) for i in aspect.invariants),
-        pre_conditions=tuple((p, unit) for p in aspect.pre_conditions),
-        post_conditions=tuple((p, unit) for p in aspect.post_conditions),
-    )
-
-
-def _clash(kind: str, cls: str, member: str, first_unit: str, second_unit: str) -> CompositionError:
-    return CompositionError(
-        [Diagnostic(
-            "FeatureClash",
-            f"{kind} {cls}.{member} is contributed by both {first_unit} and {second_unit}",
-        )]
-    )
-
-
-def merge_contributions(a: ClassContribution, b: ClassContribution) -> ClassContribution:
-    """Fold two aspect contributions to the same class into one.
-
-    Associative whenever no two contributions define the same member name;
-    any overlap between units is a clash, never a silent override.
-    """
-    assert a.class_name == b.class_name
-    a_features = {f.name: u for f, u in a.attributes + a.references}
-    for f, u in b.attributes + b.references:
-        if f.name in a_features:
-            raise _clash("feature", a.class_name, f.name, a_features[f.name], u)
-    a_methods = {m.sig.name: u for m, u in a.methods}
-    for m, u in b.methods:
-        if m.sig.name in a_methods:
-            raise _clash("method", a.class_name, m.sig.name, a_methods[m.sig.name], u)
-    a_invs = {i.name: u for i, u in a.invariants}
-    for i, u in b.invariants:
-        if i.name in a_invs:
-            raise _clash("invariant", a.class_name, i.name, a_invs[i.name], u)
-    a_conds = {(c.op_name, c.name): u for c, u in a.pre_conditions + a.post_conditions}
-    for c, u in b.pre_conditions + b.post_conditions:
-        if (c.op_name, c.name) in a_conds:
-            raise _clash("condition", a.class_name, f"{c.name} on {c.op_name}",
-                         a_conds[(c.op_name, c.name)], u)
-    supers = list(a.added_supertypes)
-    for s in b.added_supertypes:
-        if s not in supers:
-            supers.append(s)
-    return ClassContribution(
-        class_name=a.class_name,
-        units=a.units + tuple(u for u in b.units if u not in a.units),
-        added_supertypes=tuple(supers),
-        attributes=a.attributes + b.attributes,
-        references=a.references + b.references,
-        methods=a.methods + b.methods,
-        renamings=a.renamings + b.renamings,
-        invariants=a.invariants + b.invariants,
-        pre_conditions=a.pre_conditions + b.pre_conditions,
-        post_conditions=a.post_conditions + b.post_conditions,
-    )
+def _check_aspect(aspect: AspectClass, unit: str,
+                  earlier: list[tuple[AspectClass, str]]) -> None:
+    """Refuse a member of ``aspect`` that an earlier aspect of its class
+    contributes too, at the member: any overlap between two aspects is a
+    clash, never a silent override.  A repeat inside one aspect is left to
+    the slot check."""
+    for kind, members in _MEMBERS:
+        seen = {key: u for prev, u in earlier for key, _pos in members(prev)}
+        for key, pos in members(aspect):
+            if key in seen:
+                raise CompositionError([Diagnostic(
+                    "FeatureClash",
+                    f"{kind} {aspect.class_name}.{key} is contributed by both {seen[key]} "
+                    f"and {unit}",
+                    unit, pos,
+                )])
 
 
 # ---------------------------------------------------------------------------
@@ -426,32 +366,29 @@ class WovenModel:
 
 def flatten_contracts(
     linearization: tuple[str, ...],
-    contracts_by_class: dict[str, ClassContribution],
+    aspects_of: dict[str, list[tuple[AspectClass, str]]],
 ):
-    """Merge raw per-class contracts along one linearization.
+    """Merge the rules of each class's aspects along one linearization.
 
     Invariants of every class in the linearization are kept (subtypes
     preserve supertype invariants).  For each operation, the preconditions
-    declared at one class level form a group whose clauses conjoin; the
-    effective precondition is the disjunction of the groups.  Effective
-    postconditions conjoin every clause of every level.
+    declared at one class level, by all its aspects, form a group whose
+    clauses conjoin; the effective precondition is the disjunction of the
+    groups.  Effective postconditions conjoin every clause of every level.
     """
     flat_invs: list[tuple[str, InvariantDecl]] = []
     pre_groups: dict[str, list[tuple[str, tuple[ConditionDecl, ...]]]] = {}
     post_clauses: dict[str, list[tuple[str, ConditionDecl]]] = {}
     for cls in linearization:
-        contrib = contracts_by_class.get(cls)
-        if contrib is None:
-            continue
-        for inv, _unit in contrib.invariants:
-            flat_invs.append((cls, inv))
         by_op: dict[str, list[ConditionDecl]] = {}
-        for cond, _unit in contrib.pre_conditions:
-            by_op.setdefault(cond.op_name, []).append(cond)
+        for aspect, _unit in aspects_of.get(cls, ()):
+            flat_invs.extend((cls, inv) for inv in aspect.invariants)
+            for cond in aspect.pre_conditions:
+                by_op.setdefault(cond.op_name, []).append(cond)
+            for cond in aspect.post_conditions:
+                post_clauses.setdefault(cond.op_name, []).append((cls, cond))
         for op, conds in by_op.items():
             pre_groups.setdefault(op, []).append((cls, tuple(conds)))
-        for cond, _unit in contrib.post_conditions:
-            post_clauses.setdefault(cond.op_name, []).append((cls, cond))
     return (
         tuple(flat_invs),
         {op: tuple(groups) for op, groups in pre_groups.items()},
@@ -537,7 +474,8 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         )
 
     sink = DiagnosticSink("<compose>")
-    contribs: dict[str, ClassContribution] = {}
+    # each class's aspects with their units, in unit order
+    aspects_of: dict[str, list[tuple[AspectClass, str]]] = {}
     for unit in units:
         aspects: tuple = ()
         if isinstance(unit, ContractModule):
@@ -552,17 +490,19 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                          + (f"; did you mean {hint[0]}?" if hint else ""),
                          aspect.pos, unit.source_unit)
                 continue
-            cc = contribution_of(aspect, unit.source_unit)
-            contribs[name] = merge_contributions(contribs[name], cc) if name in contribs else cc
+            earlier = aspects_of.setdefault(name, [])
+            _check_aspect(aspect, unit.source_unit, earlier)
+            earlier.append((aspect, unit.source_unit))
     if sink:
         raise CompositionError(sink.items)
 
     graph: dict[str, tuple[str, ...]] = {}
     for name in base:
         supers = list(base[name][0].supertypes)
-        for s in contribs[name].added_supertypes if name in contribs else ():
-            if s not in supers:
-                supers.append(s)
+        for aspect, _unit in aspects_of.get(name, ()):
+            for s in aspect.added_supertypes:
+                if s not in supers:
+                    supers.append(s)
         for s in supers:
             if s not in base:
                 sink.add("ResolutionError", f"class {name} inherits unknown class {s}")
@@ -588,13 +528,15 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     sig_units: dict[tuple[str, str], str] = {}
     for name in base:
         mm_unit = base[name][1]
+        pairs = aspects_of.get(name, ())
+        # the metamodel's features, then every aspect's attributes, then
+        # every aspect's references
         feats = [(f, mm_unit) for f in base[name][0].features()]
+        feats += [(f, unit) for aspect, unit in pairs for f in aspect.added_attributes]
+        feats += [(f, unit) for aspect, unit in pairs for f in aspect.added_references]
+        own_methods[name] = [m for aspect, _unit in pairs for m in aspect.methods]
         sigs = [(s, mm_unit) for s in base[name][0].operations]
-        if name in contribs:
-            cc = contribs[name]
-            feats.extend(cc.attributes + cc.references)
-            own_methods[name] = [m for m, _unit in cc.methods]
-            sigs.extend((m.sig, unit) for m, unit in cc.methods)
+        sigs += [(m.sig, unit) for aspect, unit in pairs for m in aspect.methods]
         own_plans[name] = [SlotPlan(f, name, unit, conforming) for f, unit in feats]
         own_sigs[name] = sigs
         for sig, unit in sigs:
@@ -603,9 +545,10 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     woven = WovenModel(
         package, {}, ROOT_CLASS,
         base_units=tuple(dict.fromkeys(mm.source_unit for mm in metamodels)),
-        aspect_units={name: contribs[name].units for name in base if name in contribs},
-        method_units={(name, m.sig.name): unit
-                      for name, cc in contribs.items() for m, unit in cc.methods},
+        aspect_units={name: tuple(dict.fromkeys(unit for _aspect, unit in aspects_of[name]))
+                      for name in base if name in aspects_of},
+        method_units={(name, m.sig.name): unit for name, pairs in aspects_of.items()
+                      for aspect, unit in pairs for m in aspect.methods},
         sig_units=sig_units,
     )
 
@@ -620,6 +563,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                             "FeatureClash",
                             f"feature {sp.name} reaches {name} from both "
                             f"{slots[sp.name].owner} and {cls}",
+                            sp.unit, sp.feat.pos,
                         )]
                     )
                 slots[sp.name] = sp
@@ -638,9 +582,10 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             op: tuple(entries) for op, entries in definers.items()
         }
         renamed: dict[str, set[str]] = {}  # operation -> the classes renamings took it from
-        for rename, unit_name in (contribs[name].renamings if name in contribs else ()):
-            table = _apply_renaming(name, rename, unit_name, table, lin, lin_of, definers)
-            renamed.setdefault(rename.op_name, set()).update(lin_of[rename.from_class])
+        for aspect, unit_name in aspects_of.get(name, ()):
+            for rename in aspect.renamings:
+                table = _apply_renaming(name, rename, unit_name, table, lin, lin_of, definers)
+                renamed.setdefault(rename.op_name, set()).update(lin_of[rename.from_class])
         # a renamed-away name keeps the signature of the body it still runs,
         # or of a class no renaming took it from, so that calls are checked
         # against what runs
@@ -679,7 +624,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             links=tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment),
             required=tuple(sp for sp in slots.values() if sp.lower >= 1),
         )
-        wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, contribs)
+        wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, aspects_of)
         woven.classes[name] = wc
     return woven
 

@@ -11,14 +11,17 @@ boolean rules:
       post done on run : result == true;
     }
 
-``self`` is bound inside every rule; pre/post conditions additionally bind
-the operation parameters and post conditions bind ``result``.
+Each block parses to a :class:`~mashup.behavior.AspectClass` holding only
+its rules.  ``self`` is bound inside every rule; pre/post conditions
+additionally bind the operation parameters and post conditions bind
+``result``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .behavior import AspectClass
 from .diagnostics import NOPOS, Pos
 from .exprs import Expr, ExprParser
 from .lexer import Lexer, parse_header
@@ -40,32 +43,23 @@ class ConditionDecl:
 
 
 @dataclass(frozen=True)
-class ContractContribution:
-    class_name: str
-    invariants: tuple[InvariantDecl, ...] = ()
-    pre_conditions: tuple[ConditionDecl, ...] = ()
-    post_conditions: tuple[ConditionDecl, ...] = ()
-    pos: Pos = field(default=NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
 class ContractModule:
     package: str
     requires: tuple[str, ...]
-    contributions: tuple[ContractContribution, ...]
+    contributions: tuple[AspectClass, ...]
     source_unit: str = "<inv>"
 
 
 def parse_contracts(text: str, unit: str = "<inv>") -> ContractModule:
     lx = Lexer(text, unit)
     package, requires = parse_header(lx, "a constraint unit")
-    contributions: list[ContractContribution] = []
+    contributions: list[AspectClass] = []
     while not lx.at_eof():
         contributions.append(_parse_aspect(lx))
     return ContractModule(package, requires, tuple(contributions), unit)
 
 
-def _parse_aspect(lx: Lexer) -> ContractContribution:
+def _parse_aspect(lx: Lexer) -> AspectClass:
     lx.expect("aspect")
     lx.expect("class")
     name_tok = lx.expect_ident("class name")
@@ -92,6 +86,5 @@ def _parse_aspect(lx: Lexer) -> ContractContribution:
         else:
             raise lx.error("expected inv, pre, post or '}'")
     lx.expect("}")
-    return ContractContribution(
-        name_tok.value, tuple(invs), tuple(pres), tuple(posts), name_tok.pos
-    )
+    return AspectClass(name_tok.value, invariants=tuple(invs), pre_conditions=tuple(pres),
+                       post_conditions=tuple(posts), pos=name_tok.pos)

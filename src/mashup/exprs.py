@@ -263,7 +263,9 @@ def render_value(v: Value) -> str:
         return "void"
     if isinstance(v, ObjRef):
         return f"@{v.id}"
-    return "[" + ", ".join(render_value(x) for x in v.items) + "]"
+    if isinstance(v, Coll):
+        return "[" + ", ".join(render_value(x) for x in v.items) + "]"
+    return repr(v)  # not a value: a Python object passed from outside
 
 
 # ---------------------------------------------------------------------------

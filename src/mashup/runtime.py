@@ -477,7 +477,7 @@ class Interpreter:
     ``NoSuchMethod`` for an operation declared without a body), and an
     entry traces the call and checks its contracts around the body.  The
     entries read the policy from ``checks`` (pre- and postconditions) and
-    ``full`` (invariants too); ``policy`` is derived from the two.
+    ``full`` (invariants too).
     :meth:`invoke`, the way in from outside the program, reads the same
     table as call sites and evaluated expressions.
 
@@ -504,19 +504,13 @@ class Interpreter:
         self.trace: list[TraceEvent] = []
         self.code = compiled(self.woven)
 
-    @property
-    def policy(self) -> str:
-        """The contract policy ``checks`` and ``full`` hold."""
-        if not self.checks:
-            return POLICY_OFF
-        return POLICY_FULL if self.full else POLICY_PREPOST
-
     # -- dispatch ---------------------------------------------------------
 
-    def invoke(self, recv: ObjRef, op: str, args: list[Value]) -> Value:
-        """Call ``op`` on ``recv`` from outside the program, checking what no
-        checker saw: the operation and its arguments' number and types."""
-        obj = self.model.obj(recv.id)
+    def invoke(self, recv, op: str, args: list[Value]) -> Value:
+        """Call ``op`` on ``recv`` (an object, a reference or an id) from
+        outside the program, checking what no checker saw: the operation and
+        its arguments' number and types."""
+        obj = self.model.resolve(recv)
         entries = self.woven.classes[obj.class_name].method_table.get(op)
         params = ()
         if entries:
@@ -599,7 +593,10 @@ def _value_type(model: ModelInstance, value: Value) -> SemType:
         return coll(value.kind, elem)
     if isinstance(value, ObjRef):
         return class_type(model.obj(value.id).class_name)
-    return _PRIM_TYPES[type(value)]
+    t = _PRIM_TYPES.get(type(value))
+    if t is None:
+        raise EvalFault("TypeFault", f"{render_value(value)} is not a mashup value")
+    return t
 
 
 def _join(woven: WovenModel, a: SemType, b: SemType) -> SemType:
@@ -621,12 +618,10 @@ def _join(woven: WovenModel, a: SemType, b: SemType) -> SemType:
 
 
 def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
-           policy: str = POLICY_PREPOST,
-           interp: Interpreter | None = None) -> tuple[Value, Interpreter]:
+           policy: str = POLICY_PREPOST) -> tuple[Value, Interpreter]:
     """Dispatch one operation; returns the result and the interpreter (trace)."""
-    interp = interp or Interpreter(model, policy)
-    ref = obj if isinstance(obj, ObjRef) else ObjRef(model.resolve(obj).id)
-    return interp.invoke(ref, op, list(args or [])), interp
+    interp = Interpreter(model, policy)
+    return interp.invoke(obj, op, list(args or [])), interp
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DIAMOND, FUML, GOLDEN, parse_units, run_cli, weave
-from mashup.behavior import AspectClass, BehaviorModule, parse_behavior
+from mashup.behavior import AspectClass, BehaviorModule
 from mashup.composer import (
-    CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose,
-    contribution_of, emit_report, linearize, linearize_all, load_manifest,
-    merge_contributions, parse_manifest, resolve_method_conflicts, resolve_requires,
-    validate_woven,
+    CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose, emit_report,
+    linearize, linearize_all, load_manifest, parse_manifest, resolve_method_conflicts,
+    resolve_requires, validate_woven,
 )
-from mashup.contracts import ContractContribution, parse_contracts
+from mashup.contracts import parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
 from mashup.metamodel import MetaClass, Metamodel, Reference
 from mashup.runtime import default_value
 from mashup.typecheck import build
 from test_acceptance import _brute_force_lin
+
+HEADER = 'package m;\nrequire "m.mm";\n'
 
 # ---------------------------------------------------------------------------
 # cases and unit resolution
@@ -29,7 +30,7 @@ from test_acceptance import _brute_force_lin
 def test_classify_pair_covers_all_cases():
     base = MetaClass("Activity")
     aspect = AspectClass("Activity")
-    contract = ContractContribution("Activity")
+    (contract,) = parse_contracts(HEADER + "aspect class Activity { inv i : true; }").contributions
     assert classify_pair(contract, aspect) is CompositionCase.KMT_KMT
     assert classify_pair(base, MetaClass("Activity")) is CompositionCase.ECORE_ECORE
     assert classify_pair(base, aspect) is CompositionCase.ECORE_KMT
@@ -179,7 +180,8 @@ def test_feature_clash_between_units():
     )
     with pytest.raises(CompositionError) as exc:
         compose(units)
-    assert exc.value.diagnostics[0].code == "FeatureClash"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u1.act:3:23: FeatureClash feature A.x is contributed by both u0.act and u1.act"]
 
 
 def test_feature_clash_with_base_feature():
@@ -187,8 +189,10 @@ def test_feature_clash_with_base_feature():
         mm="metamodel m { class A { attr x: Int; } }",
         act='package m;\nrequire "m.mm";\naspect class A { attr x: Int; }',
     )
-    with pytest.raises(CompositionError):
+    with pytest.raises(CompositionError) as exc:
         compose(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u0.act:3:23: FeatureClash feature x reaches A from both A and A"]
 
 
 def test_feature_clash_across_hierarchy():
@@ -197,7 +201,8 @@ def test_feature_clash_across_hierarchy():
     )
     with pytest.raises(CompositionError) as exc:
         compose(units)
-    assert exc.value.diagnostics[0].code == "FeatureClash"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u0.mm:1:30: FeatureClash feature x reaches B from both B and A"]
 
 
 def test_method_clash_between_units():
@@ -212,7 +217,8 @@ def test_method_clash_between_units():
     )
     with pytest.raises(CompositionError) as exc:
         compose(units)
-    assert exc.value.diagnostics[0].code == "FeatureClash"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u1.act:3:28: FeatureClash method A.f is contributed by both u0.act and u1.act"]
 
 
 # ---------------------------------------------------------------------------
@@ -595,32 +601,112 @@ def test_subclass_invariants_superset_of_super():
 
 
 # ---------------------------------------------------------------------------
-# contribution merging
+# aspect weaving (composition case 1)
 # ---------------------------------------------------------------------------
 
+# units -> the first clash compose reports, at the later of the two members
+ASPECT_CLASHES = {
+    "invariant across constraint units": (
+        dict(inv=[HEADER + "aspect class A { inv i : true; }",
+                  HEADER + "aspect class A {\n  inv i : false; }"]),
+        "u1.inv:4:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv"),
+    "pre and post of one name and operation": (
+        dict(inv=[HEADER + "aspect class A { pre p on f : true; }",
+                  HEADER + "aspect class A {\n  post p on f : true; }"]),
+        "u1.inv:4:8: FeatureClash condition A.p on f is contributed by both u0.inv and u1.inv"),
+    "two aspects of one class in one unit": (
+        dict(act=HEADER + "aspect class A { attr x: Int; }\naspect class A { attr x: Int; }"),
+        "u0.act:4:23: FeatureClash feature A.x is contributed by both u0.act and u0.act"),
+    "the earlier unit's clash is reported": (
+        dict(act=[HEADER + "aspect class A { attr x: Int; operation f() : Void is do end }",
+                  HEADER + "aspect class A {\n  operation f() : Void is do end }",
+                  HEADER + "aspect class A {\n  attr x: Int; }"]),
+        "u1.act:4:13: FeatureClash method A.f is contributed by both u0.act and u1.act"),
+    "features are checked before methods": (
+        dict(act=[HEADER + "aspect class A { attr x: Int; operation f() : Void is do end }",
+                  HEADER + "aspect class A {\n  operation f() : Void is do end\n"
+                           "  attr x: Int; }"]),
+        "u1.act:5:8: FeatureClash feature A.x is contributed by both u0.act and u1.act"),
+    "invariants are checked before conditions": (
+        dict(inv=[HEADER + "aspect class A { inv i : true; pre p on f : true; }",
+                  HEADER + "aspect class A {\n  pre p on f : true;\n  inv i : true; }"]),
+        "u1.inv:5:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv"),
+    "a repeat inside one aspect": (
+        dict(act=HEADER + "aspect class A {\n  attr x: Int;\n  attr x: Int; }"),
+        "u0.act:5:8: FeatureClash feature x reaches A from both A and A"),
+}
 
-def test_merge_is_associative_without_overlap():
-    a = contribution_of(parse_behavior(
-        'package p;\nrequire "p.mm";\n'
-        "aspect class K { attr x: Int; operation f() : Void is do end }").aspects[0], "u1")
-    b = contribution_of(parse_behavior(
-        'package p;\nrequire "p.mm";\n'
-        "aspect class K { attr y: Int; operation g() : Void is do end }").aspects[0], "u2")
-    c = contribution_of(parse_contracts(
-        'package p;\nrequire "p.mm";\n'
-        "aspect class K { inv i : true; }").contributions[0], "u3")
-    left = merge_contributions(merge_contributions(a, b), c)
-    right = merge_contributions(a, merge_contributions(b, c))
-    assert left == right
+
+@pytest.mark.parametrize("case", ASPECT_CLASHES)
+def test_aspect_clash_reports_the_first_clash(case):
+    units, expected = ASPECT_CLASHES[case]
+    with pytest.raises(CompositionError) as exc:
+        compose(parse_units(mm="metamodel m { class A { } }", **units))
+    assert [d.render() for d in exc.value.diagnostics] == [expected]
 
 
-def test_merge_rejects_overlapping_members():
-    a = contribution_of(parse_behavior(
-        'package p;\nrequire "p.mm";\naspect class K { attr x: Int; }').aspects[0], "u1")
-    b = contribution_of(parse_behavior(
-        'package p;\nrequire "p.mm";\naspect class K { attr x: Bool; }').aspects[0], "u2")
-    with pytest.raises(CompositionError):
-        merge_contributions(a, b)
+def test_supertype_and_unit_of_several_aspects_are_kept_once():
+    woven = weave(
+        mm="metamodel m { class A { } class B { } class C { } }",
+        act=[HEADER + "aspect class A inherits B { }\naspect class A { }",
+             HEADER + "aspect class A inherits C, B { }"],
+    )
+    assert woven.classes["A"].supertypes == ("B", "C")
+    assert woven.aspect_units["A"] == ("u0.act", "u1.act")
+
+
+# One aspect of K, member by member: each act member is (supertype, None)
+# or (None, member text).
+SPLIT_MM = "metamodel m { class S { op f(x: Int): Int; } class T { } class U { } class K { } }"
+SPLIT_ACT = (
+    ("S", None), (None, "attr a: Int;"), (None, "ref r: T[*];"), ("T", None),
+    (None, "attr b: Bool;"), (None, "operation g() : Void is do end"),
+    (None, "method f(x : Int) : Int is do return x end"),
+    (None, "rename f from S as fS;"), ("U", None), (None, "ref s: U[0..1];"),
+)
+SPLIT_INV = ("inv i1 : true;", "pre p1 on f : x > 0;", "post q1 on f : result >= 0;",
+             "inv i2 : self.a >= 0;", "pre p2 on f : x < 10;", "post q2 on f : true;")
+SPLIT_BASE = HEADER + "aspect class S { method f(x : Int) : Int is do return x + 1 end }\n"
+
+
+def _splits(members):
+    """``members`` cut into one, two or three non-empty runs, in order."""
+    n = len(members)
+    yield [members]
+    for i in range(1, n):
+        yield [members[:i], members[i:]]
+        for j in range(i + 1, n):
+            yield [members[:i], members[i:j], members[j:]]
+
+
+def _act_unit(part) -> str:
+    supers = [s for s, _m in part if s]
+    head = "aspect class K" + (" inherits " + ", ".join(supers) if supers else "")
+    return HEADER + head + " {\n" + "\n".join(m for _s, m in part if m) + "\n}\n"
+
+
+def _woven_table(woven):
+    wc = woven.classes["K"]
+    return ([(sp.name, sp.owner, sp.feat) for sp in wc.slots.values()], wc.supertypes,
+            wc.linearization, wc.op_sigs, wc.method_table, wc.raw_definers,
+            wc.flat_invariants, wc.flat_pre, wc.flat_post)
+
+
+def test_aspect_split_over_units_weaves_as_one_unit():
+    def woven(act_parts, inv_parts):
+        acts = [_act_unit(part) for part in act_parts]
+        acts[0] = SPLIT_BASE + acts[0].removeprefix(HEADER)
+        invs = [HEADER + "aspect class K {\n" + "\n".join(part) + "\n}\n"
+                for part in inv_parts]
+        return _woven_table(compose(parse_units(mm=SPLIT_MM, inv=invs, act=acts)))
+
+    whole = woven([SPLIT_ACT], [SPLIT_INV])
+    assert [n for n, _o, _f in whole[0]] == ["a", "b", "r", "s"]
+    assert whole[1] == ("S", "T", "U") and "fS" in whole[4]
+    assert [len(groups) for groups in whole[7].values()] == [1]
+    for act_parts in _splits(SPLIT_ACT):
+        for inv_parts in _splits(SPLIT_INV):
+            assert woven(act_parts, inv_parts) == whole, (act_parts, inv_parts)
 
 
 # ---------------------------------------------------------------------------

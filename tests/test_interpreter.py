@@ -54,7 +54,7 @@ def _act(body: str, returns: str = "Void", inv: str = "", policy: str = "prepost
             return [], _refused(exc)
         model = table_model(woven)
         interp = Interpreter(model, policy)
-        return _outcome(lambda: invoke(model, "o1", "run", None, policy, interp)[0], interp)
+        return _outcome(lambda: interp.invoke("o1", "run", []), interp)
     return run
 
 

@@ -10,7 +10,9 @@ from helpers import (
 )
 from mashup.composer import SlotPlan, compose
 from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
-from mashup.exprs import VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr
+from mashup.exprs import (
+    VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr, render_value,
+)
 from mashup.modelgen import build_recursive_model
 from mashup.runtime import (
     _SCAN_LIMIT, Interpreter, ModelInstance, NodeExecuted, Obj, add_to_feature, check_model,
@@ -468,6 +470,32 @@ def test_invoke_checks_argument_types_on_entry():
         with pytest.raises(EvalFault) as exc:
             invoke(model, "o1", op, [arg])
         assert (exc.value.kind, exc.value.message) == ("TypeFault", f"argument {expected}")
+
+
+# Python values that are not mashup values, passed in from outside, and an
+# id where a reference may stand -> the outcome on the work session
+OUTSIDE_CALLS = {
+    "set_feature": (lambda m: set_feature(m, "o2", "name", "x"),
+                    "TypeFault attribute name expects String, got 'x'"),
+    "add_to_feature": (lambda m: add_to_feature(m, "o1", "node", "o2"),
+                       "TypeFault reference node expects an object, got 'o2'"),
+    "invoke": (lambda m: invoke(m, "o1", "trace", ["hi"]),
+               "TypeFault 'hi' is not a mashup value"),
+    "eval_expr": (lambda m: eval_expr(parse_expr("x"), Interpreter(m), "o1", {"x": 3}),
+                  "TypeFault 3 is not a mashup value"),
+    "Interpreter.invoke": (lambda m: Interpreter(m).invoke("o1", "execute", []), "void"),
+}
+
+
+@pytest.mark.parametrize("call", OUTSIDE_CALLS)
+def test_calls_from_outside_fault_on_python_values(fuml_woven, call):
+    run, expected = OUTSIDE_CALLS[call]
+    model = load_model((MODELS / "worksession.model").read_text(), fuml_woven)
+    try:
+        outcome = render_value(run(model))
+    except EvalFault as fault:
+        outcome = f"{fault.kind} {fault.message}"
+    assert outcome == expected
 
 
 def test_dispatch_is_deterministic(fuml_woven):
