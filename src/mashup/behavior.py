@@ -24,10 +24,9 @@ starts the lookup at supertype Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from .diagnostics import NOPOS, Pos
+from .diagnostics import NOPOS, Pos, Record, set_field
 from .exprs import EachBlock, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
 from .lexer import Lexer, parse_header
 from .metamodel import (
@@ -43,63 +42,82 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    type: SemType
-    init: Expr | None = None
-    pos: Pos = field(default=NOPOS, compare=False)
+class VarDecl(Record):
+    __slots__ = ("name", "type", "init", "pos")
+
+    def __init__(self, name: str, type: SemType, init: Expr | None = None, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "type", type)
+        set_field(self, "init", init)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Assign:
-    lvalue: Expr  # FeatureNav or VarRef
-    rhs: Expr
-    pos: Pos = field(default=NOPOS, compare=False)
+class Assign(Record):
+    __slots__ = ("lvalue", "rhs", "pos")
+
+    def __init__(self, lvalue: Expr, rhs: Expr, pos: Pos = NOPOS):
+        set_field(self, "lvalue", lvalue)  # FeatureNav or VarRef
+        set_field(self, "rhs", rhs)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: Expr
-    pos: Pos = field(default=NOPOS, compare=False)
+class ExprStmt(Record):
+    __slots__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: Pos = NOPOS):
+        set_field(self, "expr", expr)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: Expr
-    then: tuple
-    orelse: tuple = ()
-    pos: Pos = field(default=NOPOS, compare=False)
+class If(Record):
+    __slots__ = ("cond", "then", "orelse", "pos")
+
+    def __init__(self, cond: Expr, then: tuple, orelse: tuple = (), pos: Pos = NOPOS):
+        set_field(self, "cond", cond)
+        set_field(self, "then", then)
+        set_field(self, "orelse", orelse)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Loop:
-    init: "Stmt | None"
-    until: Expr
-    body: tuple = ()
-    while_style: bool = False  # loop while the condition holds instead of until
-    pos: Pos = field(default=NOPOS, compare=False)
+class Loop(Record):
+    __slots__ = ("init", "until", "body", "while_style", "pos")
+
+    def __init__(self, init: Stmt | None, until: Expr, body: tuple = (),
+                 while_style: bool = False, pos: Pos = NOPOS):
+        set_field(self, "init", init)
+        set_field(self, "until", until)
+        set_field(self, "body", body)
+        # loop while the condition holds instead of until
+        set_field(self, "while_style", while_style)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class EachLoop:
-    receiver: Expr
-    param: str
-    body: tuple = ()
-    pos: Pos = field(default=NOPOS, compare=False)
+class EachLoop(Record):
+    __slots__ = ("receiver", "param", "body", "pos")
+
+    def __init__(self, receiver: Expr, param: str, body: tuple = (), pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "param", param)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Expr | None = None
-    pos: Pos = field(default=NOPOS, compare=False)
+class Return(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Expr | None = None, pos: Pos = NOPOS):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SuperCall:
-    qualifier: str | None = None
-    args: tuple[Expr, ...] = ()
-    pos: Pos = field(default=NOPOS, compare=False)
+class SuperCall(Record):
+    __slots__ = ("qualifier", "args", "pos")
+
+    def __init__(self, qualifier: str | None = None, args: tuple[Expr, ...] = (),
+                 pos: Pos = NOPOS):
+        set_field(self, "qualifier", qualifier)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
 Stmt = Union[VarDecl, Assign, ExprStmt, If, Loop, EachLoop, Return, SuperCall]
@@ -110,46 +128,65 @@ Stmt = Union[VarDecl, Assign, ExprStmt, If, Loop, EachLoop, Return, SuperCall]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodDef:
-    sig: OperationSig
-    body: tuple = ()
-    overrides: bool = False  # declared with 'method' rather than 'operation'
-    pos: Pos = field(default=NOPOS, compare=False)
+class MethodDef(Record):
+    __slots__ = ("sig", "body", "overrides", "pos")
+
+    def __init__(self, sig: OperationSig, body: tuple = (), overrides: bool = False,
+                 pos: Pos = NOPOS):
+        set_field(self, "sig", sig)
+        set_field(self, "body", body)
+        # declared with 'method' rather than 'operation'
+        set_field(self, "overrides", overrides)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Renaming:
-    op_name: str
-    from_class: str
-    new_name: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class Renaming(Record):
+    __slots__ = ("op_name", "from_class", "new_name", "pos")
+
+    def __init__(self, op_name: str, from_class: str, new_name: str, pos: Pos = NOPOS):
+        set_field(self, "op_name", op_name)
+        set_field(self, "from_class", from_class)
+        set_field(self, "new_name", new_name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class AspectClass:
+class AspectClass(Record):
     """One ``aspect class`` block, of a behavior or a constraint unit: what
     it adds to the class it reopens.  A behavior unit fills the supertypes,
     features, methods and renamings, a constraint unit the rules."""
 
-    class_name: str
-    added_supertypes: tuple[str, ...] = ()
-    added_attributes: tuple[Attribute, ...] = ()
-    added_references: tuple[Reference, ...] = ()
-    methods: tuple[MethodDef, ...] = ()
-    renamings: tuple[Renaming, ...] = ()
-    invariants: tuple[InvariantDecl, ...] = ()
-    pre_conditions: tuple[ConditionDecl, ...] = ()
-    post_conditions: tuple[ConditionDecl, ...] = ()
-    pos: Pos = field(default=NOPOS, compare=False)
+    __slots__ = ("class_name", "added_supertypes", "added_attributes", "added_references",
+                 "methods", "renamings", "invariants", "pre_conditions", "post_conditions",
+                 "pos")
+
+    def __init__(self, class_name: str, added_supertypes: tuple[str, ...] = (),
+                 added_attributes: tuple[Attribute, ...] = (),
+                 added_references: tuple[Reference, ...] = (),
+                 methods: tuple[MethodDef, ...] = (), renamings: tuple[Renaming, ...] = (),
+                 invariants: tuple[InvariantDecl, ...] = (),
+                 pre_conditions: tuple[ConditionDecl, ...] = (),
+                 post_conditions: tuple[ConditionDecl, ...] = (), pos: Pos = NOPOS):
+        set_field(self, "class_name", class_name)
+        set_field(self, "added_supertypes", added_supertypes)
+        set_field(self, "added_attributes", added_attributes)
+        set_field(self, "added_references", added_references)
+        set_field(self, "methods", methods)
+        set_field(self, "renamings", renamings)
+        set_field(self, "invariants", invariants)
+        set_field(self, "pre_conditions", pre_conditions)
+        set_field(self, "post_conditions", post_conditions)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BehaviorModule:
-    package: str
-    requires: tuple[str, ...]
-    aspects: tuple[AspectClass, ...]
-    source_unit: str = "<act>"
+class BehaviorModule(Record):
+    __slots__ = ("package", "requires", "aspects", "source_unit")
+
+    def __init__(self, package: str, requires: tuple[str, ...],
+                 aspects: tuple[AspectClass, ...], source_unit: str = "<act>"):
+        set_field(self, "package", package)
+        set_field(self, "requires", requires)
+        set_field(self, "aspects", aspects)
+        set_field(self, "source_unit", source_unit)
 
 
 # ---------------------------------------------------------------------------

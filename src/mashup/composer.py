@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .behavior import AspectClass, BehaviorModule, MethodDef, Renaming, parse_behavior
 from .contracts import ConditionDecl, ContractModule, InvariantDecl, parse_contracts
 from .diagnostics import (
-    CompositionError, Diagnostic, DiagnosticSink, UnitParseError, nested_too_deeply,
+    CompositionError, Diagnostic, DiagnosticSink, Record, UnitParseError, nested_too_deeply,
+    set_field,
 )
 from .exprs import Coll, Value, type_default
 from .lexer import Lexer, parse_header
@@ -68,13 +68,17 @@ Unit = Metamodel | ContractModule | BehaviorModule
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MashupManifest:
-    package: str
-    requires: tuple[str, ...]
-    main: tuple[str, str] | None = None
-    source_unit: str = "<mashup>"
-    source_dir: str = "."
+class MashupManifest(Record):
+    __slots__ = ("package", "requires", "main", "source_unit", "source_dir")
+
+    def __init__(self, package: str, requires: tuple[str, ...],
+                 main: tuple[str, str] | None = None, source_unit: str = "<mashup>",
+                 source_dir: str = "."):
+        set_field(self, "package", package)
+        set_field(self, "requires", requires)
+        set_field(self, "main", main)
+        set_field(self, "source_unit", source_unit)
+        set_field(self, "source_dir", source_dir)
 
 
 def parse_manifest(text: str, unit: str = "<mashup>", source_dir: str = ".") -> MashupManifest:
@@ -185,8 +189,9 @@ def classify_pair(a, b) -> CompositionCase:
 # Aspect clashes (composition case 1)
 # ---------------------------------------------------------------------------
 
-# What two aspects of one class may not both contribute, by kind, in the
-# order the kinds are checked: each member's key and position.  A
+# What two aspects of one class may not both contribute, nor one aspect
+# twice, by kind, in the order the kinds are checked and reported: each
+# member's key and position.  A
 # condition's key is ``<name> on <operation>``, as its message names it.
 _MEMBERS = (
     ("feature", lambda a: [(f.name, f.pos) for f in a.added_attributes + a.added_references]),
@@ -197,22 +202,24 @@ _MEMBERS = (
 )
 
 
-def _check_aspect(aspect: AspectClass, unit: str,
-                  earlier: list[tuple[AspectClass, str]]) -> None:
-    """Refuse a member of ``aspect`` that an earlier aspect of its class
-    contributes too, at the member: any overlap between two aspects is a
-    clash, never a silent override.  A repeat inside one aspect is left to
-    the slot check."""
+def _check_aspect(aspect: AspectClass, unit: str, earlier: list[tuple[AspectClass, str]],
+                  sink: DiagnosticSink) -> None:
+    """Report each member of ``aspect`` that an earlier aspect of its class,
+    or an earlier member of ``aspect`` itself, contributes too, at the later
+    member: any overlap is a clash, never a silent override.  A feature
+    repeated inside one aspect is left to the slot check."""
     for kind, members in _MEMBERS:
-        seen = {key: u for prev, u in earlier for key, _pos in members(prev)}
+        seen: dict[str, str] = {}  # key -> the unit of its first contribution
+        for prev, u in earlier:
+            for key, _pos in members(prev):
+                seen.setdefault(key, u)
         for key, pos in members(aspect):
             if key in seen:
-                raise CompositionError([Diagnostic(
-                    "FeatureClash",
-                    f"{kind} {aspect.class_name}.{key} is contributed by both {seen[key]} "
-                    f"and {unit}",
-                    unit, pos,
-                )])
+                sink.add("FeatureClash",
+                         f"{kind} {aspect.class_name}.{key} is contributed by both {seen[key]} "
+                         f"and {unit}", pos, unit)
+            elif kind != "feature":
+                seen[key] = unit
 
 
 # ---------------------------------------------------------------------------
@@ -295,50 +302,65 @@ class SlotPlan:
         self.containment = is_ref and feat.containment
 
 
-@dataclass
 class WovenClass:
-    name: str
-    is_abstract: bool
-    supertypes: tuple[str, ...]
-    linearization: tuple[str, ...]
-    # the operation table covers the whole linearization, as do the slots
-    op_sigs: dict[str, tuple[OperationSig, str]] = field(default_factory=dict)
-    base_sig_names: frozenset[str] = frozenset()  # ops declared by the base class itself
-    # dispatch view after renamings; raw_definers keeps the unrenamed chains
-    # in linearization order for super resolution
-    method_table: dict[str, tuple[tuple[str, MethodDef], ...]] = field(default_factory=dict)
-    raw_definers: dict[str, tuple[tuple[str, MethodDef], ...]] = field(default_factory=dict)
-    ambiguous_ops: frozenset[str] = frozenset()
-    flat_invariants: tuple[tuple[str, InvariantDecl], ...] = ()
-    flat_pre: dict[str, tuple[tuple[str, tuple[ConditionDecl, ...]], ...]] = field(
-        default_factory=dict
-    )
-    flat_post: dict[str, tuple[tuple[str, ConditionDecl], ...]] = field(default_factory=dict)
-    # slot plans in declaration order, in save (name) order, the link slots
-    # and the slots with a lower bound
-    slots: dict[str, SlotPlan] = field(default_factory=dict)
-    save_order: tuple[SlotPlan, ...] = ()
-    links: tuple[SlotPlan, ...] = ()
-    required: tuple[SlotPlan, ...] = ()
+    """One class of the woven table.  The operation table covers the whole
+    linearization, as do the slots."""
+
+    def __init__(self, name: str, is_abstract: bool, supertypes: tuple[str, ...],
+                 linearization: tuple[str, ...],
+                 op_sigs: dict[str, tuple[OperationSig, str]] | None = None,
+                 base_sig_names: frozenset[str] = frozenset(),
+                 method_table: dict[str, tuple[tuple[str, MethodDef], ...]] | None = None,
+                 raw_definers: dict[str, tuple[tuple[str, MethodDef], ...]] | None = None,
+                 ambiguous_ops: frozenset[str] = frozenset(),
+                 slots: dict[str, SlotPlan] | None = None):
+        self.name = name
+        self.is_abstract = is_abstract
+        self.supertypes = supertypes
+        self.linearization = linearization
+        self.op_sigs = {} if op_sigs is None else op_sigs
+        self.base_sig_names = base_sig_names  # ops declared by the base class itself
+        # dispatch view after renamings; raw_definers keeps the unrenamed
+        # chains in linearization order for super resolution
+        self.method_table = {} if method_table is None else method_table
+        self.raw_definers = {} if raw_definers is None else raw_definers
+        self.ambiguous_ops = ambiguous_ops
+        # the rules along the linearization, as flatten_contracts gives them
+        self.flat_invariants: tuple[tuple[str, InvariantDecl], ...] = ()
+        self.flat_pre: dict[str, tuple[tuple[str, tuple[ConditionDecl, ...]], ...]] = {}
+        self.flat_post: dict[str, tuple[tuple[str, ConditionDecl], ...]] = {}
+        # slot plans in declaration order, in save (name) order, the link
+        # slots and the slots with a lower bound
+        slots = self.slots = {} if slots is None else slots
+        self.save_order = tuple(slots[fname] for fname in sorted(slots))
+        self.links = tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment)
+        self.required = tuple(sp for sp in slots.values() if sp.lower >= 1)
+        # every slot at its type default, for load to copy: a collection is
+        # a value, so one empty collection per slot serves every object
+        self.defaults = self.fresh_slots()
 
     def fresh_slots(self) -> dict[str, Value]:
-        """Every slot at its type default."""
+        """Every slot at its type default, each collection a new one."""
         return {name: Coll(sp.kind) if sp.many else sp.default for name, sp in self.slots.items()}
 
 
-@dataclass
 class WovenModel:
-    package: str
-    classes: dict[str, WovenClass]
-    root_class: str = ROOT_CLASS
-    base_units: tuple[str, ...] = ()
-    aspect_units: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # (class, method) -> the behavior unit that declares the body
-    method_units: dict[tuple[str, str], str] = field(default_factory=dict)
-    # (class, operation) of an op_sigs entry -> the unit declaring the signature
-    sig_units: dict[tuple[str, str], str] = field(default_factory=dict)
-    # the compiled behaviour and rules (codegen.compiled), made on first use
-    compiled: object = field(default=None, compare=False, repr=False)
+    def __init__(self, package: str, classes: dict[str, WovenClass],
+                 root_class: str = ROOT_CLASS, base_units: tuple[str, ...] = (),
+                 aspect_units: dict[str, tuple[str, ...]] | None = None,
+                 method_units: dict[tuple[str, str], str] | None = None,
+                 sig_units: dict[tuple[str, str], str] | None = None):
+        self.package = package
+        self.classes = classes
+        self.root_class = root_class
+        self.base_units = base_units
+        self.aspect_units = {} if aspect_units is None else aspect_units
+        # (class, method) -> the behavior unit that declares the body
+        self.method_units = {} if method_units is None else method_units
+        # (class, operation) of an op_sigs entry -> the unit declaring the signature
+        self.sig_units = {} if sig_units is None else sig_units
+        # the compiled behaviour and rules (codegen.compiled), made on first use
+        self.compiled = None
 
     def conforms(self, sub: str, sup: str) -> bool:
         if sup == self.root_class or sub == sup:
@@ -442,8 +464,10 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
 
     Raises CompositionError for forbidden base/base mixes, aspects of
     undeclared classes, member clashes, dangling names, supertype cycles and
-    bad renamings.  Ambiguous methods do not abort composition; they are
-    recorded on the class and reported by resolve_method_conflicts.
+    bad renamings.  The unknown aspect targets and member clashes of a build
+    are reported together, in unit order: each aspect in turn, its members
+    by kind.  Ambiguous methods do not abort composition; they are recorded
+    on the class and reported by resolve_method_conflicts.
     """
     metamodels = [u for u in units if isinstance(u, Metamodel)]
     if not metamodels:
@@ -491,7 +515,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
                          aspect.pos, unit.source_unit)
                 continue
             earlier = aspects_of.setdefault(name, [])
-            _check_aspect(aspect, unit.source_unit, earlier)
+            _check_aspect(aspect, unit.source_unit, earlier, sink)
             earlier.append((aspect, unit.source_unit))
     if sink:
         raise CompositionError(sink.items)
@@ -620,9 +644,6 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             raw_definers={op: tuple(entries) for op, entries in definers.items()},
             ambiguous_ops=ambiguous,
             slots=slots,
-            save_order=tuple(slots[fname] for fname in sorted(slots)),
-            links=tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment),
-            required=tuple(sp for sp in slots.values() if sp.lower >= 1),
         )
         wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, aspects_of)
         woven.classes[name] = wc

@@ -19,35 +19,40 @@ additionally bind the operation parameters and post conditions bind
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .behavior import AspectClass
-from .diagnostics import NOPOS, Pos
+from .diagnostics import NOPOS, Pos, Record, set_field
 from .exprs import Expr, ExprParser
 from .lexer import Lexer, parse_header
 
 
-@dataclass(frozen=True)
-class InvariantDecl:
-    name: str
-    body: Expr
-    pos: Pos = field(default=NOPOS, compare=False)
+class InvariantDecl(Record):
+    __slots__ = ("name", "body", "pos")
+
+    def __init__(self, name: str, body: Expr, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ConditionDecl:
-    op_name: str
-    name: str
-    body: Expr
-    pos: Pos = field(default=NOPOS, compare=False)
+class ConditionDecl(Record):
+    __slots__ = ("op_name", "name", "body", "pos")
+
+    def __init__(self, op_name: str, name: str, body: Expr, pos: Pos = NOPOS):
+        set_field(self, "op_name", op_name)
+        set_field(self, "name", name)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ContractModule:
-    package: str
-    requires: tuple[str, ...]
-    contributions: tuple[AspectClass, ...]
-    source_unit: str = "<inv>"
+class ContractModule(Record):
+    __slots__ = ("package", "requires", "contributions", "source_unit")
+
+    def __init__(self, package: str, requires: tuple[str, ...],
+                 contributions: tuple[AspectClass, ...], source_unit: str = "<inv>"):
+        set_field(self, "package", package)
+        set_field(self, "requires", requires)
+        set_field(self, "contributions", contributions)
+        set_field(self, "source_unit", source_unit)
 
 
 def parse_contracts(text: str, unit: str = "<inv>") -> ContractModule:

@@ -4,13 +4,15 @@ Diagnostics render as ``unit:line:col: CODE message`` so editors can jump
 to the offending location.  Stages that can recover (validation, type
 checking) return diagnostic lists; stages that cannot (parsing, composition)
 raise an error carrying them.
+
+:class:`Record` is the base of every frozen value of the workbench: syntax
+trees, runtime values, types and these diagnostics.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -21,13 +23,60 @@ class Pos(NamedTuple):
 
 NOPOS = Pos(0, 0)
 
+# How a record's ``__init__`` writes its fields past ``Record.__setattr__``.
+set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    unit: str = "<input>"
-    pos: Pos = NOPOS
+
+class Record:
+    """A frozen record.  A subclass lists its fields in ``__slots__``, in
+    constructor order, and its ``__init__`` writes each with
+    :data:`set_field`; any later assignment raises.  Two records are equal
+    when they are of one class and agree on every field but ``pos``, so a
+    tree parsed from shifted text equals the original; ``hash`` follows the
+    same fields, and ``repr`` shows them all."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The compared fields."""
+        return tuple([getattr(self, name) for name in self.__slots__ if name != "pos"])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copy and pickle rebuild a record through its constructor, since
+        setting its slots one by one would raise."""
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "unit", "pos")
+
+    def __init__(self, code: str, message: str, unit: str = "<input>", pos: Pos = NOPOS):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "unit", unit)
+        set_field(self, "pos", pos)
+
+    def _key(self) -> tuple:
+        """A diagnostic compares its position too."""
+        return self.code, self.message, self.unit, self.pos
 
     def render(self) -> str:
         return f"{self.unit}:{self.pos.line}:{self.pos.col}: {self.code} {self.message}"
@@ -97,12 +146,12 @@ def nested_too_deeply(unit: str) -> UnitParseError:
     return syntax_error("unit is nested too deeply", unit, NOPOS)
 
 
-@dataclass
 class DiagnosticSink:
     """Accumulator used by validators and the type checker."""
 
-    unit: str = "<input>"
-    items: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, unit: str = "<input>"):
+        self.unit = unit
+        self.items: list[Diagnostic] = []
 
     def add(self, code: str, message: str, pos: Pos = NOPOS, unit: str | None = None) -> None:
         self.items.append(Diagnostic(code, message, unit or self.unit, pos))

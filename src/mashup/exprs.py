@@ -12,10 +12,9 @@ parser is handed a statement-block callback for that single case.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
-from .diagnostics import NOPOS, Pos
+from .diagnostics import NOPOS, Pos, Record, set_field
 from .lexer import Lexer
 from .semtypes import COLLECTION_KINDS, PRIMITIVES, SemType, VOID, class_type, coll, prim
 
@@ -24,59 +23,77 @@ from .semtypes import COLLECTION_KINDS, PRIMITIVES, SemType, VOID, class_type, c
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfRef:
-    pos: Pos = field(default=NOPOS, compare=False)
+class SelfRef(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class VarRef(Record):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: Pos = field(default=NOPOS, compare=False)
+class IntLit(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: Pos = NOPOS):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-    pos: Pos = field(default=NOPOS, compare=False)
+class BoolLit(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: bool, pos: Pos = NOPOS):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class StringLit:
-    value: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class StringLit(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: str, pos: Pos = NOPOS):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class VoidLit:
-    pos: Pos = field(default=NOPOS, compare=False)
+class VoidLit(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class FeatureNav:
-    receiver: "Expr"
-    feature: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class FeatureNav(Record):
+    __slots__ = ("receiver", "feature", "pos")
+
+    def __init__(self, receiver: Expr, feature: str, pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "feature", feature)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class OpCall:
-    receiver: "Expr"
-    op: str
-    args: tuple["Expr", ...]
-    pos: Pos = field(default=NOPOS, compare=False)
+class OpCall(Record):
+    __slots__ = ("receiver", "op", "args", "pos")
+
+    def __init__(self, receiver: Expr, op: str, args: tuple[Expr, ...], pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "op", op)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Lambda:
-    param: str
-    body: "Expr"
+class Lambda(Record):
+    __slots__ = ("param", "body")
+
+    def __init__(self, param: str, body: Expr):
+        set_field(self, "param", param)
+        set_field(self, "body", body)
 
 
 # Collection operations carrying a lambda; the rest take zero or one operand.
@@ -85,63 +102,78 @@ PLAIN_OPS = ("isEmpty", "size", "first")
 OPERAND_OPS = ("add", "intersection")
 
 
-@dataclass(frozen=True)
-class CollectionOp:
-    receiver: "Expr"
-    op_kind: str
-    lam: Lambda | None = None
-    arg: Optional["Expr"] = None
-    pos: Pos = field(default=NOPOS, compare=False)
+class CollectionOp(Record):
+    __slots__ = ("receiver", "op_kind", "lam", "arg", "pos")
+
+    def __init__(self, receiver: Expr, op_kind: str, lam: Lambda | None = None,
+                 arg: Expr | None = None, pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "op_kind", op_kind)
+        set_field(self, "lam", lam)
+        set_field(self, "arg", arg)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class TypeTest:
-    receiver: "Expr"
-    test_kind: str  # 'oclIsKindOf' | 'asType'
-    target: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class TypeTest(Record):
+    __slots__ = ("receiver", "test_kind", "target", "pos")
+
+    def __init__(self, receiver: Expr, test_kind: str, target: str, pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "test_kind", test_kind)  # 'oclIsKindOf' | 'asType'
+        set_field(self, "target", target)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    lhs: "Expr"
-    op: str
-    rhs: "Expr"
-    pos: Pos = field(default=NOPOS, compare=False)
+class BinOp(Record):
+    __slots__ = ("lhs", "op", "rhs", "pos")
+
+    def __init__(self, lhs: Expr, op: str, rhs: Expr, pos: Pos = NOPOS):
+        set_field(self, "lhs", lhs)
+        set_field(self, "op", op)
+        set_field(self, "rhs", rhs)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
-    pos: Pos = field(default=NOPOS, compare=False)
+class Not(Record):
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Expr, pos: Pos = NOPOS):
+        set_field(self, "operand", operand)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class IfExpr:
-    cond: "Expr"
-    then: "Expr"
-    orelse: "Expr"
-    pos: Pos = field(default=NOPOS, compare=False)
+class IfExpr(Record):
+    __slots__ = ("cond", "then", "orelse", "pos")
+
+    def __init__(self, cond: Expr, then: Expr, orelse: Expr, pos: Pos = NOPOS):
+        set_field(self, "cond", cond)
+        set_field(self, "then", then)
+        set_field(self, "orelse", orelse)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class New:
-    class_name: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class New(Record):
+    __slots__ = ("class_name", "pos")
+
+    def __init__(self, class_name: str, pos: Pos = NOPOS):
+        set_field(self, "class_name", class_name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class EachBlock:
+class EachBlock(Record):
     """Behavior-unit ``each`` whose body is a statement block.
 
     Only valid as a whole statement; the statement parser lifts it into an
     each-loop and the type checker rejects nested occurrences.
     """
 
-    receiver: "Expr"
-    param: str
-    body: tuple  # tuple of behavior statements
-    pos: Pos = field(default=NOPOS, compare=False)
+    __slots__ = ("receiver", "param", "body", "pos")
+
+    def __init__(self, receiver: Expr, param: str, body: tuple, pos: Pos = NOPOS):
+        set_field(self, "receiver", receiver)
+        set_field(self, "param", param)
+        set_field(self, "body", body)  # tuple of behavior statements
+        set_field(self, "pos", pos)
 
 
 Expr = Union[
@@ -155,20 +187,47 @@ BINARY_OPS = ("+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or")
 # Runtime values
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class IntV:
-    i: int
+# The scalar values are built and compared on every hot path, so each spells
+# out its own __init__, __eq__ and __hash__ (the hash of its one-field key).
 
 
-@dataclass(frozen=True, slots=True)
-class BoolV:
-    b: bool
+class IntV(Record):
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        set_field(self, "i", i)
+
+    def __eq__(self, other):
+        return self.i == other.i if other.__class__ is IntV else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i,))
 
 
-@dataclass(frozen=True, slots=True)
-class StringV:
-    s: str
+class BoolV(Record):
+    __slots__ = ("b",)
+
+    def __init__(self, b: bool):
+        set_field(self, "b", b)
+
+    def __eq__(self, other):
+        return self.b == other.b if other.__class__ is BoolV else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.b,))
+
+
+class StringV(Record):
+    __slots__ = ("s",)
+
+    def __init__(self, s: str):
+        set_field(self, "s", s)
+
+    def __eq__(self, other):
+        return self.s == other.s if other.__class__ is StringV else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.s,))
 
 
 class VoidV:

@@ -21,18 +21,20 @@ returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .diagnostics import Diagnostic, DiagnosticSink, NOPOS, Pos, UnitParseError
+from .diagnostics import (
+    Diagnostic, DiagnosticSink, NOPOS, Pos, Record, UnitParseError, set_field,
+)
 from .exprs import parse_sem_type
 from .lexer import Lexer
 from .semtypes import PRIMITIVES, SemType, VOID, class_type, coll, prim
 
 
-@dataclass(frozen=True)
-class Bounds:
-    lower: int
-    upper: int | None  # None means unbounded
+class Bounds(Record):
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int | None):
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)  # None means unbounded
 
     @property
     def many(self) -> bool:
@@ -46,22 +48,28 @@ SINGLE_OPTIONAL = Bounds(0, 1)
 MANY = Bounds(0, None)
 
 
-@dataclass(frozen=True)
-class Attribute:
-    name: str
-    type: str  # one of PRIMITIVES
-    bounds: Bounds = SINGLE_OPTIONAL
-    pos: Pos = field(default=NOPOS, compare=False)
+class Attribute(Record):
+    __slots__ = ("name", "type", "bounds", "pos")
+
+    def __init__(self, name: str, type: str, bounds: Bounds = SINGLE_OPTIONAL,
+                 pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "type", type)  # one of PRIMITIVES
+        set_field(self, "bounds", bounds)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Reference:
-    name: str
-    target: str
-    bounds: Bounds = SINGLE_OPTIONAL
-    containment: bool = False
-    opposite: str | None = None
-    pos: Pos = field(default=NOPOS, compare=False)
+class Reference(Record):
+    __slots__ = ("name", "target", "bounds", "containment", "opposite", "pos")
+
+    def __init__(self, name: str, target: str, bounds: Bounds = SINGLE_OPTIONAL,
+                 containment: bool = False, opposite: str | None = None, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "target", target)
+        set_field(self, "bounds", bounds)
+        set_field(self, "containment", containment)
+        set_field(self, "opposite", opposite)
+        set_field(self, "pos", pos)
 
 
 def feature_type(feat: Attribute | Reference) -> SemType:
@@ -74,40 +82,54 @@ def feature_type(feat: Attribute | Reference) -> SemType:
     return coll("OrderedSet", base) if feat.bounds.many else base
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    type: SemType
+class Param(Record):
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: SemType):
+        set_field(self, "name", name)
+        set_field(self, "type", type)
 
 
-@dataclass(frozen=True)
-class OperationSig:
-    name: str
-    params: tuple[Param, ...] = ()
-    return_type: SemType = VOID
-    pos: Pos = field(default=NOPOS, compare=False)
+class OperationSig(Record):
+    __slots__ = ("name", "params", "return_type", "pos")
+
+    def __init__(self, name: str, params: tuple[Param, ...] = (), return_type: SemType = VOID,
+                 pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "return_type", return_type)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class MetaClass:
-    name: str
-    is_abstract: bool = False
-    supertypes: tuple[str, ...] = ()
-    attributes: tuple[Attribute, ...] = ()
-    references: tuple[Reference, ...] = ()
-    operations: tuple[OperationSig, ...] = ()
-    origin: str = "base"  # 'base' | 'aspect'
-    pos: Pos = field(default=NOPOS, compare=False)
+class MetaClass(Record):
+    __slots__ = ("name", "is_abstract", "supertypes", "attributes", "references", "operations",
+                 "origin", "pos")
+
+    def __init__(self, name: str, is_abstract: bool = False, supertypes: tuple[str, ...] = (),
+                 attributes: tuple[Attribute, ...] = (), references: tuple[Reference, ...] = (),
+                 operations: tuple[OperationSig, ...] = (), origin: str = "base",
+                 pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "is_abstract", is_abstract)
+        set_field(self, "supertypes", supertypes)
+        set_field(self, "attributes", attributes)
+        set_field(self, "references", references)
+        set_field(self, "operations", operations)
+        set_field(self, "origin", origin)  # 'base' | 'aspect'
+        set_field(self, "pos", pos)
 
     def features(self) -> tuple:
         return self.attributes + self.references
 
 
-@dataclass(frozen=True)
-class Metamodel:
-    name: str
-    classes: tuple[MetaClass, ...] = ()
-    source_unit: str = "<mm>"
+class Metamodel(Record):
+    __slots__ = ("name", "classes", "source_unit")
+
+    def __init__(self, name: str, classes: tuple[MetaClass, ...] = (),
+                 source_unit: str = "<mm>"):
+        set_field(self, "name", name)
+        set_field(self, "classes", classes)
+        set_field(self, "source_unit", source_unit)
 
     def class_named(self, name: str) -> MetaClass | None:
         for c in self.classes:

@@ -19,7 +19,9 @@ containment) has no upkeep to run.
 Collections are values: every write of a many-valued slot stores a new
 ``Coll`` in it and no code changes a collection's ``items``, so a slot's
 collection is read, held in a variable and shared by a clone without a
-copy, and ``clone`` copies only the objects.  The guarantees above hold
+copy, and ``clone`` copies only the objects; a load starts every object
+from its class's ``WovenClass.defaults``, whose empty collections all its
+objects share.  The guarantees above hold
 for writes through ``create_instance``, ``set_feature``, ``add_to_feature``
 and ``remove_from_feature``; writing ``Obj.slots`` or a collection's
 ``items`` in place voids them, a clone's independence included, and such
@@ -55,14 +57,13 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .codegen import _no_method, compile_expr, compiled
 from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
-    ContractViolation, Diagnostic, DiagnosticSink, EvalFault, TypecheckError,
-    UnitParseError,
+    ContractViolation, Diagnostic, DiagnosticSink, EvalFault, Record, TypecheckError,
+    UnitParseError, set_field,
 )
 from .exprs import (
     Coll, ObjRef, StringV, Value, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
@@ -629,13 +630,16 @@ def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # 'holds' | 'violated' | 'error'
-    invariant: str
-    obj_id: str
-    owner: str = ""
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("status", "invariant", "obj_id", "owner", "detail")
+
+    def __init__(self, status: str, invariant: str, obj_id: str, owner: str = "",
+                 detail: str = ""):
+        set_field(self, "status", status)  # 'holds' | 'violated' | 'error'
+        set_field(self, "invariant", invariant)
+        set_field(self, "obj_id", obj_id)
+        set_field(self, "owner", owner)
+        set_field(self, "detail", detail)
 
 
 def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = "",
@@ -757,8 +761,14 @@ def _check_links(model: ModelInstance, opposites: DiagnosticSink,
                     t_obj = objects.get(tid)
                     if t_obj is not None:
                         back = t_obj.slots.get(sp.opposite)
-                        if not (back.id == oid if back.__class__ is ObjRef
-                                else _lists(back, oid, listed)):
+                        if back.__class__ is ObjRef:
+                            found = back.id == oid
+                        elif back.__class__ is Coll and len(back.items) <= _SCAN_LIMIT:
+                            # a reference is the one-tuple of its id
+                            found = (oid,) in back.items
+                        else:
+                            found = _lists(back, oid, listed)
+                        if not found:
                             opposites.add(
                                 "OppositeMismatch",
                                 f"{oid}.{sp.name} lists {tid} but {tid}.{sp.opposite} "
@@ -791,20 +801,17 @@ _SCAN_LIMIT = 8  # the measured crossover (BENCH_10.json "opposite_crossover")
 
 
 def _lists(value, oid: str, listed: dict[int, set[str]]) -> bool:
-    """Whether a collection value lists the object ``oid``: scanned up to
-    ``_SCAN_LIMIT`` elements, past it read once into the set of its ids,
-    which ``listed`` keeps by the collection's identity while the check runs."""
+    """Whether ``value`` lists the object ``oid``, where ``_check_links``
+    does not test it inline (a reference, or a collection of up to
+    ``_SCAN_LIMIT`` elements): a collection is read once into the set of its
+    ids, which ``listed`` keeps by the collection's identity while the check
+    runs."""
     if not isinstance(value, Coll):
         return False
-    if len(value.items) > _SCAN_LIMIT:
-        ids = listed.get(id(value))
-        if ids is None:
-            ids = listed[id(value)] = {x.id for x in value.items if isinstance(x, ObjRef)}
-        return oid in ids
-    for x in value.items:
-        if isinstance(x, ObjRef) and x.id == oid:
-            return True
-    return False
+    ids = listed.get(id(value))
+    if ids is None:
+        ids = listed[id(value)] = {x.id for x in value.items if isinstance(x, ObjRef)}
+    return oid in ids
 
 
 def _check_forest(model: ModelInstance, container_of: dict[str, tuple[str, str]],
@@ -926,7 +933,7 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
             sink.add("UnknownClass", f"object {oid} has unknown class {cls}")
             continue
         obj = objects[oid] = Obj(oid, cls)
-        obj.slots = wc.fresh_slots()
+        obj.slots = dict(wc.defaults)
         by_text["@" + oid] = (ObjRef(oid), cls)
     if sink:
         raise TypecheckError(sink.items)

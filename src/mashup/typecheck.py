@@ -9,8 +9,6 @@ static-semantics concern stays side-effect free by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .behavior import (
     Assign, AspectClass, BehaviorModule, EachLoop, ExprStmt, If, Loop, MethodDef,
     Return, SuperCall, VarDecl,
@@ -48,18 +46,20 @@ def assignable(woven: WovenModel, src: SemType, dst: SemType) -> bool:
     return False
 
 
-@dataclass
 class TypeContext:
     """What checking one rule or method body needs: the woven model, the
     class of ``self``, the sink, purity, the method whose body is checked
     (None for a rule) and the variable scopes."""
 
-    woven: WovenModel
-    self_class: str
-    sink: DiagnosticSink
-    pure: bool = False
-    method: MethodDef | None = None
-    scopes: list[dict[str, SemType]] = field(default_factory=lambda: [{}])
+    def __init__(self, woven: WovenModel, self_class: str, sink: DiagnosticSink,
+                 pure: bool = False, method: MethodDef | None = None,
+                 scopes: list[dict[str, SemType]] | None = None):
+        self.woven = woven
+        self.self_class = self_class
+        self.sink = sink
+        self.pure = pure
+        self.method = method
+        self.scopes = [{}] if scopes is None else scopes
 
     def lookup(self, name: str) -> SemType | None:
         for scope in reversed(self.scopes):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import DIAMOND, FUML, GOLDEN, parse_units, run_cli, weave
+from helpers import DIAMOND, FUML, GOLDEN, TABLE_MM, parse_units, run_cli, weave
 from mashup.behavior import AspectClass, BehaviorModule
 from mashup.composer import (
     CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose, emit_report,
@@ -604,36 +604,39 @@ def test_subclass_invariants_superset_of_super():
 # aspect weaving (composition case 1)
 # ---------------------------------------------------------------------------
 
-# units -> the first clash compose reports, at the later of the two members
+# units -> every clash compose reports, each at the later of the two members
 ASPECT_CLASHES = {
     "invariant across constraint units": (
         dict(inv=[HEADER + "aspect class A { inv i : true; }",
                   HEADER + "aspect class A {\n  inv i : false; }"]),
-        "u1.inv:4:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv"),
+        ["u1.inv:4:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv"]),
     "pre and post of one name and operation": (
         dict(inv=[HEADER + "aspect class A { pre p on f : true; }",
                   HEADER + "aspect class A {\n  post p on f : true; }"]),
-        "u1.inv:4:8: FeatureClash condition A.p on f is contributed by both u0.inv and u1.inv"),
+        ["u1.inv:4:8: FeatureClash condition A.p on f is contributed by both u0.inv and u1.inv"]),
     "two aspects of one class in one unit": (
         dict(act=HEADER + "aspect class A { attr x: Int; }\naspect class A { attr x: Int; }"),
-        "u0.act:4:23: FeatureClash feature A.x is contributed by both u0.act and u0.act"),
+        ["u0.act:4:23: FeatureClash feature A.x is contributed by both u0.act and u0.act"]),
     "the earlier unit's clash is reported": (
         dict(act=[HEADER + "aspect class A { attr x: Int; operation f() : Void is do end }",
                   HEADER + "aspect class A {\n  operation f() : Void is do end }",
                   HEADER + "aspect class A {\n  attr x: Int; }"]),
-        "u1.act:4:13: FeatureClash method A.f is contributed by both u0.act and u1.act"),
+        ["u1.act:4:13: FeatureClash method A.f is contributed by both u0.act and u1.act",
+         "u2.act:4:8: FeatureClash feature A.x is contributed by both u0.act and u2.act"]),
     "features are checked before methods": (
         dict(act=[HEADER + "aspect class A { attr x: Int; operation f() : Void is do end }",
                   HEADER + "aspect class A {\n  operation f() : Void is do end\n"
                            "  attr x: Int; }"]),
-        "u1.act:5:8: FeatureClash feature A.x is contributed by both u0.act and u1.act"),
+        ["u1.act:5:8: FeatureClash feature A.x is contributed by both u0.act and u1.act",
+         "u1.act:4:13: FeatureClash method A.f is contributed by both u0.act and u1.act"]),
     "invariants are checked before conditions": (
         dict(inv=[HEADER + "aspect class A { inv i : true; pre p on f : true; }",
                   HEADER + "aspect class A {\n  pre p on f : true;\n  inv i : true; }"]),
-        "u1.inv:5:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv"),
+        ["u1.inv:5:7: FeatureClash invariant A.i is contributed by both u0.inv and u1.inv",
+         "u1.inv:4:7: FeatureClash condition A.p on f is contributed by both u0.inv and u1.inv"]),
     "a repeat inside one aspect": (
         dict(act=HEADER + "aspect class A {\n  attr x: Int;\n  attr x: Int; }"),
-        "u0.act:5:8: FeatureClash feature x reaches A from both A and A"),
+        ["u0.act:5:8: FeatureClash feature x reaches A from both A and A"]),
 }
 
 
@@ -642,7 +645,42 @@ def test_aspect_clash_reports_the_first_clash(case):
     units, expected = ASPECT_CLASHES[case]
     with pytest.raises(CompositionError) as exc:
         compose(parse_units(mm="metamodel m { class A { } }", **units))
-    assert [d.render() for d in exc.value.diagnostics] == [expected]
+    assert [d.render() for d in exc.value.diagnostics] == expected
+
+
+# units on TABLE_MM -> everything compose reports: a member repeated inside
+# one aspect, and the unknown targets and clashes of a build together
+WEAVING_REPORTS = {
+    "a method repeated inside one aspect": (
+        dict(act=HEADER + "aspect class A { operation f() : Int is do return 1 end\n"
+                          "  operation f() : Int is do return 2 end }"),
+        ["u0.act:4:13: FeatureClash method A.f is contributed by both u0.act and u0.act"]),
+    "an invariant repeated inside one aspect": (
+        dict(inv=HEADER + "aspect class A { inv i : true;\n  inv i : self.n > 100; }"),
+        ["u0.inv:4:7: FeatureClash invariant A.i is contributed by both u0.inv and u0.inv"]),
+    "a condition repeated inside one aspect": (
+        dict(inv=HEADER + "aspect class A { pre p on f : true;\n  post p on f : true; }"),
+        ["u0.inv:4:8: FeatureClash condition A.p on f is contributed by both u0.inv and u0.inv"]),
+    "an unknown target and a later clash": (
+        dict(act=[HEADER + "aspect class Ax { }",
+                  HEADER + "aspect class A { attr x: Int; }",
+                  HEADER + "aspect class A {\n  attr x: Int; }"]),
+        ["u0.act:3:14: UnknownAspectTarget aspect targets unknown class Ax; did you mean A?",
+         "u2.act:4:8: FeatureClash feature A.x is contributed by both u1.act and u2.act"]),
+    "clashes and unknown targets in unit order": (
+        dict(act=[HEADER + "aspect class A { attr x: Int; }\naspect class B { }",
+                  HEADER + "aspect class A {\n  attr x: Int; }\naspect class Q { }"]),
+        ["u1.act:4:8: FeatureClash feature A.x is contributed by both u0.act and u1.act",
+         "u1.act:5:14: UnknownAspectTarget aspect targets unknown class Q"]),
+}
+
+
+@pytest.mark.parametrize("case", WEAVING_REPORTS)
+def test_compose_reports_every_weaving_problem(case):
+    units, expected = WEAVING_REPORTS[case]
+    with pytest.raises(CompositionError) as exc:
+        compose(parse_units(mm=TABLE_MM, **units))
+    assert [d.render() for d in exc.value.diagnostics] == expected
 
 
 def test_supertype_and_unit_of_several_aspects_are_kept_once():

@@ -2,20 +2,29 @@ from __future__ import annotations
 
 import copy
 import random
+import re
+import subprocess
+import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import MODELS, TABLE_MM, table_act, table_model, weave
-from mashup.diagnostics import DiagnosticSink, EvalFault, TypecheckError, UnitParseError
+from helpers import MODELS, REPO, TABLE_MM, table_act, table_model, weave
+from mashup.behavior import MethodDef, Return, VarDecl, parse_behavior
+from mashup.composer import MashupManifest, WovenClass, WovenModel
+from mashup.contracts import InvariantDecl
+from mashup.diagnostics import (
+    Diagnostic, DiagnosticSink, EvalFault, Pos, TypecheckError, UnitParseError,
+)
 from mashup.exprs import (
-    VOID_VALUE, BinOp, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
-    SelfRef, StringV, TypeTest, VoidV, make_coll, parse_expr, render_value,
+    VOID_VALUE, BinOp, BoolLit, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
+    SelfRef, StringLit, StringV, TypeTest, VarRef, VoidV, make_coll, parse_expr, render_value,
 )
+from mashup.metamodel import Attribute, Bounds, OperationSig, Param
 from mashup.runtime import (
-    Interpreter, ModelInstance, create_instance, eval_expr, load_model,
+    CheckResult, Interpreter, ModelInstance, create_instance, eval_expr, load_model,
 )
-from mashup.semtypes import BOOL, COLLECTION_KINDS, INT, STRING
+from mashup.semtypes import BOOL, COLLECTION_KINDS, INT, STRING, SemType
 from mashup.typecheck import TypeContext, typecheck_expr
 
 # ---------------------------------------------------------------------------
@@ -377,3 +386,155 @@ def test_expression_each_discards_purely(session):
                     scope={"coll": Coll("Sequence", [IntV(1), IntV(2)])})
     assert isinstance(out, VoidV)
     assert model.fingerprint() == before
+
+
+# ---------------------------------------------------------------------------
+# record semantics: equality, hashing, freezing and repr of nodes and values
+# ---------------------------------------------------------------------------
+
+P = Pos(3, 7)
+_P0 = "pos=Pos(line=0, col=0)"
+
+# pairs of one text or number in two classes: never equal, either way round
+_DISTINCT = [
+    (IntV(1), BoolV(True)),
+    (StringV("a"), ObjRef("a")),
+    (IntLit(1), BoolLit(True)),
+    (VarRef("x"), StringLit("x")),
+]
+
+
+@pytest.mark.parametrize("a, b", _DISTINCT, ids=lambda x: type(x).__name__)
+def test_records_of_different_classes_differ(a, b):
+    assert a != b and b != a
+    assert not a == b and not b == a
+
+
+# the same record built at a position and without one, from every module
+# whose records carry a position
+_POSITIONED = [
+    (BinOp(IntLit(1, P), "+", VarRef("x", P), P), BinOp(IntLit(1), "+", VarRef("x"))),
+    (SelfRef(P), SelfRef()),
+    (VarDecl("v", INT, IntLit(0, P), P), VarDecl("v", INT, IntLit(0))),
+    (MethodDef(OperationSig("f", (), INT, P), (Return(None, P),), False, P),
+     MethodDef(OperationSig("f", (), INT), (Return(),))),
+    (InvariantDecl("i", BoolLit(True, P), P), InvariantDecl("i", BoolLit(True))),
+    (Attribute("n", "Int", pos=P), Attribute("n", "Int")),
+]
+
+
+@pytest.mark.parametrize("a, b", _POSITIONED, ids=lambda x: type(x).__name__)
+def test_records_ignore_their_position(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert a.pos != b.pos
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+
+
+def test_a_diagnostic_compares_its_position():
+    assert Diagnostic("C", "m", "u", P) != Diagnostic("C", "m", "u")
+    assert Diagnostic("C", "m", "u", P) == Diagnostic("C", "m", "u", Pos(3, 7))
+
+
+@pytest.mark.parametrize("record, field", [
+    (BinOp(IntLit(1), "+", IntLit(2)), "op"),
+    (IntLit(1), "pos"),
+    (IntV(1), "i"),
+    (StringV("a"), "s"),
+    (INT, "name"),
+    (Diagnostic("C", "m"), "code"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_records_are_frozen(record, field):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == before
+
+
+def test_mutable_records_share_no_container():
+    a, b = WovenModel("p", {}), WovenModel("p", {})
+    for name in ("aspect_units", "method_units", "sig_units"):
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
+    c, d = (WovenClass("C", False, (), ("C", "Root")) for _ in range(2))
+    for name in ("op_sigs", "method_table", "raw_definers", "flat_pre", "flat_post", "slots"):
+        assert getattr(c, name) == {} and getattr(c, name) is not getattr(d, name)
+    s, t = DiagnosticSink(), DiagnosticSink()
+    s.add("C", "m")
+    assert t.items == [] and not t and s
+    u, v = (TypeContext(a, "C", s) for _ in range(2))
+    u.scopes[-1]["x"] = INT
+    assert v.scopes == [{}]
+
+
+@pytest.mark.parametrize("record, text", [
+    (BinOp(IntLit(1), "+", VarRef("x")),
+     f"BinOp(lhs=IntLit(value=1, {_P0}), op='+', rhs=VarRef(name='x', {_P0}), {_P0})"),
+    (IntV(1), "IntV(i=1)"),
+    (StringV("a"), "StringV(s='a')"),
+    (Return(IntLit(1)), f"Return(value=IntLit(value=1, {_P0}), {_P0})"),
+    (Param("x", INT), "Param(name='x', type=SemType(kind='prim', name='Int', elem=None))"),
+    (Bounds(0, None), "Bounds(lower=0, upper=None)"),
+    (InvariantDecl("i", BoolLit(True)),
+     f"InvariantDecl(name='i', body=BoolLit(value=True, {_P0}), {_P0})"),
+    (MashupManifest("p", ("a.mm",)),
+     "MashupManifest(package='p', requires=('a.mm',), main=None, source_unit='<mashup>', "
+     "source_dir='.')"),
+    (Diagnostic("C", "m"), f"Diagnostic(code='C', message='m', unit='<input>', {_P0})"),
+    (CheckResult("holds", "i", "o1"),
+     "CheckResult(status='holds', invariant='i', obj_id='o1', owner='', detail='')"),
+    (SemType("coll", "Set", INT),
+     "SemType(kind='coll', name='Set', elem=SemType(kind='prim', name='Int', elem=None))"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_record_repr_is_pinned(record, text):
+    assert repr(record) == text
+
+
+def test_import_loads_no_dataclasses():
+    """Records are plain slots classes: importing the workbench loads
+    neither ``dataclasses`` nor the ``inspect`` it would bring."""
+    probe = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import mashup; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+_SHIFTED_ACT = """package p;
+require "p.mm";
+aspect class A inherits B {
+  attr n : Int;
+  ref kids : B[*] containment;
+  rename f from B as g;
+  operation f(x : Int) : Int is do
+    var t : Int init x + 1 * 2
+    if t > 3 and not false then self.n := t else self.n := 0 end
+    from var i : Int init 0 until i >= x loop i := i + 1 end
+    while self.n < 10 loop self.n := self.n + 1 end
+    self.kids.each { k | k.w := k.w - 1 }
+    super[B](x)
+    return self.kids.select { k | k.oclIsKindOf(B) }.size() + t
+  end
+  method h() : OrderedSet<B> is do
+    return if self.n == 0 then void else self.kids.reject { k | k.ok } end
+  end
+}
+"""
+_WHITESPACE = re.compile(r"\s+")
+_POS = re.compile(r"Pos\(line=\d+, col=\d+\)")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([" ", "  ", "\t", "\n", "\n    ", " \n\n "]), min_size=1))
+def test_shifted_whitespace_parses_to_an_equal_tree(gaps):
+    """Each run of whitespace is replaced by a drawn one (cycling through
+    ``gaps``) after one more leading line: the trees are equal, hash
+    equal, and every position the parser gave moved."""
+    runs = iter(gaps * len(_SHIFTED_ACT))
+    shifted = "\n" + _WHITESPACE.sub(lambda _m: next(runs), _SHIFTED_ACT)
+    a, b = parse_behavior(_SHIFTED_ACT, "a.act"), parse_behavior(shifted, "a.act")
+    assert a == b and hash(a) == hash(b)
+    pa, pb = _POS.findall(repr(a)), _POS.findall(repr(b))
+    assert len(pa) == len(pb) > 40
+    assert all(x != y for x, y in zip(pa, pb) if x != "Pos(line=0, col=0)")
