@@ -9,9 +9,8 @@ table that a model interpreter runs directly.
 
 from .behavior import BehaviorModule, parse_behavior
 from .composer import (
-    CompositionCase, MashupManifest, WovenClass, WovenModel, classify_pair,
-    compose, emit_report, flatten_contracts, linearize, parse_manifest,
-    resolve_method_conflicts, resolve_requires, validate_woven,
+    MashupManifest, WovenClass, WovenModel, compose, emit_report, flatten_contracts,
+    linearize, parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
 )
 from .contracts import ContractModule, parse_contracts
 from .diagnostics import (
@@ -19,7 +18,7 @@ from .diagnostics import (
     UnitParseError, WorkbenchError,
 )
 from .exprs import parse_expr
-from .metamodel import Metamodel, parse_metamodel, pretty_print, validate_metamodel
+from .metamodel import Metamodel, parse_metamodel, pretty_print
 from .runtime import (
     CheckResult, Interpreter, ModelInstance, add_to_feature,
     check_invariant, check_model, create_instance, eval_expr, invoke,

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import difflib
 import os
-from enum import Enum
 
 from .behavior import AspectClass, BehaviorModule, MethodDef, Renaming, parse_behavior
 from .contracts import ConditionDecl, ContractModule, InvariantDecl, parse_contracts
 from .diagnostics import (
-    CompositionError, Diagnostic, DiagnosticSink, Record, UnitParseError, nested_too_deeply,
-    set_field,
+    NOPOS, CompositionError, Diagnostic, DiagnosticSink, Pos, Record, UnitParseError,
+    nested_too_deeply, set_field,
 )
 from .exprs import Coll, Value, type_default
 from .lexer import Lexer, parse_header
@@ -161,32 +160,7 @@ def resolve_requires(manifest: MashupManifest) -> list[Unit]:
 
 
 # ---------------------------------------------------------------------------
-# Composition cases
-# ---------------------------------------------------------------------------
-
-
-class CompositionCase(Enum):
-    KMT_KMT = "aspect+aspect"
-    ECORE_ECORE = "base+base"
-    ECORE_KMT = "base+aspect"
-
-
-def _is_base(definition) -> bool:
-    return isinstance(definition, MetaClass) and definition.origin == "base"
-
-
-def classify_pair(a, b) -> CompositionCase:
-    """Classify two same-named class definitions for composition."""
-    a_base, b_base = _is_base(a), _is_base(b)
-    if a_base and b_base:
-        return CompositionCase.ECORE_ECORE
-    if not a_base and not b_base:
-        return CompositionCase.KMT_KMT
-    return CompositionCase.ECORE_KMT
-
-
-# ---------------------------------------------------------------------------
-# Aspect clashes (composition case 1)
+# Aspect clashes
 # ---------------------------------------------------------------------------
 
 # What two aspects of one class may not both contribute, nor one aspect
@@ -227,7 +201,9 @@ def _check_aspect(aspect: AspectClass, unit: str, earlier: list[tuple[AspectClas
 # ---------------------------------------------------------------------------
 
 
-def linearize_all(graph: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
+def linearize_all(graph: dict[str, tuple[str, ...]],
+                  declared_at: dict[tuple[str, str], tuple[str, Pos]] | None = None,
+                  ) -> dict[str, tuple[str, ...]]:
     """Scala-style linearization of every class of a supertype DAG.
 
     A class comes first, followed by the linearizations of its declared
@@ -235,12 +211,15 @@ def linearize_all(graph: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...
     several times keeps only its last (rightmost) occurrence.  ``Root`` is
     always final.  Keeping last occurrences composes, so each class reuses
     its supertypes' results instead of expanding the whole DAG: classes are
-    linearized supertypes first, so no hierarchy is too deep.
+    linearized supertypes first, so no hierarchy is too deep.  A cycle is a
+    CycleError, positioned where ``declared_at`` (class, supertype) puts its
+    first edge.
     """
     order, cycle = supertypes_first(graph)
     if cycle:
+        unit, pos = (declared_at or {}).get((cycle[0], cycle[1]), ("<compose>", NOPOS))
         raise CompositionError(
-            [Diagnostic("CycleError", "supertype cycle: " + " -> ".join(cycle))]
+            [Diagnostic("CycleError", "supertype cycle: " + " -> ".join(cycle), unit, pos)]
         )
     memo: dict[str, tuple[str, ...]] = {ROOT_CLASS: (ROOT_CLASS,)}
     for c in order:
@@ -335,13 +314,11 @@ class WovenClass:
         self.save_order = tuple(slots[fname] for fname in sorted(slots))
         self.links = tuple(sp for sp in slots.values() if sp.opposite is not None or sp.containment)
         self.required = tuple(sp for sp in slots.values() if sp.lower >= 1)
-        # every slot at its type default, for load to copy: a collection is
-        # a value, so one empty collection per slot serves every object
-        self.defaults = self.fresh_slots()
-
-    def fresh_slots(self) -> dict[str, Value]:
-        """Every slot at its type default, each collection a new one."""
-        return {name: Coll(sp.kind) if sp.many else sp.default for name, sp in self.slots.items()}
+        # every slot at its type default, for create and load to copy: a
+        # collection is a value, so one empty collection per slot serves
+        # every object
+        self.defaults: dict[str, Value] = {
+            name: Coll(sp.kind) if sp.many else sp.default for name, sp in slots.items()}
 
 
 class WovenModel:
@@ -463,11 +440,15 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     """Weave parsed units into a WovenModel.
 
     Raises CompositionError for forbidden base/base mixes, aspects of
-    undeclared classes, member clashes, dangling names, supertype cycles and
-    bad renamings.  The unknown aspect targets and member clashes of a build
-    are reported together, in unit order: each aspect in turn, its members
-    by kind.  Ambiguous methods do not abort composition; they are recorded
-    on the class and reported by resolve_method_conflicts.
+    undeclared classes, member clashes, unknown supertypes, supertype cycles,
+    feature clashes and bad renamings, each phase reporting every problem it
+    finds.  The unknown aspect targets and member clashes of a build are
+    reported together, in unit order: each aspect in turn, its members by
+    kind.  A feature declaration that clashes is reported once, at that
+    declaration, however many classes inherit the clash.  Ambiguous methods
+    do not abort composition; they are recorded on the class and reported by
+    resolve_method_conflicts, and the rules that need no weaving decision are
+    left to validate_woven.
     """
     metamodels = [u for u in units if isinstance(u, Metamodel)]
     if not metamodels:
@@ -476,28 +457,23 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         )
     package = package or metamodels[0].name
 
+    sink = DiagnosticSink("<compose>")
     base: dict[str, tuple[MetaClass, str]] = {}
     for mm in metamodels:
         for cls in mm.classes:
             if cls.name in base:
-                case = classify_pair(base[cls.name][0], cls)
-                assert case is CompositionCase.ECORE_ECORE
-                raise CompositionError(
-                    [Diagnostic(
-                        "ForbiddenComposition",
-                        f"class {cls.name} is declared by both {base[cls.name][1]} "
-                        f"and {mm.source_unit}; mixing two base classes is forbidden",
-                        mm.source_unit, cls.pos,
-                    )]
-                )
-            base[cls.name] = (cls, mm.source_unit)
+                sink.add("ForbiddenComposition",
+                         f"class {cls.name} is declared by both {base[cls.name][1]} "
+                         f"and {mm.source_unit}; mixing two base classes is forbidden",
+                         cls.pos, mm.source_unit)
+            elif cls.name == ROOT_CLASS:
+                sink.add("ReservedName", f"{ROOT_CLASS} is the implicit reflection root",
+                         cls.pos, mm.source_unit)
+            else:
+                base[cls.name] = (cls, mm.source_unit)
+    if sink:
+        raise CompositionError(sink.items)
 
-    if ROOT_CLASS in base:
-        raise CompositionError(
-            [Diagnostic("ReservedName", f"{ROOT_CLASS} is the implicit reflection root")]
-        )
-
-    sink = DiagnosticSink("<compose>")
     # each class's aspects with their units, in unit order
     aspects_of: dict[str, list[tuple[AspectClass, str]]] = {}
     for unit in units:
@@ -520,21 +496,25 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     if sink:
         raise CompositionError(sink.items)
 
+    # each class's supertypes, the metamodel's then the aspects', each at
+    # the unit and position of its first declaration
     graph: dict[str, tuple[str, ...]] = {}
-    for name in base:
-        supers = list(base[name][0].supertypes)
-        for aspect, _unit in aspects_of.get(name, ()):
-            for s in aspect.added_supertypes:
-                if s not in supers:
-                    supers.append(s)
-        for s in supers:
-            if s not in base:
-                sink.add("ResolutionError", f"class {name} inherits unknown class {s}")
+    declared_at: dict[tuple[str, str], tuple[str, Pos]] = {}
+    for name, (cls, mm_unit) in base.items():
+        supers = dict.fromkeys(cls.supertypes, (mm_unit, cls.pos))
+        for aspect, unit in aspects_of.get(name, ()):
+            for sup in aspect.added_supertypes:
+                supers.setdefault(sup, (unit, aspect.pos))
+        for sup, (unit, pos) in supers.items():
+            declared_at[name, sup] = (unit, pos)
+            if sup not in base:
+                sink.add("ResolutionError", f"class {name} inherits unknown class {sup}",
+                         pos, unit)
         graph[name] = tuple(supers)
     if sink:
         raise CompositionError(sink.items)
 
-    lin_of = linearize_all(graph)
+    lin_of = linearize_all(graph, declared_at)
 
     # the classes conforming to each class, from one inverse pass over the
     # linearizations; every class conforms to the root
@@ -566,6 +546,26 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         for sig, unit in sigs:
             sig_units.setdefault((name, sig.name), unit)
 
+    # each class's slots along its linearization; a declaration clashing
+    # with an earlier one is reported once, whichever classes inherit both
+    slots_of: dict[str, dict[str, SlotPlan]] = {}
+    clashed: set[SlotPlan] = set()
+    for name in base:
+        slots = slots_of[name] = {}
+        for cls in lin_of[name]:
+            for sp in own_plans.get(cls, ()):
+                first = slots.setdefault(sp.name, sp)
+                if first is sp or sp in clashed:
+                    continue
+                clashed.add(sp)
+                sink.add("FeatureClash",
+                         f"class {cls} declares feature {sp.name} more than once"
+                         if first.owner == cls else
+                         f"feature {sp.name} reaches {name} from both {first.owner} and {cls}",
+                         sp.feat.pos, sp.unit)
+    if sink:
+        raise CompositionError(sink.items)
+
     woven = WovenModel(
         package, {}, ROOT_CLASS,
         base_units=tuple(dict.fromkeys(mm.source_unit for mm in metamodels)),
@@ -578,20 +578,6 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
 
     for name in base:
         lin = lin_of[name]
-        slots: dict[str, SlotPlan] = {}
-        for cls in lin:
-            for sp in own_plans.get(cls, ()):
-                if sp.name in slots:
-                    raise CompositionError(
-                        [Diagnostic(
-                            "FeatureClash",
-                            f"feature {sp.name} reaches {name} from both "
-                            f"{slots[sp.name].owner} and {cls}",
-                            sp.unit, sp.feat.pos,
-                        )]
-                    )
-                slots[sp.name] = sp
-
         op_sigs: dict[str, tuple[OperationSig, str]] = {}
         for cls in lin:
             for sig, _unit in own_sigs.get(cls, ()):
@@ -643,7 +629,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
             method_table=table,
             raw_definers={op: tuple(entries) for op, entries in definers.items()},
             ambiguous_ops=ambiguous,
-            slots=slots,
+            slots=slots_of[name],
         )
         wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, aspects_of)
         woven.classes[name] = wc
@@ -705,8 +691,18 @@ def _named_types(t: SemType):
         yield from _named_types(t.elem)
 
 
+def _check_params(sig: OperationSig, where: str, unit: str, sink: DiagnosticSink) -> None:
+    names = [p.name for p in sig.params]
+    if len(names) != len(set(names)):
+        sink.add("DuplicateParam", f"operation {where} repeats a parameter name", sig.pos, unit)
+
+
 def validate_woven(woven: WovenModel) -> list[Diagnostic]:
-    """Closure and well-formedness checks over a composed model."""
+    """The rules a composed model meets beyond weaving: well-formed
+    linearizations and, for each feature and signature, checked once at its
+    declaring class whichever unit declares it, bounds of 1 or ``*``, known
+    classes, mutual opposites that target each other's declaring class and
+    are not both containments, and no repeated parameter name."""
     sink = DiagnosticSink("<woven>")
     known = set(woven.classes) | {woven.root_class}
     for name, wc in woven.classes.items():
@@ -726,7 +722,17 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
         # class; attribute types are primitive: parse_feature refuses any other
         for fname, sp in wc.slots.items():
             feat = sp.feat
-            if sp.owner != name or not isinstance(feat, Reference):
+            if sp.owner != name:
+                continue
+            upper = feat.bounds.upper
+            if upper is not None:
+                if upper != 1:
+                    sink.add("BoundsError", f"{name}.{fname}: upper bound must be 1 or *",
+                             feat.pos, sp.unit)
+                if feat.bounds.lower > upper:
+                    sink.add("BoundsError", f"{name}.{fname}: lower bound exceeds upper bound",
+                             feat.pos, sp.unit)
+            if not isinstance(feat, Reference):
                 continue
             if feat.target not in known:
                 sink.add("ClosureError",
@@ -739,6 +745,10 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                 if not isinstance(opp, Reference) or opp.opposite != feat.name:
                     sink.add("OppositeMismatch", f"opposites are not mutual for {name}.{fname}",
                              feat.pos, sp.unit)
+                elif opp.target != name:
+                    sink.add("OppositeMismatch",
+                             f"opposite {feat.target}.{feat.opposite} of {name}.{fname} "
+                             f"targets {opp.target}, not {name}", feat.pos, sp.unit)
                 elif feat.containment and opp.containment:
                     sink.add("ContainmentOpposite",
                              f"containment reference {name}.{fname} has a containment opposite",
@@ -746,12 +756,19 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
         for op, (sig, owner) in wc.op_sigs.items():
             if owner != name:
                 continue
+            unit = woven.sig_units[(owner, op)]
             for t in list(_named_types(sig.return_type)) + [
                 n for p in sig.params for n in _named_types(p.type)
             ]:
                 if t not in known:
                     sink.add("ClosureError", f"operation {name}.{op} mentions unknown class {t}",
-                             sig.pos, woven.sig_units[(owner, op)])
+                             sig.pos, unit)
+            _check_params(sig, f"{name}.{op}", unit, sink)
+        # a body of an operation its class declares has a signature of its own
+        for op, entries in wc.raw_definers.items():
+            for owner, mdef in entries:
+                if owner == name and mdef.sig is not wc.op_sigs.get(op, (None,))[0]:
+                    _check_params(mdef.sig, f"{name}.{op}", woven.method_units[(name, op)], sink)
     return sink.items
 
 

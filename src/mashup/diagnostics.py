@@ -93,7 +93,7 @@ class WorkbenchError(Exception):
 
 
 class UnitParseError(WorkbenchError):
-    """Syntax or unit-level validation failure, including unreadable files."""
+    """Syntax failure of a unit, including an unreadable file."""
 
     exit_code = 1
 

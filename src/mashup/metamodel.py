@@ -1,4 +1,4 @@
-"""Abstract-syntax concern: the metamodel data model, its parser and validator.
+"""Abstract-syntax concern: the metamodel data model, its parser and printer.
 
 A metamodel unit (``.mm``) declares packages of classes with attributes,
 references (optionally containment and/or paired with an opposite), operation
@@ -14,16 +14,16 @@ signatures and multiple inheritance:
 
 Multiplicities are written ``[lower..upper]`` or ``[*]``; the upper bound is
 1 or unbounded.  A feature without a multiplicity is ``[0..1]``.  Parsed
-metamodels are immutable; all structural rules are enforced by
-:func:`validate_metamodel`, which :func:`parse_metamodel` runs before
-returning.
+metamodels are immutable.  The parser checks syntax only (and that an
+attribute's type is primitive); every structural rule (names resolve,
+bounds, opposites, repeated declarations, cycles) is checked once, on the
+woven class table, by :func:`mashup.composer.compose` and
+:func:`mashup.composer.validate_woven`, whichever unit declares a member.
 """
 
 from __future__ import annotations
 
-from .diagnostics import (
-    Diagnostic, DiagnosticSink, NOPOS, Pos, Record, UnitParseError, set_field,
-)
+from .diagnostics import NOPOS, Pos, Record, set_field
 from .exprs import parse_sem_type
 from .lexer import Lexer
 from .semtypes import PRIMITIVES, SemType, VOID, class_type, coll, prim
@@ -103,19 +103,17 @@ class OperationSig(Record):
 
 class MetaClass(Record):
     __slots__ = ("name", "is_abstract", "supertypes", "attributes", "references", "operations",
-                 "origin", "pos")
+                 "pos")
 
     def __init__(self, name: str, is_abstract: bool = False, supertypes: tuple[str, ...] = (),
                  attributes: tuple[Attribute, ...] = (), references: tuple[Reference, ...] = (),
-                 operations: tuple[OperationSig, ...] = (), origin: str = "base",
-                 pos: Pos = NOPOS):
+                 operations: tuple[OperationSig, ...] = (), pos: Pos = NOPOS):
         set_field(self, "name", name)
         set_field(self, "is_abstract", is_abstract)
         set_field(self, "supertypes", supertypes)
         set_field(self, "attributes", attributes)
         set_field(self, "references", references)
         set_field(self, "operations", operations)
-        set_field(self, "origin", origin)  # 'base' | 'aspect'
         set_field(self, "pos", pos)
 
     def features(self) -> tuple:
@@ -242,16 +240,15 @@ def _parse_class(lx: Lexer) -> MetaClass:
     lx.expect("}")
     return MetaClass(
         name_tok.value, is_abstract, supers, tuple(attrs), tuple(refs),
-        tuple(ops), "base", name_tok.pos,
+        tuple(ops), name_tok.pos,
     )
 
 
 def parse_metamodel(text: str, unit: str = "<mm>") -> Metamodel:
-    """Parse and validate a metamodel unit.
+    """Parse a metamodel unit.
 
-    Raises UnitParseError carrying positioned diagnostics for syntax errors
-    and for any violated structural rule (dangling names, cycles, duplicate
-    features, bad bounds).
+    Raises UnitParseError carrying a positioned diagnostic for a syntax
+    error; structural rules are checked once the units are woven.
     """
     lx = Lexer(text, unit)
     lx.expect("metamodel")
@@ -263,15 +260,11 @@ def parse_metamodel(text: str, unit: str = "<mm>") -> Metamodel:
     lx.expect("}")
     if not lx.at_eof():
         raise lx.error("trailing input after metamodel")
-    mm = Metamodel(name, tuple(classes), unit)
-    problems = validate_metamodel(mm)
-    if problems:
-        raise UnitParseError(problems)
-    return mm
+    return Metamodel(name, tuple(classes), unit)
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Supertype order
 # ---------------------------------------------------------------------------
 
 
@@ -307,88 +300,6 @@ def supertypes_first(classes: dict[str, tuple[str, ...]]) -> tuple[list[str], li
                 done.add(name)
                 order.append(name)
     return order, None
-
-
-def _check_bounds(b: Bounds, where: str, pos: Pos, sink: DiagnosticSink) -> None:
-    if b.lower < 0:
-        sink.add("BoundsError", f"{where}: lower bound must be >= 0", pos)
-    if b.upper is not None and b.upper != 1:
-        sink.add("BoundsError", f"{where}: upper bound must be 1 or *", pos)
-    if b.upper is not None and b.lower > b.upper:
-        sink.add("BoundsError", f"{where}: lower bound exceeds upper bound", pos)
-
-
-def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
-    """Check every structural rule; an empty list means the metamodel is sound."""
-    sink = DiagnosticSink(mm.source_unit)
-    by_name: dict[str, MetaClass] = {}
-    for c in mm.classes:
-        if c.name in by_name:
-            sink.add("DuplicateClass", f"class {c.name} declared twice", c.pos)
-        else:
-            by_name[c.name] = c
-
-    for c in mm.classes:
-        for sup in c.supertypes:
-            if sup not in by_name:
-                sink.add("ResolutionError", f"class {c.name} extends unknown class {sup}", c.pos)
-        seen: dict[str, Pos] = {}
-        for f in c.features():
-            if f.name in seen:
-                sink.add(
-                    "DuplicateFeature",
-                    f"class {c.name} declares feature {f.name} more than once",
-                    f.pos,
-                )
-            seen[f.name] = f.pos
-        for a in c.attributes:
-            _check_bounds(a.bounds, f"{c.name}.{a.name}", a.pos, sink)
-        for r in c.references:
-            _check_bounds(r.bounds, f"{c.name}.{r.name}", r.pos, sink)
-            target = by_name.get(r.target)
-            if target is None:
-                sink.add(
-                    "ResolutionError",
-                    f"reference {c.name}.{r.name} targets unknown class {r.target}",
-                    r.pos,
-                )
-                continue
-            if r.opposite is not None:
-                opp = next((o for o in target.references if o.name == r.opposite), None)
-                if opp is None:
-                    sink.add(
-                        "ResolutionError",
-                        f"opposite {r.target}.{r.opposite} of {c.name}.{r.name} does not exist",
-                        r.pos,
-                    )
-                else:
-                    if opp.opposite != r.name or opp.target != c.name:
-                        sink.add(
-                            "OppositeMismatch",
-                            f"opposites are not mutual: {c.name}.{r.name} names "
-                            f"{r.target}.{r.opposite}, whose opposite is "
-                            f"{opp.opposite or 'unset'}",
-                            r.pos,
-                        )
-                    if r.containment and opp.containment:
-                        sink.add(
-                            "ContainmentOpposite",
-                            f"containment reference {c.name}.{r.name} has a containment opposite",
-                            r.pos,
-                        )
-        for op in c.operations:
-            names = [p.name for p in op.params]
-            if len(names) != len(set(names)):
-                sink.add(
-                    "DuplicateParam",
-                    f"operation {c.name}.{op.name} repeats a parameter name",
-                    op.pos,
-                )
-
-    _order, cycle = supertypes_first({c.name: c.supertypes for c in mm.classes})
-    if cycle:
-        sink.add("CycleError", "supertype cycle: " + " -> ".join(cycle))
-    return sink.items
 
 
 # ---------------------------------------------------------------------------

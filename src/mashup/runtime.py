@@ -19,9 +19,9 @@ containment) has no upkeep to run.
 Collections are values: every write of a many-valued slot stores a new
 ``Coll`` in it and no code changes a collection's ``items``, so a slot's
 collection is read, held in a variable and shared by a clone without a
-copy, and ``clone`` copies only the objects; a load starts every object
-from its class's ``WovenClass.defaults``, whose empty collections all its
-objects share.  The guarantees above hold
+copy, and ``clone`` copies only the objects; ``create_instance`` and a
+load start every object from its class's ``WovenClass.defaults``, whose
+empty collections all its objects share.  The guarantees above hold
 for writes through ``create_instance``, ``set_feature``, ``add_to_feature``
 and ``remove_from_feature``; writing ``Obj.slots`` or a collection's
 ``items`` in place voids them, a clone's independence included, and such
@@ -232,7 +232,7 @@ def create_instance(model: ModelInstance, class_name: str) -> ObjRef:
     if wc.is_abstract:
         raise EvalFault("AbstractInstantiation", f"class {class_name} is abstract")
     obj = Obj(model.fresh_id(), class_name)
-    obj.slots = wc.fresh_slots()
+    obj.slots = dict(wc.defaults)
     model._register(obj)
     return ObjRef(obj.id)
 

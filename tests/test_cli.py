@@ -28,6 +28,20 @@ def test_composition_error_exits_2():
     assert code == 2 and "ForbiddenComposition" in err
 
 
+def test_structurally_broken_metamodel_exits_2(tmp_path):
+    # the parser checks syntax only; the build refuses the structure
+    (tmp_path / "s.mm").write_text(
+        "metamodel s {\n  class A extends Ghost { attr n: Int[0..2]; }\n}\n")
+    (tmp_path / "s.mashup").write_text('package s;\nrequire "s.mm";\n')
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "s.mashup"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["s.mm:2:9: ResolutionError class A inherits unknown class Ghost"]
+    (tmp_path / "s.mm").write_text("metamodel s {\n  class A { attr n: Int[0..2]; }\n}\n")
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "s.mashup"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["s.mm:2:18: BoundsError A.n: upper bound must be 1 or *"]
+
+
 def test_validation_errors_point_at_their_declarations(tmp_path):
     (tmp_path / "v.mm").write_text(
         "metamodel v {\n  class A {\n    ref kids: B[*];\n    op make(x: Ghost);\n  }\n"

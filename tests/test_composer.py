@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 
@@ -7,34 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DIAMOND, FUML, GOLDEN, TABLE_MM, parse_units, run_cli, weave
-from mashup.behavior import AspectClass, BehaviorModule
+from mashup.behavior import BehaviorModule
 from mashup.composer import (
-    CompositionCase, ROOT_CLASS, SlotPlan, WovenClass, classify_pair, compose, emit_report,
-    linearize, linearize_all, load_manifest, parse_manifest, resolve_method_conflicts,
-    resolve_requires, validate_woven,
+    ROOT_CLASS, SlotPlan, WovenClass, compose, emit_report, linearize, linearize_all,
+    load_manifest, parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
 )
-from mashup.contracts import parse_contracts
 from mashup.diagnostics import CompositionError, UnitParseError
-from mashup.metamodel import MetaClass, Metamodel, Reference
-from mashup.runtime import default_value
-from mashup.typecheck import build
+from mashup.metamodel import Metamodel, Reference
+from mashup.exprs import StringV
+from mashup.runtime import ModelInstance, create_instance, default_value, save_model, set_feature
+from mashup.typecheck import build, build_units
 from test_acceptance import _brute_force_lin
 
 HEADER = 'package m;\nrequire "m.mm";\n'
 
 # ---------------------------------------------------------------------------
-# cases and unit resolution
+# unit resolution
 # ---------------------------------------------------------------------------
-
-
-def test_classify_pair_covers_all_cases():
-    base = MetaClass("Activity")
-    aspect = AspectClass("Activity")
-    (contract,) = parse_contracts(HEADER + "aspect class Activity { inv i : true; }").contributions
-    assert classify_pair(contract, aspect) is CompositionCase.KMT_KMT
-    assert classify_pair(base, MetaClass("Activity")) is CompositionCase.ECORE_ECORE
-    assert classify_pair(base, aspect) is CompositionCase.ECORE_KMT
-    assert classify_pair(aspect, base) is CompositionCase.ECORE_KMT
 
 
 def test_resolve_requires_loads_three_units_once(fuml):
@@ -192,7 +182,7 @@ def test_feature_clash_with_base_feature():
     with pytest.raises(CompositionError) as exc:
         compose(units)
     assert [d.render() for d in exc.value.diagnostics] == [
-        "u0.act:3:23: FeatureClash feature x reaches A from both A and A"]
+        "u0.act:3:23: FeatureClash class A declares feature x more than once"]
 
 
 def test_feature_clash_across_hierarchy():
@@ -219,6 +209,163 @@ def test_method_clash_between_units():
         compose(units)
     assert [d.render() for d in exc.value.diagnostics] == [
         "u1.act:3:28: FeatureClash method A.f is contributed by both u0.act and u1.act"]
+
+
+def test_every_repeated_base_class_is_reported():
+    units = parse_units(mm=["metamodel p { class A { } class B { } }",
+                            "metamodel q { class B { } class A { } class A { } }"])
+    with pytest.raises(CompositionError) as exc:
+        compose(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u1.mm:1:21: ForbiddenComposition class B is declared by both u0.mm and u1.mm; "
+        "mixing two base classes is forbidden",
+        "u1.mm:1:33: ForbiddenComposition class A is declared by both u0.mm and u1.mm; "
+        "mixing two base classes is forbidden",
+        "u1.mm:1:45: ForbiddenComposition class A is declared by both u0.mm and u1.mm; "
+        "mixing two base classes is forbidden"]
+
+
+def test_an_inherited_clash_is_reported_once_per_declaration():
+    # C and D inherit both clashes; each is reported once, at A's member
+    units = parse_units(mm="metamodel m { class A { attr x: Int; attr y: Int; } "
+                           "class B { attr x: Int; attr y: Int; } "
+                           "class C extends A, B { } class D extends A, B { } }")
+    with pytest.raises(CompositionError) as exc:
+        compose(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u0.mm:1:30: FeatureClash feature x reaches C from both B and A",
+        "u0.mm:1:43: FeatureClash feature y reaches C from both B and A"]
+
+
+# rule -> (the classes of a metamodel, an aspect unit or None, every line the
+# build reports): each structural rule once for a member a metamodel
+# declares and once for one an aspect declares, refused the same way
+_RULE_MM = "metamodel m {\n  class A { }\n  class B { }\n}\n"
+RULES = {
+    "upper bound, metamodel": (
+        "class A { attr y: Int[0..2]; }", None,
+        ["u0.mm:2:18: BoundsError A.y: upper bound must be 1 or *"]),
+    "upper bound, aspect": (
+        None, "aspect class A {\n  attr y: Int[0..2];\n}",
+        ["u0.act:4:8: BoundsError A.y: upper bound must be 1 or *"]),
+    "lower above upper, metamodel": (
+        "class A { ref z: A[3..1]; }", None,
+        ["u0.mm:2:17: BoundsError A.z: lower bound exceeds upper bound"]),
+    "lower above upper, aspect": (
+        None, "aspect class A {\n  ref z: A[3..1];\n}",
+        ["u0.act:4:7: BoundsError A.z: lower bound exceeds upper bound"]),
+    "repeated parameter, metamodel": (
+        "class A { op f(a: Int, a: Bool); }", None,
+        ["u0.mm:2:16: DuplicateParam operation A.f repeats a parameter name"]),
+    "repeated parameter, aspect": (
+        None, "aspect class A {\n  operation f(a : Int, a : Bool) : Void is do end\n}",
+        ["u0.act:4:13: DuplicateParam operation A.f repeats a parameter name"]),
+    "repeated parameter, body of a declared operation": (
+        "class A { op f(a: Int, b: Bool); }",
+        "aspect class A {\n  method f(a : Int, a : Bool) : Void is do end\n}",
+        ["u0.act:4:10: DuplicateParam operation A.f repeats a parameter name"]),
+    "opposite targets another class, metamodel": (
+        "class A { ref r: B opposite s; }\n  class B { ref s: C opposite r; }\n"
+        "  class C extends A { }", None,
+        ["u0.mm:2:17: OppositeMismatch opposite B.s of A.r targets C, not A"]),
+    "opposite targets another class, aspect": (
+        "class B { ref s: C opposite r; }\n  class A { }\n  class C extends A { }",
+        "aspect class A {\n  ref r: B opposite s;\n}",
+        ["u0.act:4:7: OppositeMismatch opposite B.s of A.r targets C, not A"]),
+    "missing opposite, metamodel": (
+        "class A { ref r: B opposite s; }\n  class B { }", None,
+        ["u0.mm:2:17: OppositeMismatch opposites are not mutual for A.r"]),
+    "missing opposite, aspect": (
+        None, "aspect class A {\n  ref r: B opposite s;\n}",
+        ["u0.act:4:7: OppositeMismatch opposites are not mutual for A.r"]),
+    "containment opposite, metamodel": (
+        "class A { ref r: B containment opposite s; }\n"
+        "  class B { ref s: A containment opposite r; }", None,
+        ["u0.mm:2:17: ContainmentOpposite containment reference A.r has a containment opposite",
+         "u0.mm:3:17: ContainmentOpposite containment reference B.s has a containment opposite"]),
+    "containment opposite, aspect": (
+        None, "aspect class A {\n  ref r: B containment opposite s;\n}\n"
+              "aspect class B {\n  ref s: A containment opposite r;\n}",
+        ["u0.act:4:7: ContainmentOpposite containment reference A.r has a containment opposite",
+         "u0.act:7:7: ContainmentOpposite containment reference B.s has a containment opposite"]),
+    "unknown reference target, metamodel": (
+        "class A { ref r: Ghost; }", None,
+        ["u0.mm:2:17: ClosureError reference A.r targets unknown class Ghost"]),
+    "unknown reference target, aspect": (
+        None, "aspect class A {\n  ref r: Ghost;\n}",
+        ["u0.act:4:7: ClosureError reference A.r targets unknown class Ghost"]),
+    "unknown supertype, metamodel": (
+        "class A extends Ghost { }", None,
+        ["u0.mm:2:9: ResolutionError class A inherits unknown class Ghost"]),
+    "unknown supertype, aspect": (
+        None, "aspect class A inherits Ghost { }",
+        ["u0.act:3:14: ResolutionError class A inherits unknown class Ghost"]),
+    "supertype cycle, metamodel": (
+        "class A extends B { }\n  class B extends A { }", None,
+        ["u0.mm:2:9: CycleError supertype cycle: A -> B -> A"]),
+    "supertype cycle, aspect": (
+        "class A { }\n  class B extends A { }", "aspect class A inherits B { }",
+        ["u0.act:3:14: CycleError supertype cycle: A -> B -> A"]),
+    "repeated feature, metamodel": (
+        "class A { attr x: Int; attr x: Bool; }", None,
+        ["u0.mm:2:31: FeatureClash class A declares feature x more than once"]),
+    "repeated feature, aspect": (
+        None, "aspect class A {\n  attr x: Int;\n  attr x: Bool;\n}",
+        ["u0.act:5:8: FeatureClash class A declares feature x more than once"]),
+    "inherited feature clash, metamodel": (
+        "class A { attr x: Int; }\n  class B extends A { attr x: Int; }", None,
+        ["u0.mm:2:18: FeatureClash feature x reaches B from both B and A"]),
+    "inherited feature clash, aspect": (
+        "class A { }\n  class B extends A { attr x: Int; }",
+        "aspect class A {\n  attr x: Int;\n}",
+        ["u0.act:4:8: FeatureClash feature x reaches B from both B and A"]),
+    # only a metamodel declares classes
+    "repeated class, metamodel": (
+        "class A { }\n  class A { }", None,
+        ["u0.mm:3:9: ForbiddenComposition class A is declared by both u0.mm and u0.mm; "
+         "mixing two base classes is forbidden"]),
+    "reserved class name, metamodel": (
+        "class Root { }", None,
+        ["u0.mm:2:9: ReservedName Root is the implicit reflection root"]),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_rule_is_checked_on_the_woven_table(rule):
+    classes, act, expected = RULES[rule]
+    mm = _RULE_MM if classes is None else "metamodel m {\n  " + classes + "\n}\n"
+    units = parse_units(mm=mm, act=[HEADER + act] if act else [])
+    with pytest.raises(CompositionError) as exc:
+        build_units(units)
+    assert [d.render() for d in exc.value.diagnostics] == expected
+
+
+def test_an_aspect_reference_whose_opposite_targets_a_subclass_is_refused():
+    # A.r's opposite B.s targets A's subclass C: a write of A.r would set
+    # B.s to an A, which no B.s may hold
+    units = parse_units(
+        mm="metamodel m {\n  class A { ref r: B opposite s; }\n  class B { }\n"
+           "  class C extends A { }\n}\n",
+        act=HEADER + "aspect class B {\n  ref s: C opposite r;\n}")
+    with pytest.raises(CompositionError) as exc:
+        build_units(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u0.mm:2:17: OppositeMismatch opposite B.s of A.r targets C, not A"]
+
+
+def test_a_reference_may_name_a_class_of_another_metamodel_unit():
+    woven = weave(mm=[
+        "metamodel a { class Shelf { ref books: Book[*] containment opposite shelf; } }",
+        "metamodel b { class Book extends Item { ref shelf: Shelf opposite books; } "
+        "class Item { attr title: String; } }"])
+    assert woven.classes["Book"].linearization == ("Book", "Item", ROOT_CLASS)
+    model = ModelInstance(woven)
+    shelf, book = create_instance(model, "Shelf"), create_instance(model, "Book")
+    set_feature(model, book.id, "title", StringV("Dune"))
+    set_feature(model, book.id, "shelf", shelf)
+    assert json.loads(save_model(model))["objects"] == [
+        {"id": "o1", "class": "Shelf", "slots": {"books": ["@o2"]}},
+        {"id": "o2", "class": "Book", "slots": {"shelf": "@o1", "title": "Dune"}}]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +485,7 @@ def _assert_slot_plans(woven, units):
         assert wc.links == tuple(
             sp for sp in wc.slots.values() if isinstance(sp.feat, Reference)
             and (sp.feat.opposite is not None or sp.feat.containment))
-        assert wc.fresh_slots() == {
+        assert wc.defaults == {
             fname: default_value(feat) for fname, (feat, _owner) in expected.items()}
         for fname, (feat, owner) in expected.items():
             sp = wc.slots[fname]
@@ -601,7 +748,7 @@ def test_subclass_invariants_superset_of_super():
 
 
 # ---------------------------------------------------------------------------
-# aspect weaving (composition case 1)
+# aspect weaving
 # ---------------------------------------------------------------------------
 
 # units -> every clash compose reports, each at the later of the two members
@@ -636,7 +783,7 @@ ASPECT_CLASHES = {
          "u1.inv:4:7: FeatureClash condition A.p on f is contributed by both u0.inv and u1.inv"]),
     "a repeat inside one aspect": (
         dict(act=HEADER + "aspect class A {\n  attr x: Int;\n  attr x: Int; }"),
-        ["u0.act:5:8: FeatureClash feature x reaches A from both A and A"]),
+        ["u0.act:5:8: FeatureClash class A declares feature x more than once"]),
 }
 
 

@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 
 from helpers import FUML
-from mashup.diagnostics import UnitParseError
+from mashup.diagnostics import CompositionError, UnitParseError
 from mashup.metamodel import (
-    Attribute, Bounds, MetaClass, Metamodel, Reference, parse_metamodel,
-    pretty_print, validate_metamodel,
+    Attribute, Bounds, MetaClass, Metamodel, Reference, parse_metamodel, pretty_print,
 )
+from mashup.typecheck import build_units
 
 ACTIVITY_MM = """
 metamodel fuml {
@@ -38,9 +38,19 @@ def test_parse_empty_metamodel():
     assert mm.classes == ()
 
 
+def _build_codes(mm: Metamodel) -> list[str]:
+    """The codes of what building ``mm`` alone reports; [] if it builds."""
+    try:
+        build_units([mm])
+    except CompositionError as exc:
+        return [d.code for d in exc.diagnostics]
+    return []
+
+
 def test_dangling_supertype_is_resolution_error():
-    with pytest.raises(UnitParseError) as exc:
-        parse_metamodel("metamodel m { class A extends B { } }")
+    mm = parse_metamodel("metamodel m { class A extends B { } }")
+    with pytest.raises(CompositionError) as exc:
+        build_units([mm])
     assert any(d.code == "ResolutionError" and "B" in d.message
                for d in exc.value.diagnostics)
 
@@ -50,8 +60,7 @@ def test_two_cycle_is_cycle_error():
         MetaClass("A", supertypes=("B",)),
         MetaClass("B", supertypes=("A",)),
     ))
-    codes = [d.code for d in validate_metamodel(mm)]
-    assert "CycleError" in codes
+    assert "CycleError" in _build_codes(mm)
 
 
 def test_non_mutual_opposite_reported():
@@ -62,8 +71,7 @@ def test_non_mutual_opposite_reported():
             Reference("t", "A"),
         )),
     ))
-    codes = [d.code for d in validate_metamodel(mm)]
-    assert "OppositeMismatch" in codes
+    assert "OppositeMismatch" in _build_codes(mm)
 
 
 def test_containment_opposite_pair_rejected():
@@ -71,22 +79,23 @@ def test_containment_opposite_pair_rejected():
         MetaClass("A", references=(Reference("r", "B", containment=True, opposite="s"),)),
         MetaClass("B", references=(Reference("s", "A", containment=True, opposite="r"),)),
     ))
-    codes = [d.code for d in validate_metamodel(mm)]
-    assert "ContainmentOpposite" in codes
+    assert "ContainmentOpposite" in _build_codes(mm)
 
 
 def test_fixture_metamodel_is_clean():
     mm = parse_metamodel((FUML / "fuml.mm").read_text(), "fuml.mm")
-    assert validate_metamodel(mm) == []
+    assert _build_codes(mm) == []
 
 
 def test_duplicate_class_and_feature_reported():
-    mm = Metamodel("m", (
+    # a repeated class stops the build before its features are woven, so
+    # each repetition is built on its own
+    duplicate_class = Metamodel("m", (MetaClass("A"), MetaClass("A")))
+    duplicate_feature = Metamodel("m", (
         MetaClass("A", attributes=(Attribute("x", "Int"), Attribute("x", "Bool"))),
-        MetaClass("A"),
     ))
-    codes = {d.code for d in validate_metamodel(mm)}
-    assert {"DuplicateClass", "DuplicateFeature"} <= codes
+    assert _build_codes(duplicate_class) == ["ForbiddenComposition"]
+    assert _build_codes(duplicate_feature) == ["FeatureClash"]
 
 
 def test_bad_bounds_reported():
@@ -94,13 +103,13 @@ def test_bad_bounds_reported():
         MetaClass("A", attributes=(Attribute("x", "Int", Bounds(0, 2)),)),
         MetaClass("B", attributes=(Attribute("y", "Int", Bounds(2, 1)),)),
     ))
-    assert sum(d.code == "BoundsError" for d in validate_metamodel(mm)) >= 2
+    assert _build_codes(mm).count("BoundsError") >= 2
 
 
 def test_print_parse_round_trip_fixture():
     mm = parse_metamodel((FUML / "fuml.mm").read_text(), "fuml.mm")
     again = parse_metamodel(pretty_print(mm), "fuml.mm")
-    assert validate_metamodel(again) == []
+    assert _build_codes(again) == []
     assert again == mm
 
 
@@ -157,11 +166,13 @@ def _random_metamodel_text(rng) -> str:
         pool = names[i + 1:]
         supers = rng.sample(pool, k=min(len(pool), rng.randint(0, 2)))
         members = []
+        # feature names are unique across classes, so no subclass inherits a
+        # clash
         for j in range(rng.randint(0, 3)):
             mult = rng.choice(["", "[*]", "[1..1]", "[0..1]"])
-            members.append(f"attr a{j}: {rng.choice(['Int', 'Bool', 'String'])}{mult};")
+            members.append(f"attr a{i}_{j}: {rng.choice(['Int', 'Bool', 'String'])}{mult};")
         for j in range(rng.randint(0, 2)):
-            members.append(f"ref r{j}: {rng.choice(names)}[*];")
+            members.append(f"ref r{i}_{j}: {rng.choice(names)}[*];")
         for j in range(rng.randint(0, 2)):
             ret = rng.choice([": Int", ": Bool", ": Sequence<String>", ""])
             members.append(f"op f{j}(x: Int, y: {name}){ret};")
@@ -179,13 +190,12 @@ def test_round_trip_on_random_metamodels():
         mm = parse_metamodel(_random_metamodel_text(rng))
         again = parse_metamodel(pretty_print(mm))
         assert again == mm
-        assert validate_metamodel(again) == []
+        assert _build_codes(again) == []
 
 
 def test_duplicate_params_reported():
-    with pytest.raises(UnitParseError) as exc:
-        parse_metamodel("metamodel m { class A { op f(x: Int, x: Bool); } }")
-    assert any(d.code == "DuplicateParam" for d in exc.value.diagnostics)
+    mm = parse_metamodel("metamodel m { class A { op f(x: Int, x: Bool); } }")
+    assert _build_codes(mm) == ["DuplicateParam"]
 
 
 def test_syntax_error_carries_position():

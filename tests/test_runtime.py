@@ -924,7 +924,7 @@ def _each(*mutations):
 
 def _second_container(m):
     extra = create_instance(m, "Activity")
-    m.obj(extra.id).slots["node"].items.append(ObjRef("o2"))
+    m.obj(extra.id).slots["node"] = Coll("OrderedSet", [ObjRef("o2")])
 
 
 # fuml-lite with an activity of at least eight nodes
@@ -1508,7 +1508,7 @@ def test_save_refuses_containment_cycle(fuml_woven):
     a = create_instance(model, "Activity")
     # hand-build a cycle behind the API's back
     obj = model.obj(a.id)
-    obj.slots["node"].items.append(ObjRef(a.id))
+    obj.slots["node"] = Coll("OrderedSet", [ObjRef(a.id)])
     with pytest.raises(TypecheckError):
         save_model(model)
 
