@@ -445,10 +445,11 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     finds.  The unknown aspect targets and member clashes of a build are
     reported together, in unit order: each aspect in turn, its members by
     kind.  A feature declaration that clashes is reported once, at that
-    declaration, however many classes inherit the clash.  Ambiguous methods
-    do not abort composition; they are recorded on the class and reported by
-    resolve_method_conflicts, and the rules that need no weaving decision are
-    left to validate_woven.
+    declaration, however many classes inherit the clash.  The bad renamings
+    of a build are reported together, in unit and position order.
+    Ambiguous methods do not abort composition; they are recorded on the
+    class and reported by resolve_method_conflicts, and the rules that need
+    no weaving decision are left to validate_woven.
     """
     metamodels = [u for u in units if isinstance(u, Metamodel)]
     if not metamodels:
@@ -545,6 +546,13 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         own_sigs[name] = sigs
         for sig, unit in sigs:
             sig_units.setdefault((name, sig.name), unit)
+        declared: set[str] = set()
+        for sig in base[name][0].operations:
+            if sig.name in declared:
+                sink.add("FeatureClash",
+                         f"class {name} declares operation {sig.name} more than once",
+                         sig.pos, mm_unit)
+            declared.add(sig.name)
 
     # each class's slots along its linearization; a declaration clashing
     # with an earlier one is reported once, whichever classes inherit both
@@ -594,8 +602,9 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         renamed: dict[str, set[str]] = {}  # operation -> the classes renamings took it from
         for aspect, unit_name in aspects_of.get(name, ()):
             for rename in aspect.renamings:
-                table = _apply_renaming(name, rename, unit_name, table, lin, lin_of, definers)
-                renamed.setdefault(rename.op_name, set()).update(lin_of[rename.from_class])
+                table = _apply_renaming(name, rename, unit_name, table, lin, lin_of, definers,
+                                        sink)
+                renamed.setdefault(rename.op_name, set()).update(lin_of.get(rename.from_class, ()))
         # a renamed-away name keeps the signature of the body it still runs,
         # or of a class no renaming took it from, so that calls are checked
         # against what runs
@@ -633,6 +642,9 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         )
         wc.flat_invariants, wc.flat_pre, wc.flat_post = flatten_contracts(lin, aspects_of)
         woven.classes[name] = wc
+    if sink:
+        order = {unit.source_unit: i for i, unit in enumerate(units)}
+        raise CompositionError(sorted(sink.items, key=lambda d: (order[d.unit], d.pos)))
     return woven
 
 
@@ -644,7 +656,10 @@ def _apply_renaming(
     lin: tuple[str, ...],
     lin_of: dict[str, tuple[str, ...]],
     definers: dict[str, list[tuple[str, MethodDef]]],
+    sink: DiagnosticSink,
 ) -> dict[str, tuple[tuple[str, MethodDef], ...]]:
+    """``table`` with one renaming applied; a renaming that cannot apply is
+    reported to ``sink`` and leaves ``table`` as it is."""
     source_lin = lin_of.get(rename.from_class)
     problem = None
     if rename.from_class not in lin[1:]:
@@ -661,12 +676,9 @@ def _apply_renaming(
         elif rename.new_name in table:
             problem = f"{class_name} already has an operation named {rename.new_name}"
     if problem:
-        raise CompositionError(
-            [Diagnostic("RenameTargetMissing",
-                        f"cannot rename {rename.op_name} from {rename.from_class} "
-                        f"as {rename.new_name}: {problem}",
-                        unit_name, rename.pos)]
-        )
+        sink.add("RenameTargetMissing", f"cannot rename {rename.op_name} from "
+                 f"{rename.from_class} as {rename.new_name}: {problem}", rename.pos, unit_name)
+        return table
     table = dict(table)
     table[rename.new_name] = renamed_chain
     remaining = tuple(

@@ -46,17 +46,41 @@ of ``conformance_check`` run once after; only if any of that fails does
 model that is not clean.  The conformance check walks each object against
 its class's plans and formats a message only for what fails.
 
+The whole-model operations run with CPython's cyclic collector paused
+(``_gc_paused``): ``load_model``, ``check_model``, ``conformance_check``,
+``save_model``, ``ModelInstance.clone`` and ``Interpreter.invoke``, the way
+in from outside.  Each allocates containers by the thousand (an object, its
+slot dict, its references and collections), so with the collector on a load
+of a few thousand objects starts dozens of collections, and the older
+generations' passes traverse the model being built.  None of them can find
+garbage: a slot holds ``ObjRef`` ids, never ``Obj`` objects, no object
+points back at its model or interpreter, and every value is an immutable
+tree of atoms, so nothing these operations make or drop is on a reference
+cycle, and reference counting frees all they drop.  The first compile of a
+woven model, in its first ``Interpreter``, does leave cycles (once) and is
+not paused; nor is the one-element API (``create_instance``,
+``set_feature``, ``add_to_feature``, ``remove_from_feature``,
+``eval_expr``), each call of which allocates little.  What an operation
+made is scanned by the first collection after it, as the caller holds it.
+
 A model instance and the interpreter running it belong to one thread at a
 time; the woven model they reference is shared read-only, but for the
 compiled code its first interpreter caches on it (threads that make first
 interpreters at once may each compile it; any of the equal results
-serves).  Independent instances may execute concurrently.
+serves).  Independent instances may execute concurrently.  The collector's
+flag is process-wide: a paused operation turns it off only if it was on,
+and on again when it returns or raises, so each operation leaves the state
+it found, a nested one included.  An operation in one thread pauses
+collection for all threads while it runs, and one that ends first may end
+the pause of another still running, which then runs with the collector on.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import namedtuple
+from functools import wraps
 
 from .codegen import _no_method, compile_expr, compiled
 from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
@@ -76,6 +100,24 @@ from .typecheck import TypeContext, assignable, typecheck_expr
 POLICY_OFF = "off"
 POLICY_PREPOST = "prepost"
 POLICY_FULL = "full"
+
+
+def _gc_paused(op):
+    """``op`` run with CPython's cyclic collector paused, and enabled again
+    however ``op`` ends; where the collector is already off, ``op`` runs as
+    it is.  See the module docstring for why this is sound."""
+
+    @wraps(op)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return op(*args, **kwargs)
+        gc.disable()
+        try:
+            return op(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +181,12 @@ TraceEvent = OpEnter | OpExit | ContractViolationEvent | NodeExecuted
 class Obj:
     __slots__ = ("id", "class_name", "slots", "container")
 
-    def __init__(self, oid: str, class_name: str):
+    def __init__(self, oid: str, class_name: str, slots: dict[str, Value] | None = None,
+                 container: tuple[str, str] | None = None):
         self.id = oid
         self.class_name = class_name
-        self.slots: dict[str, Value] = {}
-        self.container: tuple[str, str] | None = None  # (container id, feature)
+        self.slots: dict[str, Value] = {} if slots is None else slots
+        self.container = container  # (container id, feature)
 
     def __repr__(self) -> str:
         return f"Obj({self.id}:{self.class_name})"
@@ -203,16 +246,14 @@ class ModelInstance:
         if oid in self.roots:
             self.roots.remove(oid)
 
+    @_gc_paused
     def clone(self) -> "ModelInstance":
         out = ModelInstance(self.woven)
         out._next_id = self._next_id
         out.clean = self.clean
         out.roots = list(self.roots)
-        for oid, obj in self.objects.items():
-            copy = Obj(oid, obj.class_name)
-            copy.container = obj.container
-            copy.slots = dict(obj.slots)
-            out.objects[oid] = copy
+        out.objects = {oid: Obj(oid, obj.class_name, dict(obj.slots), obj.container)
+                       for oid, obj in self.objects.items()}
         return out
 
     def fingerprint(self) -> str:
@@ -231,8 +272,7 @@ def create_instance(model: ModelInstance, class_name: str) -> ObjRef:
         raise EvalFault("UnknownClass", f"unknown class {class_name}")
     if wc.is_abstract:
         raise EvalFault("AbstractInstantiation", f"class {class_name} is abstract")
-    obj = Obj(model.fresh_id(), class_name)
-    obj.slots = dict(wc.defaults)
+    obj = Obj(model.fresh_id(), class_name, dict(wc.defaults))
     model._register(obj)
     return ObjRef(obj.id)
 
@@ -507,6 +547,7 @@ class Interpreter:
 
     # -- dispatch ---------------------------------------------------------
 
+    @_gc_paused
     def invoke(self, recv, op: str, args: list[Value]) -> Value:
         """Call ``op`` on ``recv`` (an object, a reference or an id) from
         outside the program, checking what no checker saw: the operation and
@@ -662,6 +703,7 @@ def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = 
     return CheckResult("error", inv.name, obj.id, owner, "invariant did not yield a Bool")
 
 
+@_gc_paused
 def check_model(model: ModelInstance) -> list[CheckResult]:
     """Every flattened invariant of every object, in deterministic order, all
     evaluated by one interpreter."""
@@ -679,6 +721,7 @@ def check_model(model: ModelInstance) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+@_gc_paused
 def conformance_check(model: ModelInstance, source: str = "<model>") -> list[Diagnostic]:
     """Structural validity: types, bounds, opposite listing, containment forest.
 
@@ -891,6 +934,7 @@ def _shape_problems(doc) -> list[str]:
     return problems
 
 
+@_gc_paused
 def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelInstance:
     """Parse, resolve and conformance-check a JSON model document.
 
@@ -932,8 +976,7 @@ def load_model(text: str, woven: WovenModel, source: str = "<model>") -> ModelIn
         if wc is None:
             sink.add("UnknownClass", f"object {oid} has unknown class {cls}")
             continue
-        obj = objects[oid] = Obj(oid, cls)
-        obj.slots = dict(wc.defaults)
+        objects[oid] = Obj(oid, cls, dict(wc.defaults))
         by_text["@" + oid] = (ObjRef(oid), cls)
     if sink:
         raise TypecheckError(sink.items)
@@ -1071,6 +1114,7 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
+@_gc_paused
 def save_model(model: ModelInstance) -> str:
     """The canonical text of a model; refuses nonconformant models.
 

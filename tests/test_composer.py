@@ -312,6 +312,13 @@ RULES = {
     "repeated feature, aspect": (
         None, "aspect class A {\n  attr x: Int;\n  attr x: Bool;\n}",
         ["u0.act:5:8: FeatureClash class A declares feature x more than once"]),
+    "repeated operation, metamodel": (
+        "class A { op f(a: Int); op f(b: Bool); }", None,
+        ["u0.mm:2:30: FeatureClash class A declares operation f more than once"]),
+    "repeated operations, one overriding its supertype's": (
+        "class A { op f(); }\n  class B extends A { op g(); op f(); op g(); op f(); }", None,
+        ["u0.mm:3:42: FeatureClash class B declares operation g more than once",
+         "u0.mm:3:50: FeatureClash class B declares operation f more than once"]),
     "inherited feature clash, metamodel": (
         "class A { attr x: Int; }\n  class B extends A { attr x: Int; }", None,
         ["u0.mm:2:18: FeatureClash feature x reaches B from both B and A"]),
@@ -689,6 +696,24 @@ def test_rename_of_missing_operation_fails():
     )
     with pytest.raises(CompositionError):
         compose(units)
+
+
+def test_every_bad_renaming_of_a_build_is_reported_in_unit_and_position_order():
+    # D's aspect is in an earlier unit than B's, though compose weaves B first
+    units = parse_units(mm=DIAMOND_MM, act=[
+        DIAMOND_ACT,
+        'package d;\nrequire "d.mm";\naspect class D {\n  rename walk from C as walkC;\n'
+        "  rename run from Ghost as runG;\n}",
+        'package d;\nrequire "d.mm";\naspect class B { rename run from C as runC; }'])
+    with pytest.raises(CompositionError) as exc:
+        compose(units)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "u1.act:4:10: RenameTargetMissing cannot rename walk from C as walkC: "
+        "C does not provide operation walk",
+        "u1.act:5:10: RenameTargetMissing cannot rename run from Ghost as runG: "
+        "Ghost is not a supertype of D",
+        "u2.act:3:25: RenameTargetMissing cannot rename run from C as runC: "
+        "C is not a supertype of B"]
 
 
 # ---------------------------------------------------------------------------

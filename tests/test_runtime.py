@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    FUML, MODELS, TABLE_HEADER, TABLE_MM, parse_units, run_cli, table_model, weave,
+    FUML, MODELS, TABLE_HEADER, TABLE_MM, parse_units, run_cli, table_act, table_model, weave,
 )
 from mashup.composer import SlotPlan, compose
-from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError
+from mashup.diagnostics import ContractViolation, EvalFault, TypecheckError, WorkbenchError
 from mashup.exprs import (
     VOID_VALUE, BoolV, Coll, IntV, ObjRef, StringV, VoidV, parse_expr, render_value,
 )
@@ -1615,3 +1616,119 @@ def test_clone_is_independent():
         assert save_model(pair[kept]) == saved
         assert pair[kept].fingerprint() == fingerprint
         assert pair[kept].obj("o1").slots["name"] == StringV("WorkSessionActivity")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+_DEPTH_400 = build_recursive_model(400)[0]  # 2807 elements
+_FAULTING_WOVEN = weave(mm=TABLE_MM, act=table_act('    self.fault("bottom")'))
+
+
+def _whole_model_operations(fuml_woven, text: str) -> dict:
+    """Each paused operation, as a call, on the document ``text``: the valid
+    ones in an order where each has what it needs, then the failing ones.
+    A dirty clone makes ``save_model`` run ``conformance_check`` inside."""
+    model = load_model(text, fuml_woven)
+    Interpreter(model)  # the model's first compile, which no operation pauses
+    dirty = model.clone()
+    dirty.clean = False
+    faulting = table_model(_FAULTING_WOVEN)
+    Interpreter(faulting)
+    runs = {policy: model.clone() for policy in ("off", "prepost", "full")}
+    doc = json.loads(text)
+    doc["objects"][0]["slots"]["name"] = 7
+    bad = json.dumps(doc)
+    return {
+        "load": lambda: load_model(text, fuml_woven),
+        "check": lambda: check_model(model),
+        "conformance": lambda: conformance_check(model),
+        "save": lambda: save_model(model),
+        "save, checked": lambda: save_model(dirty),
+        "clone": lambda: model.clone(),
+        **{f"run, {policy}": lambda policy=policy: invoke(
+            runs[policy], ObjRef("a1"), "execute", policy=policy) for policy in runs},
+        "load, bad JSON": lambda: load_model(text[:-3], fuml_woven),
+        "load, non-conforming": lambda: load_model(bad, fuml_woven),
+        "run, faulting": lambda: invoke(faulting, "o1", "run"),
+    }
+
+
+_FAILING = ("load, bad JSON", "load, non-conforming", "run, faulting")
+
+
+def _run(name: str, op) -> None:
+    try:
+        op()
+    except (WorkbenchError, EvalFault):
+        assert name in _FAILING
+    else:
+        assert name not in _FAILING
+
+
+def test_whole_model_operations_leave_no_cyclic_garbage(fuml_woven):
+    """Reference counting frees all that each paused operation drops, so
+    pausing the cyclic collector leaks nothing: a slot holds ids, not
+    objects, and every value is an immutable tree of atoms."""
+    left = {}
+    for name, op in _whole_model_operations(fuml_woven, build_recursive_model(102)[0]).items():
+        gc.collect()
+        gc.disable()
+        try:
+            _run(name, op)
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert left == dict.fromkeys(left, 0)
+
+
+def test_no_collection_runs_inside_a_whole_model_operation(fuml_woven):
+    """Each operation that ends well on the 2807-element document; one that
+    raises is left out, since the traceback it builds once the collector is
+    back on may start a collection of its own."""
+    seen: dict[str, list[int]] = {}
+    operations = {name: op for name, op in _whole_model_operations(fuml_woven, _DEPTH_400).items()
+                  if name not in _FAILING}
+
+    for name, op in operations.items():
+        starts = seen[name] = []
+
+        def record(phase, info, starts=starts):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            _run(name, op)
+        finally:
+            gc.callbacks.remove(record)
+    assert seen == {name: [] for name in operations}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_each_operation_leaves_the_collector_as_it_found_it(fuml_woven, enabled):
+    found = {}
+    for name, op in _whole_model_operations(fuml_woven, build_recursive_model(3)[0]).items():
+        if not enabled:
+            gc.disable()
+        try:
+            _run(name, op)
+            found[name] = gc.isenabled()
+        finally:
+            gc.enable()
+    assert found == dict.fromkeys(found, enabled)
+
+
+def test_a_nested_operation_runs_paused_and_leaves_the_collector_enabled(fuml_woven,
+                                                                          monkeypatch):
+    import mashup.runtime as runtime
+    model = load_model(build_recursive_model(3)[0], fuml_woven)
+    model.clean = False
+    inside = []
+    check = runtime.conformance_check
+    monkeypatch.setattr(runtime, "conformance_check",
+                        lambda *args: inside.append(gc.isenabled()) or check(*args))
+    save_model(model)
+    assert inside == [False] and gc.isenabled()
