@@ -7,12 +7,12 @@ and the composer weaves the open-class aspects into one executable class
 table that a model interpreter runs directly.
 """
 
-from .behavior import BehaviorModule, parse_behavior
+from .behavior import AspectUnit, parse_behavior
 from .composer import (
     MashupManifest, WovenClass, WovenModel, compose, emit_report, flatten_contracts,
     linearize, parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
 )
-from .contracts import ContractModule, parse_contracts
+from .contracts import parse_contracts
 from .diagnostics import (
     CompositionError, ContractViolation, Diagnostic, EvalFault, TypecheckError,
     UnitParseError, WorkbenchError,
@@ -24,9 +24,6 @@ from .runtime import (
     check_invariant, check_model, create_instance, eval_expr, invoke,
     load_model, remove_from_feature, save_model, set_feature,
 )
-from .typecheck import (
-    build, build_units, typecheck_behavior, typecheck_contracts, typecheck_expr,
-    typecheck_units,
-)
+from .typecheck import build, build_units, typecheck_expr, typecheck_units
 
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Behavioral-semantics concern: the imperative action language.
 
 A behavior unit (``.act``) reopens classes to add supertypes, structural
-features and method bodies, each block an :class:`AspectClass`:
+features and method bodies, each block an :class:`AspectClass`.  The unit
+parses to an :class:`AspectUnit`, the record a constraint unit parses to
+as well; only the grammars of the two differ:
 
     package fuml;
     require "fuml.mm";
@@ -17,9 +19,10 @@ whose signature already exists on the class or one of its supertypes.
 ``rename Op from SuperClass as NewName;`` resolves multiple-inheritance
 ambiguities.  Statements need no terminating semicolon (one is accepted);
 loops are ``from <stmt> until <expr> loop ... end`` with an optional from
-clause, plus ``while <expr> loop ... end``.  A ``super(args)`` statement
-re-invokes the enclosing operation one inheritance level up; ``super[Q]``
-starts the lookup at supertype Q.
+clause, plus ``while <expr> loop ... end``, and ``recv.each { x | ... }``
+runs a statement block per element (:class:`~mashup.exprs.EachLoop`).  A
+``super(args)`` statement re-invokes the enclosing operation one
+inheritance level up; ``super[Q]`` starts the lookup at supertype Q.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Union
 
 from .diagnostics import NOPOS, Pos, Record, set_field
-from .exprs import EachBlock, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
+from .exprs import EachLoop, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
 from .lexer import Lexer, parse_header
 from .metamodel import (
     Attribute, OperationSig, Reference, parse_feature, parse_operation_sig, parse_supertypes,
@@ -89,16 +92,6 @@ class Loop(Record):
         set_field(self, "body", body)
         # loop while the condition holds instead of until
         set_field(self, "while_style", while_style)
-        set_field(self, "pos", pos)
-
-
-class EachLoop(Record):
-    __slots__ = ("receiver", "param", "body", "pos")
-
-    def __init__(self, receiver: Expr, param: str, body: tuple = (), pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "param", param)
-        set_field(self, "body", body)
         set_field(self, "pos", pos)
 
 
@@ -178,11 +171,13 @@ class AspectClass(Record):
         set_field(self, "pos", pos)
 
 
-class BehaviorModule(Record):
+class AspectUnit(Record):
+    """A parsed constraint or behavior unit: its header and its aspects."""
+
     __slots__ = ("package", "requires", "aspects", "source_unit")
 
     def __init__(self, package: str, requires: tuple[str, ...],
-                 aspects: tuple[AspectClass, ...], source_unit: str = "<act>"):
+                 aspects: tuple[AspectClass, ...], source_unit: str):
         set_field(self, "package", package)
         set_field(self, "requires", requires)
         set_field(self, "aspects", aspects)
@@ -203,13 +198,13 @@ class _BehaviorParser:
 
     # -- units ---------------------------------------------------------
 
-    def module(self) -> BehaviorModule:
+    def module(self) -> AspectUnit:
         lx = self.lx
         package, requires = parse_header(lx, "a behavior unit")
         aspects: list[AspectClass] = []
         while not lx.at_eof():
             aspects.append(self.aspect_class())
-        return BehaviorModule(package, requires, tuple(aspects), lx.unit)
+        return AspectUnit(package, requires, tuple(aspects), lx.unit)
 
     def aspect_class(self) -> AspectClass:
         lx = self.lx
@@ -338,8 +333,8 @@ class _BehaviorParser:
     def _assign_or_expr(self) -> Stmt:
         pos = self.lx.peek().pos
         e = self.exprs.expression()
-        if isinstance(e, EachBlock):
-            return EachLoop(e.receiver, e.param, e.body, e.pos)
+        if isinstance(e, EachLoop):
+            return e  # the expression parser builds each-loops whole
         if self.lx.accept(":="):
             if not isinstance(e, (FeatureNav, VarRef)):
                 raise self.lx.error("assignment target must be a variable or feature", pos)
@@ -347,7 +342,5 @@ class _BehaviorParser:
         return ExprStmt(e, pos)
 
 
-def parse_behavior(text: str, unit: str = "<act>") -> BehaviorModule:
-    lx = Lexer(text, unit)
-    module = _BehaviorParser(lx).module()
-    return module
+def parse_behavior(text: str, unit: str = "<act>") -> AspectUnit:
+    return _BehaviorParser(Lexer(text, unit)).module()

@@ -36,8 +36,8 @@ from __future__ import annotations
 import difflib
 import os
 
-from .behavior import AspectClass, BehaviorModule, MethodDef, Renaming, parse_behavior
-from .contracts import ConditionDecl, ContractModule, InvariantDecl, parse_contracts
+from .behavior import AspectClass, AspectUnit, MethodDef, Renaming, parse_behavior
+from .contracts import ConditionDecl, InvariantDecl, parse_contracts
 from .diagnostics import (
     NOPOS, CompositionError, Diagnostic, DiagnosticSink, Pos, Record, UnitParseError,
     nested_too_deeply, set_field,
@@ -59,7 +59,7 @@ ROOT_BUILTINS: dict[str, OperationSig] = {
     "container": OperationSig("container", (), class_type(ROOT_CLASS)),
 }
 
-Unit = Metamodel | ContractModule | BehaviorModule
+Unit = Metamodel | AspectUnit
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +323,12 @@ class WovenClass:
 
 class WovenModel:
     def __init__(self, package: str, classes: dict[str, WovenClass],
-                 root_class: str = ROOT_CLASS, base_units: tuple[str, ...] = (),
+                 base_units: tuple[str, ...] = (),
                  aspect_units: dict[str, tuple[str, ...]] | None = None,
                  method_units: dict[tuple[str, str], str] | None = None,
                  sig_units: dict[tuple[str, str], str] | None = None):
         self.package = package
         self.classes = classes
-        self.root_class = root_class
         self.base_units = base_units
         self.aspect_units = {} if aspect_units is None else aspect_units
         # (class, method) -> the behavior unit that declares the body
@@ -340,7 +339,7 @@ class WovenModel:
         self.compiled = None
 
     def conforms(self, sub: str, sup: str) -> bool:
-        if sup == self.root_class or sub == sup:
+        if sup == ROOT_CLASS or sub == sup:
             return True
         wc = self.classes.get(sub)
         return wc is not None and sup in wc.linearization
@@ -478,12 +477,9 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
     # each class's aspects with their units, in unit order
     aspects_of: dict[str, list[tuple[AspectClass, str]]] = {}
     for unit in units:
-        aspects: tuple = ()
-        if isinstance(unit, ContractModule):
-            aspects = unit.contributions
-        elif isinstance(unit, BehaviorModule):
-            aspects = unit.aspects
-        for aspect in aspects:
+        if isinstance(unit, Metamodel):
+            continue
+        for aspect in unit.aspects:
             name = aspect.class_name
             if name not in base:
                 hint = difflib.get_close_matches(name, base, n=1)
@@ -575,7 +571,7 @@ def compose(units: list[Unit], package: str | None = None) -> WovenModel:
         raise CompositionError(sink.items)
 
     woven = WovenModel(
-        package, {}, ROOT_CLASS,
+        package, {},
         base_units=tuple(dict.fromkeys(mm.source_unit for mm in metamodels)),
         aspect_units={name: tuple(dict.fromkeys(unit for _aspect, unit in aspects_of[name]))
                       for name in base if name in aspects_of},
@@ -716,11 +712,11 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
     classes, mutual opposites that target each other's declaring class and
     are not both containments, and no repeated parameter name."""
     sink = DiagnosticSink("<woven>")
-    known = set(woven.classes) | {woven.root_class}
+    known = set(woven.classes) | {ROOT_CLASS}
     for name, wc in woven.classes.items():
         if not wc.linearization or wc.linearization[0] != name:
             sink.add("BadLinearization", f"linearization of {name} must start with itself")
-        if wc.linearization[-1] != woven.root_class:
+        if wc.linearization[-1] != ROOT_CLASS:
             sink.add("BadLinearization", f"linearization of {name} must end with the root")
         if len(set(wc.linearization)) != len(wc.linearization):
             sink.add("BadLinearization", f"linearization of {name} repeats a class")

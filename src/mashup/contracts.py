@@ -12,14 +12,16 @@ boolean rules:
     }
 
 Each block parses to a :class:`~mashup.behavior.AspectClass` holding only
-its rules.  ``self`` is bound inside every rule; pre/post conditions
+its rules, and the unit to the :class:`~mashup.behavior.AspectUnit` a
+behavior unit parses to; this grammar admits rules only, and its errors
+name them.  ``self`` is bound inside every rule; pre/post conditions
 additionally bind the operation parameters and post conditions bind
 ``result``.
 """
 
 from __future__ import annotations
 
-from .behavior import AspectClass
+from .behavior import AspectClass, AspectUnit
 from .diagnostics import NOPOS, Pos, Record, set_field
 from .exprs import Expr, ExprParser
 from .lexer import Lexer, parse_header
@@ -44,24 +46,13 @@ class ConditionDecl(Record):
         set_field(self, "pos", pos)
 
 
-class ContractModule(Record):
-    __slots__ = ("package", "requires", "contributions", "source_unit")
-
-    def __init__(self, package: str, requires: tuple[str, ...],
-                 contributions: tuple[AspectClass, ...], source_unit: str = "<inv>"):
-        set_field(self, "package", package)
-        set_field(self, "requires", requires)
-        set_field(self, "contributions", contributions)
-        set_field(self, "source_unit", source_unit)
-
-
-def parse_contracts(text: str, unit: str = "<inv>") -> ContractModule:
+def parse_contracts(text: str, unit: str = "<inv>") -> AspectUnit:
     lx = Lexer(text, unit)
     package, requires = parse_header(lx, "a constraint unit")
-    contributions: list[AspectClass] = []
+    aspects: list[AspectClass] = []
     while not lx.at_eof():
-        contributions.append(_parse_aspect(lx))
-    return ContractModule(package, requires, tuple(contributions), unit)
+        aspects.append(_parse_aspect(lx))
+    return AspectUnit(package, requires, tuple(aspects), unit)
 
 
 def _parse_aspect(lx: Lexer) -> AspectClass:

@@ -6,7 +6,8 @@ in structural equality so round-tripped ASTs compare equal.
 
 Lambda syntax is ``recv.op { param | body }``.  In behavior units an
 ``each`` lambda may carry a statement block instead of an expression; the
-parser is handed a statement-block callback for that single case.
+parser is handed a statement-block callback for that single case and
+builds the each-loop statement, :class:`EachLoop`, itself.
 """
 
 from __future__ import annotations
@@ -160,16 +161,14 @@ class New(Record):
         set_field(self, "pos", pos)
 
 
-class EachBlock(Record):
-    """Behavior-unit ``each`` whose body is a statement block.
-
-    Only valid as a whole statement; the statement parser lifts it into an
-    each-loop and the type checker rejects nested occurrences.
-    """
+class EachLoop(Record):
+    """``recv.each { x | <statements> }`` of a behavior unit: a statement
+    the expression parser builds, since it starts like an expression.  The
+    type checker refuses one in expression position."""
 
     __slots__ = ("receiver", "param", "body", "pos")
 
-    def __init__(self, receiver: Expr, param: str, body: tuple, pos: Pos = NOPOS):
+    def __init__(self, receiver: Expr, param: str, body: tuple = (), pos: Pos = NOPOS):
         set_field(self, "receiver", receiver)
         set_field(self, "param", param)
         set_field(self, "body", body)  # tuple of behavior statements
@@ -178,7 +177,7 @@ class EachBlock(Record):
 
 Expr = Union[
     SelfRef, VarRef, IntLit, BoolLit, StringLit, VoidLit, FeatureNav, OpCall,
-    CollectionOp, TypeTest, BinOp, Not, IfExpr, New, EachBlock,
+    CollectionOp, TypeTest, BinOp, Not, IfExpr, New, EachLoop,
 ]
 
 BINARY_OPS = ("+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or")
@@ -430,7 +429,7 @@ class ExprParser:
                 e = self._call(e, name, pos)
             elif self.lx.at("{") and name in LAMBDA_OPS:
                 e = self._lambda_op(e, name, pos)
-                if isinstance(e, EachBlock):
+                if isinstance(e, EachLoop):
                     return e  # statement-bodied each ends the chain
             else:
                 e = FeatureNav(e, name, pos)
@@ -466,7 +465,7 @@ class ExprParser:
         if name == "each" and self.stmt_block_parser is not None:
             body = self.stmt_block_parser()
             self.lx.expect("}")
-            return EachBlock(receiver, param, body, pos)
+            return EachLoop(receiver, param, body, pos)
         body = self.expression()
         self.lx.expect("}")
         return CollectionOp(receiver, name, lam=Lambda(param, body), pos=pos)

@@ -83,7 +83,7 @@ from collections import namedtuple
 from functools import wraps
 
 from .codegen import _no_method, compile_expr, compiled
-from .composer import ROOT_BUILTINS, SlotPlan, WovenModel
+from .composer import ROOT_BUILTINS, ROOT_CLASS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
     ContractViolation, Diagnostic, DiagnosticSink, EvalFault, Record, TypecheckError,
@@ -649,7 +649,7 @@ def _join(woven: WovenModel, a: SemType, b: SemType) -> SemType:
     if is_error(a) or a == VOID:
         return b
     if a.kind == b.kind == "class":
-        if a.name == woven.root_class:
+        if a.name == ROOT_CLASS:
             return a
         return class_type(
             next(c for c in woven.classes[a.name].linearization if woven.conforms(b.name, c))

@@ -10,19 +10,17 @@ static-semantics concern stays side-effect free by construction.
 from __future__ import annotations
 
 from .behavior import (
-    Assign, AspectClass, BehaviorModule, EachLoop, ExprStmt, If, Loop, MethodDef,
-    Return, SuperCall, VarDecl,
+    Assign, AspectClass, AspectUnit, ExprStmt, If, Loop, MethodDef, Return, SuperCall, VarDecl,
 )
 from .composer import (
     ROOT_BUILTINS, ROOT_CLASS, MashupManifest, WovenModel, compose, load_manifest,
     resolve_method_conflicts, resolve_requires, validate_woven,
 )
-from .contracts import ContractModule
 from .diagnostics import (
     CompositionError, Diagnostic, DiagnosticSink, Pos, TypecheckError, nested_too_deeply,
 )
 from .exprs import (
-    BinOp, BoolLit, CollectionOp, EachBlock, Expr, FeatureNav, IfExpr, IntLit,
+    BinOp, BoolLit, CollectionOp, EachLoop, Expr, FeatureNav, IfExpr, IntLit,
     New, Not, OpCall, SelfRef, StringLit, TypeTest, VarRef, VoidLit,
 )
 from .metamodel import OperationSig, feature_type
@@ -144,7 +142,7 @@ def typecheck_expr(e: Expr, ctx: TypeContext) -> SemType:
         return sig.return_type
     if isinstance(e, CollectionOp):
         return _typecheck_collection_op(e, ctx)
-    if isinstance(e, EachBlock):
+    if isinstance(e, EachLoop):
         ctx.sink.add(
             "BadEach", "an each block with statements must stand alone as a statement", e.pos
         )
@@ -305,49 +303,7 @@ def _typecheck_binop(e: BinOp, ctx: TypeContext) -> SemType:
 
 
 # ---------------------------------------------------------------------------
-# Contracts
-# ---------------------------------------------------------------------------
-
-
-def typecheck_contracts(cm: ContractModule, woven: WovenModel) -> list[Diagnostic]:
-    sink = DiagnosticSink(cm.source_unit)
-    for contrib in cm.contributions:
-        wc = woven.classes[contrib.class_name]
-        for inv in contrib.invariants:
-            ctx = TypeContext(woven, contrib.class_name, sink, pure=True)
-            t = typecheck_expr(inv.body, ctx)
-            if not is_error(t) and t != BOOL:
-                sink.add(
-                    "NonBooleanRule", f"invariant {inv.name} must be Bool, found {t}", inv.pos
-                )
-        for cond, binds_result in [(c, False) for c in contrib.pre_conditions] + [
-            (c, True) for c in contrib.post_conditions
-        ]:
-            entry = wc.op_sigs.get(cond.op_name)
-            if entry is None:
-                sink.add(
-                    "UnknownOperation",
-                    f"{cond.name} refers to unknown operation "
-                    f"{contrib.class_name}.{cond.op_name}",
-                    cond.pos,
-                )
-                continue
-            sig = entry[0]
-            ctx = TypeContext(woven, contrib.class_name, sink, pure=True)
-            for p in sig.params:
-                ctx.scopes[-1][p.name] = p.type
-            if binds_result and sig.return_type != VOID:
-                ctx.scopes[-1]["result"] = sig.return_type
-            t = typecheck_expr(cond.body, ctx)
-            if not is_error(t) and t != BOOL:
-                sink.add(
-                    "NonBooleanRule", f"condition {cond.name} must be Bool, found {t}", cond.pos
-                )
-    return sink.items
-
-
-# ---------------------------------------------------------------------------
-# Behavior
+# Aspect units: rules and method bodies
 # ---------------------------------------------------------------------------
 
 
@@ -370,22 +326,44 @@ def _sigs_match(a: OperationSig, b: OperationSig) -> bool:
     )
 
 
-def typecheck_behavior(bm: BehaviorModule, woven: WovenModel) -> list[Diagnostic]:
-    """Check added members and every method body against the woven model."""
-    sink = DiagnosticSink(bm.source_unit)
-    for aspect in bm.aspects:
+def _typecheck_aspects(unit: AspectUnit, woven: WovenModel) -> list[Diagnostic]:
+    """Check each aspect of a constraint or behavior unit in order: its
+    invariants, then its conditions, both as pure rules, then its method
+    bodies."""
+    sink = DiagnosticSink(unit.source_unit)
+    for aspect in unit.aspects:
+        cls = aspect.class_name
+        for inv in aspect.invariants:
+            _check_rule(inv.body, f"invariant {inv.name}", inv.pos,
+                        TypeContext(woven, cls, sink, pure=True))
+        for conds, binds_result in ((aspect.pre_conditions, False),
+                                    (aspect.post_conditions, True)):
+            for cond in conds:
+                entry = woven.classes[cls].op_sigs.get(cond.op_name)
+                if entry is None:
+                    sink.add("UnknownOperation",
+                             f"{cond.name} refers to unknown operation {cls}.{cond.op_name}",
+                             cond.pos)
+                    continue
+                sig = entry[0]
+                scope = {p.name: p.type for p in sig.params}
+                if binds_result and sig.return_type != VOID:
+                    scope["result"] = sig.return_type
+                _check_rule(cond.body, f"condition {cond.name}", cond.pos,
+                            TypeContext(woven, cls, sink, pure=True, scopes=[scope]))
         for mdef in aspect.methods:
-            _check_method(bm, aspect, mdef, woven, sink)
+            _check_method(aspect, mdef, woven, sink)
     return sink.items
 
 
-def _check_method(
-    bm: BehaviorModule,
-    aspect: AspectClass,
-    mdef: MethodDef,
-    woven: WovenModel,
-    sink: DiagnosticSink,
-) -> None:
+def _check_rule(body: Expr, what: str, pos: Pos, ctx: TypeContext) -> None:
+    t = typecheck_expr(body, ctx)
+    if not is_error(t) and t != BOOL:
+        ctx.sink.add("NonBooleanRule", f"{what} must be Bool, found {t}", pos)
+
+
+def _check_method(aspect: AspectClass, mdef: MethodDef, woven: WovenModel,
+                  sink: DiagnosticSink) -> None:
     cls = aspect.class_name
     wc = woven.classes[cls]
     op = mdef.sig.name
@@ -545,14 +523,14 @@ def _check_super(stmt: SuperCall, ctx: TypeContext) -> None:
 
 
 def typecheck_units(units, woven: WovenModel) -> list[Diagnostic]:
-    """Check every constraint and behavior unit of a composition."""
+    """Check every constraint and behavior unit of a composition, in unit
+    order: their rules and method bodies against the woven model."""
     out: list[Diagnostic] = []
     for unit in units:
+        if not isinstance(unit, AspectUnit):
+            continue
         try:
-            if isinstance(unit, ContractModule):
-                out.extend(typecheck_contracts(unit, woven))
-            elif isinstance(unit, BehaviorModule):
-                out.extend(typecheck_behavior(unit, woven))
+            out.extend(_typecheck_aspects(unit, woven))
         except RecursionError:
             raise nested_too_deeply(unit.source_unit) from None
     return out

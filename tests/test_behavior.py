@@ -10,7 +10,7 @@ from mashup.behavior import (
 )
 from mashup.composer import compose
 from mashup.diagnostics import UnitParseError
-from mashup.typecheck import typecheck_behavior
+from mashup.typecheck import typecheck_units
 
 EXECUTE_UNIT = """
 package fuml;
@@ -134,7 +134,7 @@ def test_parsing_is_total_on_random_noise():
 def _diag_codes(mm, act):
     units = parse_units(mm=mm, act=act)
     woven = compose(units)
-    return {d.code for d in typecheck_behavior(units[1], woven)}
+    return {d.code for d in typecheck_units(units[1:], woven)}
 
 
 PINS_MM = """
@@ -203,7 +203,7 @@ SCOPES_MM = "metamodel s { class K { attr n: Int; ref ks: K[*]; } }"
 def test_block_scopes_are_pinned(body, expected):
     units = parse_units(mm=SCOPES_MM, act='package s;\nrequire "s.mm";\naspect class K {\n'
                         f"  operation go(v : Int) : Void is do\n{body}\n  end\n}}\n")
-    diagnostics = typecheck_behavior(units[1], compose(units))
+    diagnostics = typecheck_units(units[1:], compose(units))
     assert [(d.code, d.message) for d in diagnostics] == expected
 
 

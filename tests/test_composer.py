@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DIAMOND, FUML, GOLDEN, TABLE_MM, parse_units, run_cli, weave
-from mashup.behavior import BehaviorModule
+from mashup.behavior import AspectUnit
 from mashup.composer import (
     ROOT_CLASS, SlotPlan, WovenClass, compose, emit_report, linearize, linearize_all,
     load_manifest, parse_manifest, resolve_method_conflicts, resolve_requires, validate_woven,
@@ -30,7 +30,7 @@ HEADER = 'package m;\nrequire "m.mm";\n'
 def test_resolve_requires_loads_three_units_once(fuml):
     _manifest, units, _woven = fuml
     kinds = [type(u).__name__ for u in units]
-    assert kinds == ["Metamodel", "ContractModule", "BehaviorModule"]
+    assert kinds == ["Metamodel", "AspectUnit", "AspectUnit"]
     # fuml.mm is required by the manifest and both aspect units, yet loads once
 
 
@@ -471,7 +471,7 @@ def _declared_features(units) -> dict[str, list]:
         if isinstance(unit, Metamodel):
             for cls in unit.classes:
                 base[cls.name] = list(cls.features())
-        elif isinstance(unit, BehaviorModule):
+        elif isinstance(unit, AspectUnit):
             for aspect in unit.aspects:
                 attrs.setdefault(aspect.class_name, []).extend(aspect.added_attributes)
                 refs.setdefault(aspect.class_name, []).extend(aspect.added_references)

@@ -11,7 +11,7 @@ from mashup.runtime import (
     load_model, set_feature,
 )
 from mashup.exprs import IntV
-from mashup.typecheck import typecheck_contracts
+from mashup.typecheck import typecheck_units
 
 LISTING = """
 package fuml;
@@ -27,7 +27,7 @@ aspect class CreateObjectAction {
 def test_parse_invariant_module():
     cm = parse_contracts(LISTING, "fuml.inv")
     assert cm.package == "fuml" and cm.requires == ("fuml.mm",)
-    (contrib,) = cm.contributions
+    (contrib,) = cm.aspects
     assert contrib.class_name == "CreateObjectAction"
     (inv,) = contrib.invariants
     assert inv.name == "fUML_is_class"
@@ -37,7 +37,7 @@ def test_parse_invariant_module():
 
 def test_parse_empty_contract_module():
     cm = parse_contracts('package p;\nrequire "p.mm";\n')
-    assert cm.contributions == ()
+    assert cm.aspects == ()
 
 
 def test_pre_and_post_clauses_parse():
@@ -45,7 +45,7 @@ def test_pre_and_post_clauses_parse():
         'package p;\nrequire "p.mm";\n'
         "aspect class A { pre small on run : x < 10; post grew on run : result >= x; }"
     )
-    (contrib,) = cm.contributions
+    (contrib,) = cm.aspects
     assert contrib.pre_conditions[0].op_name == "run"
     assert contrib.post_conditions[0].name == "grew"
 
@@ -63,7 +63,7 @@ def test_non_boolean_invariant_rejected_by_typecheck():
     from mashup.composer import compose
 
     woven = compose(units)
-    diags = typecheck_contracts(units[1], woven)
+    diags = typecheck_units(units[1:], woven)
     assert any(d.code == "NonBooleanRule" for d in diags)
 
 
@@ -75,7 +75,7 @@ def test_condition_on_unknown_operation_diagnosed():
     from mashup.composer import compose
 
     woven = compose(units)
-    diags = typecheck_contracts(units[1], woven)
+    diags = typecheck_units(units[1:], woven)
     assert any(d.code == "UnknownOperation" for d in diags)
 
 

@@ -79,6 +79,20 @@ CASES = [
      "u.mm:2:22: SyntaxError expected superclass name, found '{'"),
     ("inherits-trailing-comma", "u.act", H + "aspect class A inherits B, {\n}\n",
      "u.act:3:28: SyntaxError expected superclass name, found '{'"),
+    # both unit kinds parse to one record, but each grammar admits only its
+    # own members
+    ("inv-in-act", "u.act", H + "aspect class A {\n  inv ok : true;\n}\n",
+     "u.act:4:3: SyntaxError expected attr, ref, method, operation, rename or '}'"),
+    ("pre-in-act", "u.act", H + "aspect class A { pre ok on run : true; }\n",
+     "u.act:3:18: SyntaxError expected attr, ref, method, operation, rename or '}'"),
+    ("method-in-inv", "u.inv", H + "aspect class A {\n  method run() : Void is do end\n}\n",
+     "u.inv:4:3: SyntaxError expected inv, pre, post or '}'"),
+    ("operation-in-inv", "u.inv", H + "aspect class A { operation run() : Void is do end }\n",
+     "u.inv:3:18: SyntaxError expected inv, pre, post or '}'"),
+    ("rename-in-inv", "u.inv", H + "aspect class A {\n  rename run from B as go;\n}\n",
+     "u.inv:4:3: SyntaxError expected inv, pre, post or '}'"),
+    ("inherits-inv", "u.inv", H + "aspect class A inherits B { }\n",
+     "u.inv:3:16: SyntaxError expected '{', found 'inherits'"),
 ]
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from helpers import TABLE_MM, table_act, table_inv, table_model, weave
 from mashup.diagnostics import EvalFault, TypecheckError
-from mashup.exprs import Coll, EachBlock, IntV, VarRef, parse_expr, render_value
+from mashup.exprs import Coll, EachLoop, IntV, VarRef, parse_expr, render_value
 from mashup.runtime import (
     Interpreter, ModelInstance, check_model, create_instance, eval_expr, invoke,
 )
@@ -253,12 +253,12 @@ CASES = {
         _expr("self.kids.each { b | self.show(b.w) }", pure=False),
         _show(1) + _show(2), ("value", "void")),
     "each block is refused in a pure context": (
-        _expr(EachBlock(VarRef("c"), "i", ()), {"c": _seq(1)}),
+        _expr(EachLoop(VarRef("c"), "i", ()), {"c": _seq(1)}),
         [], (_TC, [
             "<expr>:0:0: BadEach an each block with statements must "
             "stand alone as a statement"])),
     "each block runs outside a pure context": (
-        _expr(EachBlock(VarRef("c"), "i", ()), {"c": _seq(1)}, pure=False),
+        _expr(EachLoop(VarRef("c"), "i", ()), {"c": _seq(1)}, pure=False),
         [], (_TC, [
             "<expr>:0:0: BadEach an each block with statements must "
             "stand alone as a statement"])),

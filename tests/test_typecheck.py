@@ -123,6 +123,38 @@ def test_type_checker_diagnostics_are_pinned(case):
     assert [d.render() for d in problems] == expected
 
 
+def test_constraint_and_behavior_units_are_checked_in_unit_order():
+    """One build's constraint and behavior units each report their own
+    problems, in unit order and, within a unit, aspect by aspect."""
+    constraints = (H + "aspect class K {\n"
+                   "  inv a : self.n + 1;\n"
+                   "  pre b on ghost : true;\n"
+                   '  post c on area : result == "x";\n'
+                   "}\n"
+                   "aspect class Shape {\n"
+                   '  inv d : self.s == "";\n'
+                   "}\n")
+    behavior = (H + "aspect class L {\n"
+                "  operation run() : Void is do\n"
+                '    self.n := "x"\n'
+                "  end\n"
+                "}\n"
+                "aspect class K {\n"
+                "  operation go() : Int is do\n"
+                "    return self.ghost\n"
+                "  end\n"
+                "}\n")
+    units = parse_units(mm=MM, inv=constraints, act=behavior)
+    assert [d.render() for d in typecheck_units(units, compose(units))] == [
+        "u0.inv:4:7: NonBooleanRule invariant a must be Bool, found Int",
+        "u0.inv:5:7: UnknownOperation b refers to unknown operation K.ghost",
+        "u0.inv:6:27: TypeMismatch cannot compare Int with String",
+        "u0.inv:9:16: UnknownFeature Shape has no feature s",
+        "u0.act:5:5: TypeMismatch cannot assign String into a Int feature",
+        "u0.act:10:17: UnknownFeature K has no feature ghost",
+    ]
+
+
 SUPER_MM = """metamodel s {
   class A { } class B { } class C extends A { } class X extends A, B { }
   class D extends X, C { } class E extends B, C { }
