@@ -27,90 +27,46 @@ inheritance level up; ``super[Q]`` starts the lookup at supertype Q.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from collections import namedtuple
+from typing import Union
 
-from .diagnostics import NOPOS, Pos, Record, set_field
-from .exprs import EachLoop, Expr, ExprParser, FeatureNav, VarRef, parse_sem_type
+from .diagnostics import NOPOS, Pos, Record
+from .exprs import EachLoop, ExprParser, FeatureNav, VarRef, parse_sem_type
 from .lexer import Lexer, parse_header
-from .metamodel import (
-    Attribute, OperationSig, Reference, parse_feature, parse_operation_sig, parse_supertypes,
-)
-from .semtypes import SemType
-
-if TYPE_CHECKING:
-    from .contracts import ConditionDecl, InvariantDecl
+from .metamodel import Attribute, Reference, parse_feature, parse_operation_sig, parse_supertypes
 
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
 
 
-class VarDecl(Record):
-    __slots__ = ("name", "type", "init", "pos")
-
-    def __init__(self, name: str, type: SemType, init: Expr | None = None, pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "type", type)
-        set_field(self, "init", init)
-        set_field(self, "pos", pos)
+class VarDecl(Record, namedtuple("VarDecl", "name type init pos", defaults=(None, NOPOS))):
+    __slots__ = ()
 
 
-class Assign(Record):
-    __slots__ = ("lvalue", "rhs", "pos")
-
-    def __init__(self, lvalue: Expr, rhs: Expr, pos: Pos = NOPOS):
-        set_field(self, "lvalue", lvalue)  # FeatureNav or VarRef
-        set_field(self, "rhs", rhs)
-        set_field(self, "pos", pos)
+class Assign(Record, namedtuple("Assign", "lvalue rhs pos", defaults=(NOPOS,))):
+    __slots__ = ()  # lvalue: FeatureNav or VarRef
 
 
-class ExprStmt(Record):
-    __slots__ = ("expr", "pos")
-
-    def __init__(self, expr: Expr, pos: Pos = NOPOS):
-        set_field(self, "expr", expr)
-        set_field(self, "pos", pos)
+class ExprStmt(Record, namedtuple("ExprStmt", "expr pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class If(Record):
-    __slots__ = ("cond", "then", "orelse", "pos")
-
-    def __init__(self, cond: Expr, then: tuple, orelse: tuple = (), pos: Pos = NOPOS):
-        set_field(self, "cond", cond)
-        set_field(self, "then", then)
-        set_field(self, "orelse", orelse)
-        set_field(self, "pos", pos)
+class If(Record, namedtuple("If", "cond then orelse pos", defaults=((), NOPOS))):
+    __slots__ = ()
 
 
-class Loop(Record):
-    __slots__ = ("init", "until", "body", "while_style", "pos")
-
-    def __init__(self, init: Stmt | None, until: Expr, body: tuple = (),
-                 while_style: bool = False, pos: Pos = NOPOS):
-        set_field(self, "init", init)
-        set_field(self, "until", until)
-        set_field(self, "body", body)
-        # loop while the condition holds instead of until
-        set_field(self, "while_style", while_style)
-        set_field(self, "pos", pos)
+class Loop(Record, namedtuple("Loop", "init until body while_style pos",
+                              defaults=((), False, NOPOS))):
+    __slots__ = ()  # while_style: loop while the condition holds instead of until
 
 
-class Return(Record):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: Expr | None = None, pos: Pos = NOPOS):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
+class Return(Record, namedtuple("Return", "value pos", defaults=(None, NOPOS))):
+    __slots__ = ()
 
 
-class SuperCall(Record):
-    __slots__ = ("qualifier", "args", "pos")
-
-    def __init__(self, qualifier: str | None = None, args: tuple[Expr, ...] = (),
-                 pos: Pos = NOPOS):
-        set_field(self, "qualifier", qualifier)
-        set_field(self, "args", args)
-        set_field(self, "pos", pos)
+class SuperCall(Record, namedtuple("SuperCall", "qualifier args pos", defaults=(None, (), NOPOS))):
+    __slots__ = ()
 
 
 Stmt = Union[VarDecl, Assign, ExprStmt, If, Loop, EachLoop, Return, SuperCall]
@@ -121,67 +77,30 @@ Stmt = Union[VarDecl, Assign, ExprStmt, If, Loop, EachLoop, Return, SuperCall]
 # ---------------------------------------------------------------------------
 
 
-class MethodDef(Record):
-    __slots__ = ("sig", "body", "overrides", "pos")
-
-    def __init__(self, sig: OperationSig, body: tuple = (), overrides: bool = False,
-                 pos: Pos = NOPOS):
-        set_field(self, "sig", sig)
-        set_field(self, "body", body)
-        # declared with 'method' rather than 'operation'
-        set_field(self, "overrides", overrides)
-        set_field(self, "pos", pos)
+class MethodDef(Record, namedtuple("MethodDef", "sig body overrides pos",
+                                   defaults=((), False, NOPOS))):
+    __slots__ = ()  # overrides: declared with 'method' rather than 'operation'
 
 
-class Renaming(Record):
-    __slots__ = ("op_name", "from_class", "new_name", "pos")
-
-    def __init__(self, op_name: str, from_class: str, new_name: str, pos: Pos = NOPOS):
-        set_field(self, "op_name", op_name)
-        set_field(self, "from_class", from_class)
-        set_field(self, "new_name", new_name)
-        set_field(self, "pos", pos)
+class Renaming(Record, namedtuple("Renaming", "op_name from_class new_name pos",
+                                  defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class AspectClass(Record):
+class AspectClass(Record, namedtuple("AspectClass", (
+        "class_name added_supertypes added_attributes added_references methods renamings"
+        " invariants pre_conditions post_conditions pos"), defaults=((),) * 8 + (NOPOS,))):
     """One ``aspect class`` block, of a behavior or a constraint unit: what
     it adds to the class it reopens.  A behavior unit fills the supertypes,
     features, methods and renamings, a constraint unit the rules."""
 
-    __slots__ = ("class_name", "added_supertypes", "added_attributes", "added_references",
-                 "methods", "renamings", "invariants", "pre_conditions", "post_conditions",
-                 "pos")
-
-    def __init__(self, class_name: str, added_supertypes: tuple[str, ...] = (),
-                 added_attributes: tuple[Attribute, ...] = (),
-                 added_references: tuple[Reference, ...] = (),
-                 methods: tuple[MethodDef, ...] = (), renamings: tuple[Renaming, ...] = (),
-                 invariants: tuple[InvariantDecl, ...] = (),
-                 pre_conditions: tuple[ConditionDecl, ...] = (),
-                 post_conditions: tuple[ConditionDecl, ...] = (), pos: Pos = NOPOS):
-        set_field(self, "class_name", class_name)
-        set_field(self, "added_supertypes", added_supertypes)
-        set_field(self, "added_attributes", added_attributes)
-        set_field(self, "added_references", added_references)
-        set_field(self, "methods", methods)
-        set_field(self, "renamings", renamings)
-        set_field(self, "invariants", invariants)
-        set_field(self, "pre_conditions", pre_conditions)
-        set_field(self, "post_conditions", post_conditions)
-        set_field(self, "pos", pos)
+    __slots__ = ()
 
 
-class AspectUnit(Record):
+class AspectUnit(Record, namedtuple("AspectUnit", "package requires aspects source_unit")):
     """A parsed constraint or behavior unit: its header and its aspects."""
 
-    __slots__ = ("package", "requires", "aspects", "source_unit")
-
-    def __init__(self, package: str, requires: tuple[str, ...],
-                 aspects: tuple[AspectClass, ...], source_unit: str):
-        set_field(self, "package", package)
-        set_field(self, "requires", requires)
-        set_field(self, "aspects", aspects)
-        set_field(self, "source_unit", source_unit)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import difflib
 import os
+from collections import namedtuple
 
 from .behavior import AspectClass, AspectUnit, MethodDef, Renaming, parse_behavior
 from .contracts import ConditionDecl, InvariantDecl, parse_contracts
 from .diagnostics import (
     NOPOS, CompositionError, Diagnostic, DiagnosticSink, Pos, Record, UnitParseError,
-    nested_too_deeply, set_field,
+    nested_too_deeply,
 )
 from .exprs import Coll, Value, type_default
 from .lexer import Lexer, parse_header
@@ -67,17 +68,10 @@ Unit = Metamodel | AspectUnit
 # ---------------------------------------------------------------------------
 
 
-class MashupManifest(Record):
-    __slots__ = ("package", "requires", "main", "source_unit", "source_dir")
-
-    def __init__(self, package: str, requires: tuple[str, ...],
-                 main: tuple[str, str] | None = None, source_unit: str = "<mashup>",
-                 source_dir: str = "."):
-        set_field(self, "package", package)
-        set_field(self, "requires", requires)
-        set_field(self, "main", main)
-        set_field(self, "source_unit", source_unit)
-        set_field(self, "source_dir", source_dir)
+class MashupManifest(Record, namedtuple(
+        "MashupManifest", "package requires main source_unit source_dir",
+        defaults=(None, "<mashup>", "."))):
+    __slots__ = ()
 
 
 def parse_manifest(text: str, unit: str = "<mashup>", source_dir: str = ".") -> MashupManifest:

@@ -21,29 +21,21 @@ additionally bind the operation parameters and post conditions bind
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .behavior import AspectClass, AspectUnit
-from .diagnostics import NOPOS, Pos, Record, set_field
-from .exprs import Expr, ExprParser
+from .diagnostics import NOPOS, Record
+from .exprs import ExprParser
 from .lexer import Lexer, parse_header
 
 
-class InvariantDecl(Record):
-    __slots__ = ("name", "body", "pos")
-
-    def __init__(self, name: str, body: Expr, pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "body", body)
-        set_field(self, "pos", pos)
+class InvariantDecl(Record, namedtuple("InvariantDecl", "name body pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class ConditionDecl(Record):
-    __slots__ = ("op_name", "name", "body", "pos")
-
-    def __init__(self, op_name: str, name: str, body: Expr, pos: Pos = NOPOS):
-        set_field(self, "op_name", op_name)
-        set_field(self, "name", name)
-        set_field(self, "body", body)
-        set_field(self, "pos", pos)
+class ConditionDecl(Record, namedtuple("ConditionDecl", "op_name name body pos",
+                                       defaults=(NOPOS,))):
+    __slots__ = ()
 
 
 def parse_contracts(text: str, unit: str = "<inv>") -> AspectUnit:

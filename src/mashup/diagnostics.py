@@ -5,14 +5,15 @@ to the offending location.  Stages that can recover (validation, type
 checking) return diagnostic lists; stages that cannot (parsing, composition)
 raise an error carrying them.
 
-:class:`Record` is the base of every frozen value of the workbench: syntax
-trees, runtime values, types and these diagnostics.
+:class:`Record` is the base of every frozen record of the workbench: syntax
+trees, types, trace events and these diagnostics, each a named tuple.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from typing import NamedTuple
 
 
@@ -23,60 +24,45 @@ class Pos(NamedTuple):
 
 NOPOS = Pos(0, 0)
 
-# How a record's ``__init__`` writes its fields past ``Record.__setattr__``.
-set_field = object.__setattr__
+_tuple_eq = tuple.__eq__
 
 
-class Record:
-    """A frozen record.  A subclass lists its fields in ``__slots__``, in
-    constructor order, and its ``__init__`` writes each with
-    :data:`set_field`; any later assignment raises.  Two records are equal
-    when they are of one class and agree on every field but ``pos``, so a
-    tree parsed from shifted text equals the original; ``hash`` follows the
-    same fields, and ``repr`` shows them all."""
+class Record(tuple):
+    """A frozen record: a named tuple of its fields.  A subclass is declared
+    as ``class R(Record, namedtuple("R", "a b pos", defaults=(NOPOS,)))``
+    with ``__slots__ = ()``; the tuple type gives it construction, ``repr``,
+    copy and pickle, and no attribute of it can be assigned.  Two records
+    are equal when they are of one class and agree on every field but a
+    last ``pos``, so a tree parsed from shifted text equals the original;
+    ``hash`` follows the same fields.  A record never equals a plain tuple,
+    from either side."""
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        """The compared fields."""
-        return tuple([getattr(self, name) for name in self.__slots__ if name != "pos"])
+    def __init_subclass__(cls) -> None:
+        # a record without a position compares its whole tuple, with no slice
+        if cls._fields[-1] != "pos":
+            cls.__eq__, cls.__hash__ = Record._eq_whole, tuple.__hash__
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def _eq_whole(self, other) -> bool:
+        return other.__class__ is self.__class__ and _tuple_eq(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        """Copy and pickle rebuild a record through its constructor, since
-        setting its slots one by one would raise."""
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return hash(self[:-1])
 
 
-class Diagnostic(Record):
-    __slots__ = ("code", "message", "unit", "pos")
+class Diagnostic(Record, namedtuple("Diagnostic", "code message unit pos",
+                                    defaults=("<input>", NOPOS))):
+    __slots__ = ()
 
-    def __init__(self, code: str, message: str, unit: str = "<input>", pos: Pos = NOPOS):
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "unit", unit)
-        set_field(self, "pos", pos)
-
-    def _key(self) -> tuple:
-        """A diagnostic compares its position too."""
-        return self.code, self.message, self.unit, self.pos
+    # a diagnostic compares its position too
+    __eq__, __hash__ = Record._eq_whole, tuple.__hash__
 
     def render(self) -> str:
         return f"{self.unit}:{self.pos.line}:{self.pos.col}: {self.code} {self.message}"

@@ -1,8 +1,10 @@
 """Shared expression language: AST, runtime values and the parser.
 
 The constraint language uses exactly this side-effect-free core; the action
-language embeds it and adds statements.  Position fields never participate
-in structural equality so round-tripped ASTs compare equal.
+language embeds it and adds statements.  Every AST node is a named-tuple
+:class:`~mashup.diagnostics.Record` whose position field never participates
+in structural equality, so round-tripped ASTs compare equal.  The scalar
+runtime values are frozen slots classes instead (see :class:`_Scalar`).
 
 Lambda syntax is ``recv.op { param | body }``.  In behavior units an
 ``each`` lambda may carry a statement block instead of an expression; the
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Union
 
-from .diagnostics import NOPOS, Pos, Record, set_field
+from .diagnostics import NOPOS, Pos, Record
 from .lexer import Lexer
 from .semtypes import COLLECTION_KINDS, PRIMITIVES, SemType, VOID, class_type, coll, prim
 
@@ -24,77 +26,40 @@ from .semtypes import COLLECTION_KINDS, PRIMITIVES, SemType, VOID, class_type, c
 # ---------------------------------------------------------------------------
 
 
-class SelfRef(Record):
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: Pos = NOPOS):
-        set_field(self, "pos", pos)
+class SelfRef(Record, namedtuple("SelfRef", "pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class VarRef(Record):
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "pos", pos)
+class VarRef(Record, namedtuple("VarRef", "name pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class IntLit(Record):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: int, pos: Pos = NOPOS):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
+class IntLit(Record, namedtuple("IntLit", "value pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class BoolLit(Record):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: bool, pos: Pos = NOPOS):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
+class BoolLit(Record, namedtuple("BoolLit", "value pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class StringLit(Record):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: str, pos: Pos = NOPOS):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
+class StringLit(Record, namedtuple("StringLit", "value pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class VoidLit(Record):
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: Pos = NOPOS):
-        set_field(self, "pos", pos)
+class VoidLit(Record, namedtuple("VoidLit", "pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class FeatureNav(Record):
-    __slots__ = ("receiver", "feature", "pos")
-
-    def __init__(self, receiver: Expr, feature: str, pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "feature", feature)
-        set_field(self, "pos", pos)
+class FeatureNav(Record, namedtuple("FeatureNav", "receiver feature pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class OpCall(Record):
-    __slots__ = ("receiver", "op", "args", "pos")
-
-    def __init__(self, receiver: Expr, op: str, args: tuple[Expr, ...], pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "op", op)
-        set_field(self, "args", args)
-        set_field(self, "pos", pos)
+class OpCall(Record, namedtuple("OpCall", "receiver op args pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class Lambda(Record):
-    __slots__ = ("param", "body")
-
-    def __init__(self, param: str, body: Expr):
-        set_field(self, "param", param)
-        set_field(self, "body", body)
+class Lambda(Record, namedtuple("Lambda", "param body")):
+    __slots__ = ()
 
 
 # Collection operations carrying a lambda; the rest take zero or one operand.
@@ -103,76 +68,37 @@ PLAIN_OPS = ("isEmpty", "size", "first")
 OPERAND_OPS = ("add", "intersection")
 
 
-class CollectionOp(Record):
-    __slots__ = ("receiver", "op_kind", "lam", "arg", "pos")
-
-    def __init__(self, receiver: Expr, op_kind: str, lam: Lambda | None = None,
-                 arg: Expr | None = None, pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "op_kind", op_kind)
-        set_field(self, "lam", lam)
-        set_field(self, "arg", arg)
-        set_field(self, "pos", pos)
+class CollectionOp(Record, namedtuple("CollectionOp", "receiver op_kind lam arg pos",
+                                      defaults=(None, None, NOPOS))):
+    __slots__ = ()
 
 
-class TypeTest(Record):
-    __slots__ = ("receiver", "test_kind", "target", "pos")
-
-    def __init__(self, receiver: Expr, test_kind: str, target: str, pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "test_kind", test_kind)  # 'oclIsKindOf' | 'asType'
-        set_field(self, "target", target)
-        set_field(self, "pos", pos)
+class TypeTest(Record, namedtuple("TypeTest", "receiver test_kind target pos", defaults=(NOPOS,))):
+    __slots__ = ()  # test_kind: 'oclIsKindOf' | 'asType'
 
 
-class BinOp(Record):
-    __slots__ = ("lhs", "op", "rhs", "pos")
-
-    def __init__(self, lhs: Expr, op: str, rhs: Expr, pos: Pos = NOPOS):
-        set_field(self, "lhs", lhs)
-        set_field(self, "op", op)
-        set_field(self, "rhs", rhs)
-        set_field(self, "pos", pos)
+class BinOp(Record, namedtuple("BinOp", "lhs op rhs pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class Not(Record):
-    __slots__ = ("operand", "pos")
-
-    def __init__(self, operand: Expr, pos: Pos = NOPOS):
-        set_field(self, "operand", operand)
-        set_field(self, "pos", pos)
+class Not(Record, namedtuple("Not", "operand pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class IfExpr(Record):
-    __slots__ = ("cond", "then", "orelse", "pos")
-
-    def __init__(self, cond: Expr, then: Expr, orelse: Expr, pos: Pos = NOPOS):
-        set_field(self, "cond", cond)
-        set_field(self, "then", then)
-        set_field(self, "orelse", orelse)
-        set_field(self, "pos", pos)
+class IfExpr(Record, namedtuple("IfExpr", "cond then orelse pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class New(Record):
-    __slots__ = ("class_name", "pos")
-
-    def __init__(self, class_name: str, pos: Pos = NOPOS):
-        set_field(self, "class_name", class_name)
-        set_field(self, "pos", pos)
+class New(Record, namedtuple("New", "class_name pos", defaults=(NOPOS,))):
+    __slots__ = ()
 
 
-class EachLoop(Record):
+class EachLoop(Record, namedtuple("EachLoop", "receiver param body pos", defaults=((), NOPOS))):
     """``recv.each { x | <statements> }`` of a behavior unit: a statement
     the expression parser builds, since it starts like an expression.  The
     type checker refuses one in expression position."""
 
-    __slots__ = ("receiver", "param", "body", "pos")
-
-    def __init__(self, receiver: Expr, param: str, body: tuple = (), pos: Pos = NOPOS):
-        set_field(self, "receiver", receiver)
-        set_field(self, "param", param)
-        set_field(self, "body", body)  # tuple of behavior statements
-        set_field(self, "pos", pos)
+    __slots__ = ()  # body: tuple of behavior statements
 
 
 Expr = Union[
@@ -186,11 +112,37 @@ BINARY_OPS = ("+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or")
 # Runtime values
 # ---------------------------------------------------------------------------
 
-# The scalar values are built and compared on every hot path, so each spells
-# out its own __init__, __eq__ and __hash__ (the hash of its one-field key).
+# How a scalar's ``__init__`` writes its slot past ``_Scalar.__setattr__``.
+set_field = object.__setattr__
 
 
-class IntV(Record):
+class _Scalar:
+    """A frozen one-slot value.  The scalars stay slots classes, not named
+    tuples: generated code reads ``.i``, ``.b`` and ``.s`` on every test and
+    sum, a slot reads faster than a tuple field, and a one-field tuple would
+    equal an :class:`ObjRef` of the same text.  Each is built and compared
+    on every hot path, so it spells out its own ``__init__``, ``__eq__`` and
+    ``__hash__`` (the hash of its one-field key)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        name = self.__slots__[0]
+        return f"{type(self).__name__}({name}={getattr(self, name)!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copy and pickle rebuild a scalar through its constructor, since
+        setting its slot would raise."""
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+
+class IntV(_Scalar):
     __slots__ = ("i",)
 
     def __init__(self, i: int):
@@ -203,7 +155,7 @@ class IntV(Record):
         return hash((self.i,))
 
 
-class BoolV(Record):
+class BoolV(_Scalar):
     __slots__ = ("b",)
 
     def __init__(self, b: bool):
@@ -216,7 +168,7 @@ class BoolV(Record):
         return hash((self.b,))
 
 
-class StringV(Record):
+class StringV(_Scalar):
     __slots__ = ("s",)
 
     def __init__(self, s: str):
@@ -430,6 +382,8 @@ class ExprParser:
             elif self.lx.at("{") and name in LAMBDA_OPS:
                 e = self._lambda_op(e, name, pos)
                 if isinstance(e, EachLoop):
+                    if self.lx.at("."):
+                        raise self.lx.error("an each block with statements cannot be continued")
                     return e  # statement-bodied each ends the chain
             else:
                 e = FeatureNav(e, name, pos)

@@ -23,18 +23,16 @@ woven class table, by :func:`mashup.composer.compose` and
 
 from __future__ import annotations
 
-from .diagnostics import NOPOS, Pos, Record, set_field
+from collections import namedtuple
+
+from .diagnostics import NOPOS, Record
 from .exprs import parse_sem_type
 from .lexer import Lexer
 from .semtypes import PRIMITIVES, SemType, VOID, class_type, coll, prim
 
 
-class Bounds(Record):
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower: int, upper: int | None):
-        set_field(self, "lower", lower)
-        set_field(self, "upper", upper)  # None means unbounded
+class Bounds(Record, namedtuple("Bounds", "lower upper")):
+    __slots__ = ()  # upper: None means unbounded
 
     @property
     def many(self) -> bool:
@@ -48,28 +46,14 @@ SINGLE_OPTIONAL = Bounds(0, 1)
 MANY = Bounds(0, None)
 
 
-class Attribute(Record):
-    __slots__ = ("name", "type", "bounds", "pos")
-
-    def __init__(self, name: str, type: str, bounds: Bounds = SINGLE_OPTIONAL,
-                 pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "type", type)  # one of PRIMITIVES
-        set_field(self, "bounds", bounds)
-        set_field(self, "pos", pos)
+class Attribute(Record, namedtuple("Attribute", "name type bounds pos",
+                                   defaults=(SINGLE_OPTIONAL, NOPOS))):
+    __slots__ = ()  # type: one of PRIMITIVES
 
 
-class Reference(Record):
-    __slots__ = ("name", "target", "bounds", "containment", "opposite", "pos")
-
-    def __init__(self, name: str, target: str, bounds: Bounds = SINGLE_OPTIONAL,
-                 containment: bool = False, opposite: str | None = None, pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "target", target)
-        set_field(self, "bounds", bounds)
-        set_field(self, "containment", containment)
-        set_field(self, "opposite", opposite)
-        set_field(self, "pos", pos)
+class Reference(Record, namedtuple("Reference", "name target bounds containment opposite pos",
+                                   defaults=(SINGLE_OPTIONAL, False, None, NOPOS))):
+    __slots__ = ()
 
 
 def feature_type(feat: Attribute | Reference) -> SemType:
@@ -82,52 +66,26 @@ def feature_type(feat: Attribute | Reference) -> SemType:
     return coll("OrderedSet", base) if feat.bounds.many else base
 
 
-class Param(Record):
-    __slots__ = ("name", "type")
-
-    def __init__(self, name: str, type: SemType):
-        set_field(self, "name", name)
-        set_field(self, "type", type)
+class Param(Record, namedtuple("Param", "name type")):
+    __slots__ = ()
 
 
-class OperationSig(Record):
-    __slots__ = ("name", "params", "return_type", "pos")
-
-    def __init__(self, name: str, params: tuple[Param, ...] = (), return_type: SemType = VOID,
-                 pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "return_type", return_type)
-        set_field(self, "pos", pos)
+class OperationSig(Record, namedtuple("OperationSig", "name params return_type pos",
+                                      defaults=((), VOID, NOPOS))):
+    __slots__ = ()
 
 
-class MetaClass(Record):
-    __slots__ = ("name", "is_abstract", "supertypes", "attributes", "references", "operations",
-                 "pos")
-
-    def __init__(self, name: str, is_abstract: bool = False, supertypes: tuple[str, ...] = (),
-                 attributes: tuple[Attribute, ...] = (), references: tuple[Reference, ...] = (),
-                 operations: tuple[OperationSig, ...] = (), pos: Pos = NOPOS):
-        set_field(self, "name", name)
-        set_field(self, "is_abstract", is_abstract)
-        set_field(self, "supertypes", supertypes)
-        set_field(self, "attributes", attributes)
-        set_field(self, "references", references)
-        set_field(self, "operations", operations)
-        set_field(self, "pos", pos)
+class MetaClass(Record, namedtuple(
+        "MetaClass", "name is_abstract supertypes attributes references operations pos",
+        defaults=(False, (), (), (), (), NOPOS))):
+    __slots__ = ()
 
     def features(self) -> tuple:
         return self.attributes + self.references
 
 
-class Metamodel(Record):
-    __slots__ = ("name", "classes", "source_unit")
-
-    def __init__(self, name: str, classes: tuple[MetaClass, ...] = (),
-                 source_unit: str = "<mm>"):
-        set_field(self, "name", name)
-        set_field(self, "classes", classes)
-        set_field(self, "source_unit", source_unit)
+class Metamodel(Record, namedtuple("Metamodel", "name classes source_unit", defaults=((), "<mm>"))):
+    __slots__ = ()
 
     def class_named(self, name: str) -> MetaClass | None:
         for c in self.classes:

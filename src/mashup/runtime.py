@@ -6,7 +6,8 @@ compiles a woven model once, on its first ``Interpreter``, and every later
 run of the model reuses that code.  Every call runs what its ``DISPATCH``
 table names: a generated entry, which traces the call and checks its
 contracts, or a root builtin defined here.  The interpreter holds the
-policy and the trace the entries read and write.
+policy and the trace the entries read and write; each trace event is a
+named-tuple record, equal only to an event of its own class.
 
 Assignment keeps both ends of bidirectional associations in sync and keeps
 containment a forest: attaching an object removes it from its previous
@@ -87,7 +88,7 @@ from .composer import ROOT_BUILTINS, ROOT_CLASS, SlotPlan, WovenModel
 from .contracts import InvariantDecl
 from .diagnostics import (
     ContractViolation, Diagnostic, DiagnosticSink, EvalFault, Record, TypecheckError,
-    UnitParseError, set_field,
+    UnitParseError,
 )
 from .exprs import (
     Coll, ObjRef, StringV, Value, VoidV, BoolV, IntV, FALSE, TRUE, VOID_VALUE, make_coll,
@@ -124,46 +125,32 @@ def _gc_paused(op):
 # Trace
 # ---------------------------------------------------------------------------
 
-
-class _Event(tuple):
-    """A trace event: an immutable tuple of its fields, equal only to an
-    event of its own class.  The generated code builds one as
-    ``tuple.__new__(cls, fields)``, which skips the keyword-taking
-    constructor."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
+# The generated code builds an event as ``tuple.__new__(cls, fields)``, which
+# skips the keyword-taking constructor.
 
 
-class OpEnter(_Event, namedtuple("OpEnter", "obj_id op")):
+class OpEnter(Record, namedtuple("OpEnter", "obj_id op")):
     __slots__ = ()
 
     def render(self) -> str:
         return f"OpEnter\t{self.obj_id}.{self.op}"
 
 
-class OpExit(_Event, namedtuple("OpExit", "obj_id op result")):
+class OpExit(Record, namedtuple("OpExit", "obj_id op result")):
     __slots__ = ()
 
     def render(self) -> str:
         return f"OpExit\t{self.obj_id}.{self.op}\t{self.result}"
 
 
-class ContractViolationEvent(_Event, namedtuple("ContractViolationEvent", "kind name obj_id")):
+class ContractViolationEvent(Record, namedtuple("ContractViolationEvent", "kind name obj_id")):
     __slots__ = ()  # kind: 'pre' | 'post' | 'inv'
 
     def render(self) -> str:
         return f"ContractViolation\t{self.kind} {self.name} @ {self.obj_id}"
 
 
-class NodeExecuted(_Event, namedtuple("NodeExecuted", "label")):
+class NodeExecuted(Record, namedtuple("NodeExecuted", "label")):
     __slots__ = ()
 
     def render(self) -> str:
@@ -671,16 +658,9 @@ def invoke(model: ModelInstance, obj, op: str, args: list[Value] | None = None,
 # ---------------------------------------------------------------------------
 
 
-class CheckResult(Record):
-    __slots__ = ("status", "invariant", "obj_id", "owner", "detail")
-
-    def __init__(self, status: str, invariant: str, obj_id: str, owner: str = "",
-                 detail: str = ""):
-        set_field(self, "status", status)  # 'holds' | 'violated' | 'error'
-        set_field(self, "invariant", invariant)
-        set_field(self, "obj_id", obj_id)
-        set_field(self, "owner", owner)
-        set_field(self, "detail", detail)
+class CheckResult(Record, namedtuple("CheckResult", "status invariant obj_id owner detail",
+                                     defaults=("", ""))):
+    __slots__ = ()  # status: 'holds' | 'violated' | 'error'
 
 
 def check_invariant(inv: InvariantDecl, obj, model: ModelInstance, owner: str = "",

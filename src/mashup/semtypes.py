@@ -6,27 +6,18 @@ Collections are generic over a single element type and come in three kinds
 
 from __future__ import annotations
 
-from .diagnostics import Record, set_field
+from collections import namedtuple
+
+from .diagnostics import Record
 
 PRIMITIVES = ("Int", "Bool", "String")
 COLLECTION_KINDS = ("Set", "OrderedSet", "Sequence")
 
 
-class SemType(Record):
-    __slots__ = ("kind", "name", "elem")
-
-    def __init__(self, kind: str, name: str = "", elem: SemType | None = None):
-        set_field(self, "kind", kind)  # 'prim' | 'class' | 'coll' | 'void' | 'error'
-        set_field(self, "name", name)  # primitive or class name, or collection kind
-        set_field(self, "elem", elem)
-
-    def __eq__(self, other):
-        # the type checker compares types often: spelled out, not through _key
-        if other.__class__ is not SemType:
-            return NotImplemented
-        return self.kind == other.kind and self.name == other.name and self.elem == other.elem
-
-    __hash__ = Record.__hash__  # a class that defines __eq__ loses the inherited hash
+class SemType(Record, namedtuple("SemType", "kind name elem", defaults=("", None))):
+    # kind: 'prim' | 'class' | 'coll' | 'void' | 'error'
+    # name: primitive or class name, or collection kind
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "coll":

@@ -340,6 +340,11 @@ def _typecheck_aspects(unit: AspectUnit, woven: WovenModel) -> list[Diagnostic]:
                                     (aspect.post_conditions, True)):
             for cond in conds:
                 entry = woven.classes[cls].op_sigs.get(cond.op_name)
+                if entry is None and cond.op_name in ROOT_BUILTINS:
+                    sink.add("BuiltinCondition",
+                             f"{cond.name} is on root builtin {cond.op_name}, which takes no "
+                             "pre or post conditions", cond.pos)
+                    continue
                 if entry is None:
                     sink.add("UnknownOperation",
                              f"{cond.name} refers to unknown operation {cls}.{cond.op_name}",

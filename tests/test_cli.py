@@ -23,6 +23,14 @@ def test_parse_error_exits_1(tmp_path):
     assert code == 1 and "SyntaxError" in err
 
 
+def test_unknown_unit_kind_exits_1(tmp_path):
+    (tmp_path / "x.txt").write_text("package p;\n")
+    (tmp_path / "x.mashup").write_text('package p;\nrequire "x.txt";\n')
+    code, out, err = run_cli("compose", "--manifest", str(tmp_path / "x.mashup"))
+    assert code == 1 and out == ""
+    assert err == "x.txt:0:0: UnknownUnitKind no parser for .txt unit\n"
+
+
 def test_composition_error_exits_2():
     code, _out, err = run_cli("compose", "--manifest", str(CASE2 / "case2.mashup"))
     assert code == 2 and "ForbiddenComposition" in err

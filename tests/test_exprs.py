@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import importlib
+import pkgutil
 import random
 import re
 import subprocess
@@ -9,12 +11,13 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mashup
 from helpers import MODELS, REPO, TABLE_MM, table_act, table_model, weave
 from mashup.behavior import MethodDef, Return, VarDecl, parse_behavior
 from mashup.composer import MashupManifest, WovenClass, WovenModel
 from mashup.contracts import InvariantDecl
 from mashup.diagnostics import (
-    Diagnostic, DiagnosticSink, EvalFault, Pos, TypecheckError, UnitParseError,
+    NOPOS, Diagnostic, DiagnosticSink, EvalFault, Pos, Record, TypecheckError, UnitParseError,
 )
 from mashup.exprs import (
     VOID_VALUE, BinOp, BoolLit, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
@@ -22,7 +25,7 @@ from mashup.exprs import (
 )
 from mashup.metamodel import Attribute, Bounds, OperationSig, Param
 from mashup.runtime import (
-    CheckResult, Interpreter, ModelInstance, create_instance, eval_expr, load_model,
+    CheckResult, Interpreter, ModelInstance, OpEnter, create_instance, eval_expr, load_model,
 )
 from mashup.semtypes import BOOL, COLLECTION_KINDS, INT, STRING, SemType
 from mashup.typecheck import TypeContext, typecheck_expr
@@ -401,6 +404,10 @@ _DISTINCT = [
     (StringV("a"), ObjRef("a")),
     (IntLit(1), BoolLit(True)),
     (VarRef("x"), StringLit("x")),
+    # a record is never a plain tuple of its fields
+    (VarRef("x"), ("x", NOPOS)),
+    (OpEnter("o1", "f"), ("o1", "f")),
+    (INT, ("prim", "Int", None)),
 ]
 
 
@@ -452,6 +459,28 @@ def test_records_are_frozen(record, field):
     assert repr(record) == before
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_is_frozen():
+    """A record that forgets its ``__slots__ = ()`` gets a ``__dict__``, and
+    then silently takes any attribute."""
+    for module in pkgutil.iter_modules(mashup.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"mashup.{module.name}")
+    records = list(_subclasses(Record))
+    assert len(records) >= 40
+    for cls in records:
+        assert cls.__dictoffset__ == 0, cls
+        record = cls._make([None] * len(cls._fields))
+        for name in (cls._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+
 def test_mutable_records_share_no_container():
     a, b = WovenModel("p", {}), WovenModel("p", {})
     for name in ("aspect_units", "method_units", "sig_units"):
@@ -491,8 +520,9 @@ def test_record_repr_is_pinned(record, text):
 
 
 def test_import_loads_no_dataclasses():
-    """Records are plain slots classes: importing the workbench loads
-    neither ``dataclasses`` nor the ``inspect`` it would bring."""
+    """Records are named tuples and the scalars plain slots classes:
+    importing the workbench loads neither ``dataclasses`` nor the
+    ``inspect`` it would bring."""
     probe = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import mashup; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-I", "-B", "-c", probe],

@@ -93,6 +93,20 @@ CASES = [
      "u.inv:4:3: SyntaxError expected inv, pre, post or '}'"),
     ("inherits-inv", "u.inv", H + "aspect class A inherits B { }\n",
      "u.inv:3:16: SyntaxError expected '{', found 'inherits'"),
+    # expressions
+    ("new-with-arguments", "u.inv", H + "aspect class A { inv i : B.new(1) == void; }\n",
+     "u.inv:3:28: SyntaxError new takes no arguments and applies to a class name"),
+    ("size-with-arguments", "u.inv", H + "aspect class A { inv i : self.ks.size(1) == 0; }\n",
+     "u.inv:3:34: SyntaxError size takes no arguments"),
+    ("add-without-argument", "u.inv", H + "aspect class A { inv i : self.ks.add() == void; }\n",
+     "u.inv:3:34: SyntaxError add takes exactly one argument"),
+    ("super-in-expression", "u.act",
+     H + "aspect class A {\n  operation f() : Int is do\n    return super()\n  end\n}\n",
+     "u.act:5:12: SyntaxError super is only valid as its own statement"),
+    ("each-block-continued", "u.act",
+     H + "aspect class A {\n  operation f() : Void is do\n"
+     "    self.ks.each { k | self.n := 1 }.size()\n  end\n}\n",
+     "u.act:5:37: SyntaxError an each block with statements cannot be continued"),
 ]
 
 

@@ -110,6 +110,10 @@ CASES = [
      ["u0.act:5:31: BadSuper super[K]: K provides no go"]),
     ("super-top", "act", act("  operation go() : Void is do super() end"),
      ["u0.act:5:31: BadSuper K.go has no inherited definition to call"]),
+    # a call of a root builtin type checks, but it takes no contracts
+    ("condition-on-builtin", "inv", inv('  pre p on trace : message == "";'),
+     ["u0.inv:4:7: BuiltinCondition p is on root builtin trace, which takes no pre or post "
+      "conditions"]),
 ]
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
