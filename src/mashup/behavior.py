@@ -32,8 +32,8 @@ from typing import Union
 
 from .diagnostics import NOPOS, Pos, Record
 from .exprs import EachLoop, ExprParser, FeatureNav, VarRef, parse_sem_type
-from .lexer import Lexer, parse_header
-from .metamodel import Attribute, Reference, parse_feature, parse_operation_sig, parse_supertypes
+from .lexer import Lexer, Members, parse_block, parse_header
+from .metamodel import parse_attribute, parse_operation_sig, parse_reference, parse_supertypes
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -107,6 +107,37 @@ class AspectUnit(Record, namedtuple("AspectUnit", "package requires aspects sour
 # Parsing
 # ---------------------------------------------------------------------------
 
+
+def parse_aspect_unit(lx: Lexer, what: str, supertypes: str | None,
+                      members: Members) -> AspectUnit:
+    """Parse a constraint or behavior unit: the header, then ``aspect class
+    C [supertypes A, ...] { member* }`` blocks to the end of input.
+
+    ``what`` names the unit kind in the header's error; ``supertypes`` is
+    the keyword of the supertype list, None where the grammar has none.
+    """
+    package, requires = parse_header(lx, what)
+    aspects: list[AspectClass] = []
+    while not lx.at_eof():
+        lx.expect("aspect")
+        lx.expect("class")
+        name_tok = lx.expect_ident("class name")
+        supers = parse_supertypes(lx, supertypes) if supertypes else ()
+        aspects.append(AspectClass(name_tok.value, supers, pos=name_tok.pos,
+                                   **parse_block(lx, members)))
+    return AspectUnit(package, requires, tuple(aspects), lx.unit)
+
+
+def _parse_renaming(lx: Lexer) -> Renaming:
+    op_tok = lx.expect_ident("operation name")
+    lx.expect("from")
+    from_class = lx.expect_ident("superclass name").value
+    lx.expect("as")
+    new_name = lx.expect_ident("new operation name").value
+    lx.expect(";")
+    return Renaming(op_tok.value, from_class, new_name, op_tok.pos)
+
+
 _STMT_STARTERS = ("var", "if", "from", "until", "while", "return", "super")
 
 
@@ -114,54 +145,17 @@ class _BehaviorParser:
     def __init__(self, lx: Lexer):
         self.lx = lx
         self.exprs = ExprParser(lx, stmt_block_parser=self._stmt_block_for_each)
+        self.members: Members = {
+            "attr": ("added_attributes", parse_attribute),
+            "ref": ("added_references", parse_reference),
+            "method": ("methods", lambda _: self.method_def(overrides=True)),
+            "operation": ("methods", lambda _: self.method_def(overrides=False)),
+            "rename": ("renamings", _parse_renaming),
+        }
 
-    # -- units ---------------------------------------------------------
-
-    def module(self) -> AspectUnit:
+    def method_def(self, overrides: bool) -> MethodDef:
+        """Parse a ``method`` or ``operation`` member after its keyword."""
         lx = self.lx
-        package, requires = parse_header(lx, "a behavior unit")
-        aspects: list[AspectClass] = []
-        while not lx.at_eof():
-            aspects.append(self.aspect_class())
-        return AspectUnit(package, requires, tuple(aspects), lx.unit)
-
-    def aspect_class(self) -> AspectClass:
-        lx = self.lx
-        lx.expect("aspect")
-        lx.expect("class")
-        name_tok = lx.expect_ident("class name")
-        supers = parse_supertypes(lx, "inherits")
-        lx.expect("{")
-        attrs: list[Attribute] = []
-        refs: list[Reference] = []
-        methods: list[MethodDef] = []
-        renames: list[Renaming] = []
-        while not lx.at("}"):
-            feature = parse_feature(lx)
-            if feature is not None:
-                (attrs if isinstance(feature, Attribute) else refs).append(feature)
-            elif lx.at("method") or lx.at("operation"):
-                methods.append(self.method_def())
-            elif lx.accept("rename"):
-                op_tok = lx.expect_ident("operation name")
-                lx.expect("from")
-                from_class = lx.expect_ident("superclass name").value
-                lx.expect("as")
-                new_name = lx.expect_ident("new operation name").value
-                lx.expect(";")
-                renames.append(Renaming(op_tok.value, from_class, new_name, op_tok.pos))
-            else:
-                raise lx.error("expected attr, ref, method, operation, rename or '}'")
-        lx.expect("}")
-        return AspectClass(
-            name_tok.value, supers, tuple(attrs), tuple(refs),
-            tuple(methods), tuple(renames), pos=name_tok.pos,
-        )
-
-    def method_def(self) -> MethodDef:
-        lx = self.lx
-        overrides = lx.peek().value == "method"
-        lx.next()
         sig = parse_operation_sig(lx)
         lx.expect("is")
         lx.expect("do")
@@ -234,10 +228,8 @@ class _BehaviorParser:
 
     def _stmt_return(self) -> Stmt:
         pos = self.lx.expect("return").pos
-        tok = self.lx.peek()
         value = None
-        stop = tok.kind == "eof" or tok.value in (";", "}", "end", "else")
-        if not stop:
+        if not (self.lx.at_eof() or any(map(self.lx.at, (";", "}", "end", "else")))):
             value = self.exprs.expression()
         return Return(value, pos)
 
@@ -262,4 +254,5 @@ class _BehaviorParser:
 
 
 def parse_behavior(text: str, unit: str = "<act>") -> AspectUnit:
-    return _BehaviorParser(Lexer(text, unit)).module()
+    lx = Lexer(text, unit)
+    return parse_aspect_unit(lx, "a behavior unit", "inherits", _BehaviorParser(lx).members)

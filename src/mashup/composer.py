@@ -721,7 +721,7 @@ def validate_woven(woven: WovenModel) -> list[Diagnostic]:
                     f"supertype {sup} of {name} must occur exactly once in the linearization",
                 )
         # each feature and signature is checked once, at its declaring
-        # class; attribute types are primitive: parse_feature refuses any other
+        # class; attribute types are primitive: parse_attribute refuses any other
         for fname, sp in wc.slots.items():
             feat = sp.feat
             if sp.owner != name:

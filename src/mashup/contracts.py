@@ -22,11 +22,12 @@ additionally bind the operation parameters and post conditions bind
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
-from .behavior import AspectClass, AspectUnit
+from .behavior import AspectUnit, parse_aspect_unit
 from .diagnostics import NOPOS, Record
 from .exprs import ExprParser
-from .lexer import Lexer, parse_header
+from .lexer import Lexer, Members
 
 
 class InvariantDecl(Record, namedtuple("InvariantDecl", "name body pos", defaults=(NOPOS,))):
@@ -38,41 +39,30 @@ class ConditionDecl(Record, namedtuple("ConditionDecl", "op_name name body pos",
     __slots__ = ()
 
 
+def _parse_invariant(lx: Lexer) -> InvariantDecl:
+    n = lx.expect_ident("invariant name")
+    lx.expect(":")
+    decl = InvariantDecl(n.value, ExprParser(lx).expression(), n.pos)
+    lx.expect(";")
+    return decl
+
+
+def _parse_condition(lx: Lexer, what: str) -> ConditionDecl:
+    n = lx.expect_ident(f"{what} name")
+    lx.expect("on")
+    op = lx.expect_ident("operation name").value
+    lx.expect(":")
+    decl = ConditionDecl(op, n.value, ExprParser(lx).expression(), n.pos)
+    lx.expect(";")
+    return decl
+
+
+_MEMBERS: Members = {
+    "inv": ("invariants", _parse_invariant),
+    "pre": ("pre_conditions", partial(_parse_condition, what="precondition")),
+    "post": ("post_conditions", partial(_parse_condition, what="postcondition")),
+}
+
+
 def parse_contracts(text: str, unit: str = "<inv>") -> AspectUnit:
-    lx = Lexer(text, unit)
-    package, requires = parse_header(lx, "a constraint unit")
-    aspects: list[AspectClass] = []
-    while not lx.at_eof():
-        aspects.append(_parse_aspect(lx))
-    return AspectUnit(package, requires, tuple(aspects), unit)
-
-
-def _parse_aspect(lx: Lexer) -> AspectClass:
-    lx.expect("aspect")
-    lx.expect("class")
-    name_tok = lx.expect_ident("class name")
-    lx.expect("{")
-    invs: list[InvariantDecl] = []
-    pres: list[ConditionDecl] = []
-    posts: list[ConditionDecl] = []
-    parser = ExprParser(lx)
-    while not lx.at("}"):
-        if lx.accept("inv"):
-            n = lx.expect_ident("invariant name")
-            lx.expect(":")
-            invs.append(InvariantDecl(n.value, parser.expression(), n.pos))
-            lx.expect(";")
-        elif lx.at("pre") or lx.at("post"):
-            is_pre = lx.next().value == "pre"
-            what, decls = ("precondition", pres) if is_pre else ("postcondition", posts)
-            n = lx.expect_ident(f"{what} name")
-            lx.expect("on")
-            op = lx.expect_ident("operation name").value
-            lx.expect(":")
-            decls.append(ConditionDecl(op, n.value, parser.expression(), n.pos))
-            lx.expect(";")
-        else:
-            raise lx.error("expected inv, pre, post or '}'")
-    lx.expect("}")
-    return AspectClass(name_tok.value, invariants=tuple(invs), pre_conditions=tuple(pres),
-                       post_conditions=tuple(posts), pos=name_tok.pos)
+    return parse_aspect_unit(Lexer(text, unit), "a constraint unit", None, _MEMBERS)

@@ -284,6 +284,17 @@ def render_value(v: Value) -> str:
 
 StmtBlockParser = Callable[[], tuple]
 
+# Operator precedence, loosest first: ``or``, ``and``, prefix ``not``, the
+# comparisons (which do not chain), ``+ -`` and ``* /``.  Unary minus binds
+# tighter than all of them.
+_LEVELS = (("or",), ("and",), ("not",), ("==", "!=", "<", "<=", ">", ">="), ("+", "-"), ("*", "/"))
+_NOT, _COMPARISON = 2, 3
+_BINARY = {op: level for level, ops in enumerate(_LEVELS) if level != _NOT for op in ops}
+
+# Words that close or continue a construct: in an expression position they
+# are a syntax error, never a variable.
+_CLOSERS = ("end", "else", "then", "do", "loop")
+
 
 def parse_sem_type(lx: Lexer) -> SemType:
     tok = lx.expect_ident("type name")
@@ -312,57 +323,29 @@ class ExprParser:
         self.stmt_block_parser = stmt_block_parser
 
     def expression(self) -> Expr:
-        return self._or()
+        return self._binary(0)
 
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.lx.at("or"):
-            pos = self.lx.next().pos
-            e = BinOp(e, "or", self._and(), pos)
-        return e
+    def _binary(self, level: int) -> Expr:
+        """Parse an expression whose operators bind at ``level`` or tighter.
 
-    def _and(self) -> Expr:
-        e = self._not()
-        while self.lx.at("and"):
-            pos = self.lx.next().pos
-            e = BinOp(e, "and", self._not(), pos)
-        return e
-
-    def _not(self) -> Expr:
-        if self.lx.at("not"):
-            pos = self.lx.next().pos
-            return Not(self._not(), pos)
-        return self._comparison()
-
-    _CMP = ("==", "!=", "<", "<=", ">", ">=")
-
-    def _comparison(self) -> Expr:
-        e = self._additive()
-        tok = self.lx.peek()
-        if tok.kind == "punct" and tok.value in self._CMP:
-            self.lx.next()
-            e = BinOp(e, tok.value, self._additive(), tok.pos)
-        return e
-
-    def _additive(self) -> Expr:
-        e = self._multiplicative()
+        Precedence climbing: each operator is read once; its right operand
+        holds only tighter operators, so equal ones associate to the left.
+        After a comparison or a prefix ``not`` only looser operators follow.
+        """
+        lx = self.lx
+        if level <= _NOT and lx.at("not"):
+            pos = lx.next().pos
+            e, ceiling = Not(self._binary(_NOT), pos), _NOT - 1
+        else:
+            e, ceiling = self._unary(), len(_LEVELS)
         while True:
-            tok = self.lx.peek()
-            if tok.kind == "punct" and tok.value in ("+", "-"):
-                self.lx.next()
-                e = BinOp(e, tok.value, self._multiplicative(), tok.pos)
-            else:
+            tok = lx.peek()
+            op_level = _BINARY.get(tok.value, -1) if tok.kind in ("punct", "ident") else -1
+            if not level <= op_level <= ceiling:
                 return e
-
-    def _multiplicative(self) -> Expr:
-        e = self._unary()
-        while True:
-            tok = self.lx.peek()
-            if tok.kind == "punct" and tok.value in ("*", "/"):
-                self.lx.next()
-                e = BinOp(e, tok.value, self._unary(), tok.pos)
-            else:
-                return e
+            lx.next()
+            e = BinOp(e, tok.value, self._binary(op_level + 1), tok.pos)
+            ceiling = op_level - 1 if op_level == _COMPARISON else op_level
 
     def _unary(self) -> Expr:
         tok = self.lx.peek()
@@ -464,8 +447,9 @@ class ExprParser:
                 return self._if_expr()
             if tok.value == "super":
                 raise self.lx.error("super is only valid as its own statement", tok.pos)
-            self.lx.next()
-            return VarRef(tok.value, tok.pos)
+            if tok.value not in _CLOSERS:
+                self.lx.next()
+                return VarRef(tok.value, tok.pos)
         raise self.lx.error(f"expected expression, found {Lexer._describe(tok)}", tok.pos)
 
     def _if_expr(self) -> Expr:

@@ -1,6 +1,6 @@
 """Regex tokenizer shared by every unit grammar, plus the
 ``package``/``require`` header that manifests, constraint units and behavior
-units all open with.
+units all open with, and the ``{ member* }`` block every class body is.
 
 All keywords are contextual: the lexer only distinguishes identifiers,
 integer literals, string literals and punctuation, so feature names such as
@@ -10,7 +10,7 @@ integer literals, string literals and punctuation, so feature names such as
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .diagnostics import Pos, syntax_error
 
@@ -148,3 +148,23 @@ def parse_header(lx: Lexer, what: str) -> tuple[str, tuple[str, ...]]:
     if not requires:
         raise lx.error(f"{what} needs at least one require")
     return package, tuple(requires)
+
+
+# A block's grammar: each member keyword, the record field its members go to
+# and the parser of one member, called once the keyword is read.
+Members = dict[str, tuple[str, Callable[[Lexer], object]]]
+
+
+def parse_block(lx: Lexer, members: Members) -> dict[str, tuple]:
+    """Parse ``{ member* }`` and return each field of ``members`` with the
+    members parsed into it, in source order."""
+    lx.expect("{")
+    found: dict[str, list] = {field: [] for field, _ in members.values()}
+    while not lx.accept("}"):
+        tok = lx.peek()
+        if tok.kind != "ident" or tok.value not in members:
+            raise lx.error(f"expected {', '.join(members)} or '}}'")
+        lx.next()
+        field, parse = members[tok.value]
+        found[field].append(parse(lx))
+    return {field: tuple(items) for field, items in found.items()}

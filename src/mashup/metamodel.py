@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .diagnostics import NOPOS, Record
 from .exprs import parse_sem_type
-from .lexer import Lexer
+from .lexer import Lexer, Members, parse_block
 from .semtypes import PRIMITIVES, SemType, VOID, class_type, coll, prim
 
 
@@ -153,53 +153,41 @@ def parse_supertypes(lx: Lexer, keyword: str) -> tuple[str, ...]:
     return tuple(supers)
 
 
-def parse_feature(lx: Lexer) -> Attribute | Reference | None:
-    """Parse one ``attr`` or ``ref`` member; None if neither starts here."""
-    if lx.accept("attr"):
-        a_tok = lx.expect_ident("attribute name")
-        lx.expect(":")
-        t_tok = lx.expect_ident("primitive type")
-        if t_tok.value not in PRIMITIVES:
-            raise lx.error(f"attribute type must be one of {', '.join(PRIMITIVES)}", t_tok.pos)
-        bounds = _parse_bounds(lx)
-        lx.expect(";")
-        return Attribute(a_tok.value, t_tok.value, bounds, a_tok.pos)
-    if lx.accept("ref"):
-        r_tok = lx.expect_ident("reference name")
-        lx.expect(":")
-        target = lx.expect_ident("target class").value
-        bounds = _parse_bounds(lx)
-        containment = lx.accept("containment")
-        opposite = lx.expect_ident("opposite name").value if lx.accept("opposite") else None
-        lx.expect(";")
-        return Reference(r_tok.value, target, bounds, containment, opposite, r_tok.pos)
-    return None
+def parse_attribute(lx: Lexer) -> Attribute:
+    """Parse an ``attr`` member after its keyword."""
+    a_tok = lx.expect_ident("attribute name")
+    lx.expect(":")
+    t_tok = lx.expect_ident("primitive type")
+    if t_tok.value not in PRIMITIVES:
+        raise lx.error(f"attribute type must be one of {', '.join(PRIMITIVES)}", t_tok.pos)
+    bounds = _parse_bounds(lx)
+    lx.expect(";")
+    return Attribute(a_tok.value, t_tok.value, bounds, a_tok.pos)
 
 
-def _parse_class(lx: Lexer) -> MetaClass:
-    is_abstract = lx.accept("abstract")
-    lx.expect("class")
-    name_tok = lx.expect_ident("class name")
-    supers = parse_supertypes(lx, "extends")
-    lx.expect("{")
-    attrs: list[Attribute] = []
-    refs: list[Reference] = []
-    ops: list[OperationSig] = []
-    while not lx.at("}"):
-        feature = parse_feature(lx)
-        if feature is not None:
-            (attrs if isinstance(feature, Attribute) else refs).append(feature)
-        elif lx.accept("op"):
-            sig = parse_operation_sig(lx)
-            lx.expect(";")
-            ops.append(sig)
-        else:
-            raise lx.error("expected attr, ref, op or '}'")
-    lx.expect("}")
-    return MetaClass(
-        name_tok.value, is_abstract, supers, tuple(attrs), tuple(refs),
-        tuple(ops), name_tok.pos,
-    )
+def parse_reference(lx: Lexer) -> Reference:
+    """Parse a ``ref`` member after its keyword."""
+    r_tok = lx.expect_ident("reference name")
+    lx.expect(":")
+    target = lx.expect_ident("target class").value
+    bounds = _parse_bounds(lx)
+    containment = lx.accept("containment")
+    opposite = lx.expect_ident("opposite name").value if lx.accept("opposite") else None
+    lx.expect(";")
+    return Reference(r_tok.value, target, bounds, containment, opposite, r_tok.pos)
+
+
+def _parse_op(lx: Lexer) -> OperationSig:
+    sig = parse_operation_sig(lx)
+    lx.expect(";")
+    return sig
+
+
+_MEMBERS: Members = {
+    "attr": ("attributes", parse_attribute),
+    "ref": ("references", parse_reference),
+    "op": ("operations", _parse_op),
+}
 
 
 def parse_metamodel(text: str, unit: str = "<mm>") -> Metamodel:
@@ -213,9 +201,13 @@ def parse_metamodel(text: str, unit: str = "<mm>") -> Metamodel:
     name = lx.expect_ident("metamodel name").value
     lx.expect("{")
     classes: list[MetaClass] = []
-    while not lx.at("}"):
-        classes.append(_parse_class(lx))
-    lx.expect("}")
+    while not lx.accept("}"):
+        is_abstract = lx.accept("abstract")
+        lx.expect("class")
+        name_tok = lx.expect_ident("class name")
+        supers = parse_supertypes(lx, "extends")
+        classes.append(MetaClass(name_tok.value, is_abstract, supers, pos=name_tok.pos,
+                                 **parse_block(lx, _MEMBERS)))
     if not lx.at_eof():
         raise lx.error("trailing input after metamodel")
     return Metamodel(name, tuple(classes), unit)

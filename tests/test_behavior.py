@@ -10,6 +10,7 @@ from mashup.behavior import (
 )
 from mashup.composer import compose
 from mashup.diagnostics import UnitParseError
+from mashup.exprs import StringLit
 from mashup.typecheck import typecheck_units
 
 EXECUTE_UNIT = """
@@ -203,6 +204,19 @@ SCOPES_MM = "metamodel s { class K { attr n: Int; ref ks: K[*]; } }"
 def test_block_scopes_are_pinned(body, expected):
     units = parse_units(mm=SCOPES_MM, act='package s;\nrequire "s.mm";\naspect class K {\n'
                         f"  operation go(v : Int) : Void is do\n{body}\n  end\n}}\n")
+    diagnostics = typecheck_units(units[1:], compose(units))
+    assert [(d.code, d.message) for d in diagnostics] == expected
+
+
+@pytest.mark.parametrize("word", ["end", "else", ";", "}"])
+@pytest.mark.parametrize("returns,expected", [
+    ("String", []),
+    ("Void", [("TypeMismatch", "operation returns Void; drop the return value")]),
+])
+def test_a_returned_string_may_spell_a_closer(word, returns, expected):
+    units = parse_units(mm=SCOPES_MM, act='package s;\nrequire "s.mm";\naspect class K {\n'
+                        f'  operation go() : {returns} is do\n    return "{word}"\n  end\n}}\n')
+    assert units[1].aspects[0].methods[0].body == (Return(StringLit(word)),)
     diagnostics = typecheck_units(units[1:], compose(units))
     assert [(d.code, d.message) for d in diagnostics] == expected
 

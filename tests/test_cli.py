@@ -155,7 +155,8 @@ aspect class Counter {
 
 
 @pytest.mark.parametrize("rule", [
-    "(" * 100 + "true" + ")" * 100,
+    # as many levels as the recursion limit has frames, whatever each costs
+    "(" * sys.getrecursionlimit() + "true" + ")" * sys.getrecursionlimit(),
     "+".join(["1"] * 500) + " == 500",
 ], ids=["parentheses", "long-sum"])
 def test_deeply_nested_unit_exits_1(tmp_path, rule):

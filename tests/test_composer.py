@@ -958,16 +958,23 @@ def test_validate_woven_fixture_clean(fuml_woven):
     assert validate_woven(fuml_woven) == []
 
 
-def test_validate_woven_flags_duplicate_linearization(fuml_woven):
-    broken = WovenClass(
-        name="X", is_abstract=False, supertypes=(),
-        linearization=("X", "X", ROOT_CLASS),
-    )
+@pytest.mark.parametrize("supertypes,linearization,message", [
+    ((), ("Y", "X", ROOT_CLASS), "linearization of X must start with itself"),
+    ((), ("X",), "linearization of X must end with the root"),
+    ((), ("X", "X", ROOT_CLASS), "linearization of X repeats a class"),
+    (("Activity",), ("X", ROOT_CLASS),
+     "supertype Activity of X must occur exactly once in the linearization"),
+], ids=["start", "end", "repeat", "supertype"])
+def test_validate_woven_bad_linearization_is_pinned(fuml_woven, supertypes, linearization,
+                                                    message):
+    broken = WovenClass(name="X", is_abstract=False, supertypes=supertypes,
+                        linearization=linearization)
     import copy
     woven = copy.copy(fuml_woven)
     woven.classes = dict(fuml_woven.classes)
     woven.classes["X"] = broken
-    assert any(d.code == "BadLinearization" for d in validate_woven(woven))
+    assert [d.render() for d in validate_woven(woven)] == [
+        f"<woven>:0:0: BadLinearization {message}"]
 
 
 def test_validate_woven_flags_unknown_target(fuml_woven):

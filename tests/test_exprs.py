@@ -21,7 +21,7 @@ from mashup.diagnostics import (
 )
 from mashup.exprs import (
     VOID_VALUE, BinOp, BoolLit, BoolV, Coll, CollectionOp, FeatureNav, IntLit, IntV, ObjRef,
-    SelfRef, StringLit, StringV, TypeTest, VarRef, VoidV, make_coll, parse_expr, render_value,
+    Not, SelfRef, StringLit, StringV, TypeTest, VarRef, VoidV, make_coll, parse_expr, render_value,
 )
 from mashup.metamodel import Attribute, Bounds, OperationSig, Param
 from mashup.runtime import (
@@ -69,6 +69,74 @@ def test_precedence_and_if_expression():
     assert e.op == "and"
     e = parse_expr("if 1 < 2 then 3 else 4 end")
     assert e.cond == BinOp(IntLit(1), "<", IntLit(2))
+
+
+A, B, C = VarRef("a"), VarRef("b"), VarRef("c")
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a or b and c", BinOp(A, "or", BinOp(B, "and", C))),
+    ("not a == b", Not(BinOp(A, "==", B))),
+    ("a and not b or c", BinOp(BinOp(A, "and", Not(B)), "or", C)),
+    ("1 - 2 - 3", BinOp(BinOp(IntLit(1), "-", IntLit(2)), "-", IntLit(3))),
+    ("-1 * 2", BinOp(BinOp(IntLit(0), "-", IntLit(1)), "*", IntLit(2))),
+    ("-x.y", BinOp(IntLit(0), "-", FeatureNav(VarRef("x"), "y"))),
+])
+def test_precedence_and_associativity_are_pinned(text, tree):
+    assert parse_expr(text) == tree
+
+
+def test_comparisons_do_not_chain():
+    with pytest.raises(UnitParseError) as exc:
+        parse_expr("1 < 2 < 3")
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<expr>:1:7: SyntaxError trailing input after expression"]
+
+
+# The oracle's own precedence levels, loosest first: a prefix ``not`` binds
+# between ``and`` and the comparisons, which do not chain.
+_LEVEL = {"or": 0, "and": 1, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+          "+": 4, "-": 4, "*": 5, "/": 5}
+_NOT_LEVEL, _COMPARISON_LEVEL, _ATOM_LEVEL = 2, 3, 6
+
+_OPERATOR_TREES = st.recursive(
+    st.sampled_from([A, B, C]) | st.builds(IntLit, st.integers(0, 9)),
+    lambda inner: st.builds(BinOp, inner, st.sampled_from(sorted(_LEVEL)), inner)
+    | st.builds(Not, inner),
+    max_leaves=8,
+)
+
+
+def _level(e) -> int:
+    if isinstance(e, BinOp):
+        return _LEVEL[e.op]
+    return _NOT_LEVEL if isinstance(e, Not) else _ATOM_LEVEL
+
+
+def _show(e, parenthesize_all: bool) -> str:
+    """Print ``e`` with every operator parenthesized, or with only the
+    parentheses its precedence needs."""
+    def operand(x, needs_parens: bool) -> str:
+        text = _show(x, parenthesize_all)
+        return f"({text})" if needs_parens and not parenthesize_all else text
+
+    if isinstance(e, BinOp):
+        level = _LEVEL[e.op]
+        lhs = operand(e.lhs, _level(e.lhs) < level
+                      or (level == _COMPARISON_LEVEL and _level(e.lhs) == level))
+        text = f"{lhs} {e.op} {operand(e.rhs, _level(e.rhs) <= level)}"
+    elif isinstance(e, Not):
+        text = f"not {operand(e.operand, _level(e.operand) < _NOT_LEVEL)}"
+    else:
+        return e.name if isinstance(e, VarRef) else str(e.value)
+    return f"({text})" if parenthesize_all else text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_OPERATOR_TREES)
+def test_operator_trees_parse_back_with_or_without_spare_parentheses(tree):
+    assert parse_expr(_show(tree, parenthesize_all=True)) == tree
+    assert parse_expr(_show(tree, parenthesize_all=False)) == tree
 
 
 # ---------------------------------------------------------------------------

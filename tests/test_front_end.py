@@ -65,6 +65,13 @@ CASES = [
      "u.act:4:3: SyntaxError expected attr, ref, method, operation, rename or '}'"),
     ("member-inv", "u.inv", H + "aspect class A {\n  attr n : Int;\n}\n",
      "u.inv:4:3: SyntaxError expected inv, pre, post or '}'"),
+    # end of input inside a block
+    ("eof-in-class-mm", "u.mm", "metamodel m {\n  class A {\n",
+     "u.mm:3:1: SyntaxError expected attr, ref, op or '}'"),
+    ("eof-in-aspect-act", "u.act", H + "aspect class A {\n",
+     "u.act:4:1: SyntaxError expected attr, ref, method, operation, rename or '}'"),
+    ("eof-in-aspect-inv", "u.inv", H + "aspect class A {\n",
+     "u.inv:4:1: SyntaxError expected inv, pre, post or '}'"),
     # conditions
     ("pre-no-on", "u.inv", H + "aspect class A {\n  pre x run : true;\n}\n",
      "u.inv:4:9: SyntaxError expected 'on', found 'run'"),
@@ -103,6 +110,21 @@ CASES = [
     ("super-in-expression", "u.act",
      H + "aspect class A {\n  operation f() : Int is do\n    return super()\n  end\n}\n",
      "u.act:5:12: SyntaxError super is only valid as its own statement"),
+    # a word that closes or continues a construct is no variable
+    ("end-as-value", "u.act", H + "aspect class A {\n  operation f() : Void is do\n"
+     "    self.n := end\n  end\n}\n",
+     "u.act:5:15: SyntaxError expected expression, found 'end'"),
+    ("loop-as-value", "u.act", H + "aspect class A {\n  operation f() : Int is do\n"
+     "    return loop\n  end\n}\n",
+     "u.act:5:12: SyntaxError expected expression, found 'loop'"),
+    ("else-as-value", "u.act", H + "aspect class A {\n  operation f() : Void is do\n"
+     "    var x : Int init else\n  end\n}\n",
+     "u.act:5:22: SyntaxError expected expression, found 'else'"),
+    ("then-as-value", "u.act", H + "aspect class A {\n  operation f() : Void is do\n"
+     "    if then self.n := 1 end\n  end\n}\n",
+     "u.act:5:8: SyntaxError expected expression, found 'then'"),
+    ("do-as-value", "u.inv", H + "aspect class A { inv i : do; }\n",
+     "u.inv:3:26: SyntaxError expected expression, found 'do'"),
     ("each-block-continued", "u.act",
      H + "aspect class A {\n  operation f() : Void is do\n"
      "    self.ks.each { k | self.n := 1 }.size()\n  end\n}\n",
